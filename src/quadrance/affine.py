@@ -38,12 +38,6 @@ def det2(m):
     return m[0][0] * m[1][1] - m[0][1] * m[1][0]
 
 
-def det3(m):
-    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
-
-
 def det4(m):
     # Laplace expansion along the first two rows; no minor lists built
     (a00, a01, a02, a03), (a10, a11, a12, a13) = m[0], m[1]
@@ -85,15 +79,25 @@ def heron_product(d1, d2, d3):
     return ((d1 + d2 + d3) * (-d1 + d2 + d3) * (d1 - d2 + d3) * (d1 + d2 - d3))
 
 
+def quad_triple_pair_fraction(a, b, c, d):
+    """(num, den) with x = num / den the solution of solve_quad_triple_pair.
+
+    Nothing is divided, so this works on any ring elements, plain ints
+    included.  den is 2(a + b - c - d); in the supported fields (no
+    characteristic 2) it vanishes exactly when x is undetermined.
+    """
+    return (a - b) ** 2 - (c - d) ** 2, 2 * (a + b - c - d)
+
+
 def solve_quad_triple_pair(a, b, c, d):
     """The unique x with {a,b,x} and {c,d,x} both quad triples.
 
     Requires a + b != c + d.
     """
-    den = a + b - c - d
+    num, den = quad_triple_pair_fraction(a, b, c, d)
     if den == 0:
         raise DegenerateDenominator("a + b = c + d leaves x undetermined")
-    return exact_div((a - b) ** 2 - (c - d) ** 2, 2 * den)
+    return exact_div(num, den)
 
 
 def quadruple_quad_fn(a, b, c, d):

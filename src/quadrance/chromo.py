@@ -2,8 +2,9 @@
 
 The three distinguished forms are blue (1:0:1), red (1:0:-1), and green
 (0:1:0).  Each color has its own perpendicular map and its own p-quadrance,
-computed here from the per-color closed formulas; agreement with the
-general-form projective quadrance is checked by the verification suites.
+computed here from the per-color closed formulas.  Their agreement with
+the general-form projective quadrance is checked in tests/test_chromo.py;
+the verification suites do not check it.
 """
 
 from __future__ import annotations

@@ -27,6 +27,11 @@ class InfiniteField(QuadranceError):
     """Enumeration requested over the rationals."""
 
 
+class InvalidArgument(QuadranceError, ValueError):
+    """An argument outside a function's domain: an all-zero proportion
+    (point, form or matrix) or an out-of-range index or exponent."""
+
+
 # -- geometry --------------------------------------------------------------
 
 class DegenerateForm(QuadranceError):

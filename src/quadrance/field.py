@@ -74,41 +74,58 @@ class Fp:
             raise MixedContexts(f"cannot combine a rational with an element of F_{self.p}")
         return None
 
+    # Each operator first tries the common case, another residue mod the same
+    # prime; anything else goes through _residue, which lifts ints and raises
+    # MixedContexts for a foreign operand.
+
     def __add__(self, other):
+        p = self.p
+        if type(other) is Fp and other.p == p:
+            return _fp((self.r + other.r) % p, p)
         r = self._residue(other)
         if r is None:
             return NotImplemented
-        return Fp(self.r + r, self.p)
+        return _fp((self.r + r) % p, p)
 
     __radd__ = __add__
 
     def __sub__(self, other):
+        p = self.p
+        if type(other) is Fp and other.p == p:
+            return _fp((self.r - other.r) % p, p)
         r = self._residue(other)
         if r is None:
             return NotImplemented
-        return Fp(self.r - r, self.p)
+        return _fp((self.r - r) % p, p)
 
     def __rsub__(self, other):
         r = self._residue(other)
         if r is None:
             return NotImplemented
-        return Fp(r - self.r, self.p)
+        return _fp((r - self.r) % self.p, self.p)
 
     def __mul__(self, other):
+        p = self.p
+        if type(other) is Fp and other.p == p:
+            return _fp(self.r * other.r % p, p)
         r = self._residue(other)
         if r is None:
             return NotImplemented
-        return Fp(self.r * r, self.p)
+        return _fp(self.r * r % p, p)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        r = self._residue(other)
-        if r is None:
-            return NotImplemented
+        p = self.p
+        if type(other) is Fp and other.p == p:
+            r = other.r
+        else:
+            r = self._residue(other)
+            if r is None:
+                return NotImplemented
         if r == 0:
-            raise DivisionByZero(f"division by zero in F_{self.p}")
-        return Fp(self.r * pow(r, -1, self.p), self.p)
+            raise DivisionByZero(f"division by zero in F_{p}")
+        return _fp(self.r * pow(r, -1, p) % p, p)
 
     def __rtruediv__(self, other):
         r = self._residue(other)
@@ -116,20 +133,20 @@ class Fp:
             return NotImplemented
         if self.r == 0:
             raise DivisionByZero(f"division by zero in F_{self.p}")
-        return Fp(r * pow(self.r, -1, self.p), self.p)
+        return _fp(r * pow(self.r, -1, self.p) % self.p, self.p)
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
             return NotImplemented
         if n < 0 and self.r == 0:
             raise DivisionByZero(f"inverse of zero in F_{self.p}")
-        return Fp(pow(self.r, n, self.p), self.p)
+        return _fp(pow(self.r, n, self.p), self.p)
 
     def __neg__(self):
-        return Fp(-self.r, self.p)
+        return _fp(-self.r % self.p, self.p)
 
     def __eq__(self, other):
-        if isinstance(other, Fp):
+        if type(other) is Fp:
             return self.p == other.p and self.r == other.r
         if isinstance(other, int):
             return self.r == other % self.p
@@ -146,6 +163,17 @@ class Fp:
 
     def __repr__(self):
         return f"Fp({self.r}, {self.p})"
+
+
+_new_object = object.__new__
+
+
+def _fp(r: int, p: int) -> Fp:
+    """An Fp from a residue already in 0..p-1, without reducing it again."""
+    x = _new_object(Fp)
+    x.r = r
+    x.p = p
+    return x
 
 
 def rational_sqrt(t: Fraction):

@@ -14,7 +14,7 @@ import enum
 from dataclasses import dataclass
 
 from .chromo import Color, colored_quadrance, is_null_for
-from .errors import ColorMismatch, NotIsometry, NotUnitCircle, NullParameter
+from .errors import ColorMismatch, InvalidArgument, NotIsometry, NotUnitCircle, NullParameter
 from .field import exact_div, field_sqrt
 from .projective import ProjPoint
 
@@ -26,7 +26,7 @@ class ProjMatrix:
 
     def __init__(self, a, b, c, d):
         if a == 0 and b == 0 and c == 0 and d == 0:
-            raise ValueError("projective matrix needs a nonzero entry")
+            raise InvalidArgument("projective matrix needs a nonzero entry")
         self.a = a
         self.b = b
         self.c = c
@@ -209,7 +209,7 @@ def point_inverse(color: Color, p: ProjPoint) -> ProjPoint:
 def point_power(color: Color, p: ProjPoint, n: int) -> ProjPoint:
     """n-fold product of p with itself, n >= 1."""
     if n < 1:
-        raise ValueError("exponent must be positive")
+        raise InvalidArgument("exponent must be positive")
     if is_null_for(color, p):
         raise NullParameter(f"{p} is {color}-null")
     acc = p

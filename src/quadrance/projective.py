@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .affine import archimedes, det4
-from .errors import DegenerateDenominator, DegenerateForm, NullPoint
+from .errors import DegenerateDenominator, DegenerateForm, InvalidArgument, NullPoint
 from .field import exact_div
 
 
@@ -29,7 +29,7 @@ class ProjPoint:
 
     def __init__(self, x, y):
         if x == 0 and y == 0:
-            raise ValueError("projective point needs a nonzero coordinate")
+            raise InvalidArgument("projective point needs a nonzero coordinate")
         self.x = x
         self.y = y
 
@@ -61,7 +61,7 @@ class Form:
 
     def __init__(self, d, e, f):
         if d == 0 and e == 0 and f == 0:
-            raise ValueError("form needs a nonzero coefficient")
+            raise InvalidArgument("form needs a nonzero coefficient")
         self.d = d
         self.e = e
         self.f = f
@@ -163,15 +163,25 @@ def is_spread_triple(a, b, c) -> bool:
     return triple_spread_fn(a, b, c) == 0
 
 
+def spread_triple_pair_fraction(a, b, c, d):
+    """(num, den) with x = num / den the solution of solve_spread_triple_pair.
+
+    Nothing is divided, so this works on any ring elements, plain ints
+    included.  den is 2(a + b - c - d - 2ab + 2cd); in the supported fields
+    (no characteristic 2) it vanishes exactly when x is undetermined.
+    """
+    return (a - b) ** 2 - (c - d) ** 2, 2 * (a + b - c - d - 2 * a * b + 2 * c * d)
+
+
 def solve_spread_triple_pair(a, b, c, d):
     """The common x with {a,b,x} and {c,d,x} both spread triples.
 
     Requires a + b - 2ab != c + d - 2cd.
     """
-    den = a + b - c - d - 2 * a * b + 2 * c * d
+    num, den = spread_triple_pair_fraction(a, b, c, d)
     if den == 0:
         raise DegenerateDenominator("a + b - 2ab = c + d - 2cd leaves x undetermined")
-    return exact_div((a - b) ** 2 - (c - d) ** 2, 2 * den)
+    return exact_div(num, den)
 
 
 def quadruple_spread_fn(a, b, c, d):

@@ -13,7 +13,7 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DivisionByZero, FactorizationFailure, NonIntegralResult
+from .errors import DivisionByZero, FactorizationFailure, InvalidArgument, NonIntegralResult
 from .field import exact_div
 
 
@@ -123,7 +123,7 @@ _cache_lock = threading.Lock()
 def spread_poly(n: int) -> IntPolynomial:
     """The n-th spread polynomial (degree n, leading coefficient (-4)^(n-1))."""
     if n < 0:
-        raise ValueError("spread polynomial index must be nonnegative")
+        raise InvalidArgument("spread polynomial index must be nonnegative")
     with _cache_lock:
         step = IntPolynomial([2, -4])  # 2(1 - 2s)
         two_s = IntPolynomial([0, 2])
@@ -136,7 +136,7 @@ def spread_poly(n: int) -> IntPolynomial:
 def chebyshev_T(n: int) -> IntPolynomial:
     """The n-th Chebyshev polynomial of the first kind."""
     if n < 0:
-        raise ValueError("Chebyshev index must be nonnegative")
+        raise InvalidArgument("Chebyshev index must be nonnegative")
     with _cache_lock:
         two_x = IntPolynomial([0, 2])
         while len(_cheb_cache) <= n:
@@ -148,7 +148,7 @@ def chebyshev_T(n: int) -> IntPolynomial:
 def spread_via_chebyshev(n: int) -> IntPolynomial:
     """(1 - T_n(1 - 2s)) / 2, halved exactly; equals spread_poly(n)."""
     if n < 1:
-        raise ValueError("index must be positive")
+        raise InvalidArgument("index must be positive")
     shifted = poly_compose(chebyshev_T(n), IntPolynomial([1, -2]))
     numer = ONE - shifted
     half = []
@@ -218,7 +218,7 @@ def spread_cyclotomic(k: int) -> IntPolynomial:
     must have integer coefficients and degree totient(k).
     """
     if k < 1:
-        raise ValueError("index must be positive")
+        raise InvalidArgument("index must be positive")
     with _cache_lock:
         cached = _phi_cache.get(k)
     if cached is not None:
@@ -256,7 +256,7 @@ def spread_at_green_ratio(x, y, n: int) -> GreenRatioValue:
     -(y^n - x^n)^2 / (4 x^n y^n); the two always agree.
     """
     if n < 1:
-        raise ValueError("index must be positive")
+        raise InvalidArgument("index must be positive")
     if x == 0 or y == 0:
         raise DivisionByZero("green ratio needs nonzero x and y")
     s = exact_div(-((y - x) ** 2), 4 * x * y)

@@ -5,10 +5,17 @@ field it enumerates every case (all point tuples, all shape parameters),
 skipping and counting tuples that are null where non-null inputs are
 required.  Every report satisfies passed + failed + skipped = attempted,
 and identical seeds and arguments reproduce identical results.
+
+The polynomial identities (triple and quadruple quad and spread formulas,
+Heron, Brahmagupta, generalized Fibonacci) have integer coefficients, so
+their F_p sweeps call the library's own kernels on plain int residues
+0..p-1 and reduce mod p once per side.  Solution fractions are checked
+cleared of their denominator: num == den * q (mod p).
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 from dataclasses import dataclass, field as dataclass_field
@@ -17,7 +24,7 @@ from typing import Callable, Optional
 
 from . import affine, chromo, isometry, projective, spreadpoly
 from .chromo import Color
-from .errors import DegenerateDenominator, NotUnitCircle, UnknownSuite
+from .errors import NotUnitCircle, UnknownSuite
 from .field import FieldContext
 from .isometry import IsoKind
 from .projective import Form, ProjPoint
@@ -91,10 +98,11 @@ class Recorder:
     skip_reasons: dict = dataclass_field(default_factory=dict)
     counterexample: Optional[dict] = None
 
-    def skip(self, reason: str):
-        self.attempted += 1
-        self.skipped += 1
-        self.skip_reasons[reason] = self.skip_reasons.get(reason, 0) + 1
+    def skip(self, reason: str, count: int = 1):
+        if count:
+            self.attempted += count
+            self.skipped += count
+            self.skip_reasons[reason] = self.skip_reasons.get(reason, 0) + count
 
     def case(self, failure: Optional[dict]):
         self.attempted += 1
@@ -153,6 +161,95 @@ def proj_points(ctx: FieldContext) -> list[ProjPoint]:
     return pts
 
 
+# -- identity drivers and residue sweeps over F_p -----------------------------
+
+def _check_sides(rec, identity: str, names, sides: Callable, cases,
+                 p: Optional[int] = None):
+    """One case per argument tuple: ``sides(*args)`` must return equal (lhs, rhs).
+
+    With ``p`` the arguments are int residues and both sides are compared,
+    and reported, reduced mod p.
+    """
+    for args in cases:
+        lhs, rhs = sides(*args)
+        if p is not None:
+            lhs, rhs = lhs % p, rhs % p
+        if lhs == rhs:
+            rec.case(None)
+        else:
+            rec.case(mismatch(identity, dict(zip(names, args)), lhs, rhs))
+
+
+def _solution_mismatch(num, den, want: int, p: int):
+    """num/den mod p where it differs from ``want``; None when equal or den = 0 mod p."""
+    if den % p == 0 or (num - den * want) % p == 0:
+        return None
+    return num * pow(den, -1, p) % p
+
+
+def _live_indices(rec, null: list, arity: int) -> list:
+    """Indices of the non-null points; the tuples with a null entry are skipped."""
+    live = [i for i, is_null in enumerate(null) if not is_null]
+    rec.skip("null-point", len(null) ** arity - len(live) ** arity)
+    return live
+
+
+def _sweep_quadruple(rec, p: int, qtab, fn, fraction, name: str, inputs, live):
+    """Every 4-tuple over ``live`` indices of the residue table ``qtab``.
+
+    ``fn`` of the four sides must vanish mod p, and each diagonal must equal
+    its solution fraction whenever that fraction's denominator is nonzero.
+    """
+    for i in live:
+        row_i = qtab[i]
+        for j in live:
+            q12, row_j = row_i[j], qtab[j]
+            for k in live:
+                q23, row_k, q13 = row_j[k], qtab[k], row_i[k]
+                for m in live:
+                    q34, q14, q24 = row_k[m], row_i[m], row_j[m]
+                    value = fn(q12, q23, q34, q14) % p
+                    if value:
+                        rec.case(mismatch(f"{name}-formula", inputs(i, j, k, m), value, 0))
+                        continue
+                    got = _solution_mismatch(*fraction(q12, q23, q34, q14), q13, p)
+                    if got is not None:
+                        rec.case(mismatch(f"{name}-q13", inputs(i, j, k, m), got, q13))
+                        continue
+                    got = _solution_mismatch(*fraction(q23, q34, q12, q14), q24, p)
+                    if got is not None:
+                        rec.case(mismatch(f"{name}-q24", inputs(i, j, k, m), got, q24))
+                        continue
+                    rec.case(None)
+
+
+def _check_identity(rec, ctx, rng, trials, identity, names, sides, residue_cases=None):
+    """``sides`` on ``trials`` random argument tuples, or over F_p on
+    ``residue_cases`` (by default every tuple of residues)."""
+    if rng is None:
+        if residue_cases is None:
+            residue_cases = itertools.product(range(ctx.p), repeat=len(names))
+        _check_sides(rec, identity, names, sides, residue_cases, ctx.p)
+    else:
+        cases = (tuple(random_element(ctx, rng) for _ in names) for _ in range(trials))
+        _check_sides(rec, identity, names, sides, cases)
+
+
+def _residue_quadrance_table(p: int) -> list:
+    """Residues of the quadrances (b - a)^2 between all points of the affine line."""
+    return [[(b - a) ** 2 % p for b in range(p)] for a in range(p)]
+
+
+def _p_quadrance_table(form, pts, live) -> list:
+    """Residues of the p-quadrances between the ``live`` (non-null) points."""
+    n = len(pts)
+    qtab = [[None] * n for _ in range(n)]
+    for i in live:
+        for j in live:
+            qtab[i][j] = projective.p_quadrance(form, pts[i], pts[j]).r
+    return qtab
+
+
 # -- individual suites --------------------------------------------------------
 
 def _triple_quad_case(t1, t2, t3) -> Optional[dict]:
@@ -180,23 +277,21 @@ def _suite_triple_quad(rec, ctx, rng, trials, colors):
         # The theorem itself over all p^3 ordered point triples; the
         # free-variable alternate/proof identities are random-input checks
         # and live in the randomized mode below.
-        elems = list(ctx.enumerate_elements())
-        n = len(elems)
-        qtab = [[(b - a) ** 2 for b in elems] for a in elems]
-        for i in range(n):
+        p = ctx.p
+        archimedes = affine.archimedes
+        qtab = _residue_quadrance_table(p)
+        for i in range(p):
             row_i = qtab[i]
-            for j in range(n):
+            for j in range(p):
                 q3 = row_i[j]
                 row_j = qtab[j]
-                for k in range(n):
-                    val = affine.archimedes(row_j[k], row_i[k], q3)
+                for k in range(p):
+                    val = archimedes(row_j[k], row_i[k], q3) % p
                     if val == 0:
                         rec.case(None)
                     else:
-                        rec.case(mismatch(
-                            "triple-quad-formula",
-                            {"x1": elems[i], "x2": elems[j], "x3": elems[k]},
-                            val, 0))
+                        rec.case(mismatch("triple-quad-formula",
+                                          {"x1": i, "x2": j, "x3": k}, val, 0))
     else:
         for _ in range(trials):
             rec.case(_triple_quad_case(*(random_element(ctx, rng) for _ in range(3))))
@@ -230,120 +325,57 @@ def _suite_quadruple_quad(rec, ctx, rng, trials, colors):
     if rng is None:
         # theorem sweep over all p^4 point tuples: value and both fractions;
         # the free-variable rearrangement identity is a random-input check
-        elems = list(ctx.enumerate_elements())
-        n = len(elems)
-        qtab = [[(b - a) ** 2 for b in elems] for a in elems]
-        for i in range(n):
-            for j in range(n):
-                q12 = qtab[i][j]
-                for k in range(n):
-                    q23 = qtab[j][k]
-                    q13 = qtab[i][k]
-                    for m in range(n):
-                        q34, q14, q24 = qtab[k][m], qtab[i][m], qtab[j][m]
-                        inputs = {"x1": elems[i], "x2": elems[j],
-                                  "x3": elems[k], "x4": elems[m]}
-                        value = affine.quadruple_quad_fn(q12, q23, q34, q14)
-                        if value != 0:
-                            rec.case(mismatch("quadruple-quad-formula", inputs, value, 0))
-                            continue
-                        failure = None
-                        try:
-                            got = affine.solve_quad_triple_pair(q12, q23, q34, q14)
-                            if got != q13:
-                                failure = mismatch("quadruple-quad-q13", inputs, got, q13)
-                        except DegenerateDenominator:
-                            pass
-                        if failure is None:
-                            try:
-                                got = affine.solve_quad_triple_pair(q23, q34, q12, q14)
-                                if got != q24:
-                                    failure = mismatch("quadruple-quad-q24", inputs,
-                                                       got, q24)
-                            except DegenerateDenominator:
-                                pass
-                        rec.case(failure)
+        p = ctx.p
+        _sweep_quadruple(rec, p, _residue_quadrance_table(p), affine.quadruple_quad_fn,
+                         affine.quad_triple_pair_fraction, "quadruple-quad",
+                         lambda i, j, k, m: {"x1": i, "x2": j, "x3": k, "x4": m},
+                         range(p))
     else:
         for _ in range(trials):
             rec.case(_quadruple_quad_case(*(random_element(ctx, rng) for _ in range(4))))
 
 
-def _heron_case(d1, d2, d3) -> Optional[dict]:
-    lhs = affine.heron_product(d1, d2, d3)
-    rhs = affine.archimedes(d1 * d1, d2 * d2, d3 * d3)
-    if lhs != rhs:
-        return mismatch("heron-identity", {"d1": d1, "d2": d2, "d3": d3}, lhs, rhs)
-    return None
+def _heron_sides(d1, d2, d3):
+    return affine.heron_product(d1, d2, d3), affine.archimedes(d1 * d1, d2 * d2, d3 * d3)
 
 
 def _suite_heron(rec, ctx, rng, trials, colors):
-    if rng is None:
-        elems = list(ctx.enumerate_elements())
-        for d1 in elems:
-            for d2 in elems:
-                for d3 in elems:
-                    rec.case(_heron_case(d1, d2, d3))
-    else:
-        for _ in range(trials):
-            rec.case(_heron_case(*(random_element(ctx, rng) for _ in range(3))))
+    _check_identity(rec, ctx, rng, trials, "heron-identity", ("d1", "d2", "d3"),
+                    _heron_sides)
 
 
-def _brahmagupta_case(d12, d23, d34, d14) -> Optional[dict]:
-    lhs = affine.brahmagupta_product(d12, d23, d34, d14)
-    rhs = affine.quadruple_quad_fn(d12 * d12, d23 * d23, d34 * d34, d14 * d14)
-    if lhs != rhs:
-        return mismatch("brahmagupta-identity",
-                        {"d12": d12, "d23": d23, "d34": d34, "d14": d14}, lhs, rhs)
-    return None
+def _brahmagupta_sides(d12, d23, d34, d14):
+    return (affine.brahmagupta_product(d12, d23, d34, d14),
+            affine.quadruple_quad_fn(d12 * d12, d23 * d23, d34 * d34, d14 * d14))
 
 
 def _suite_brahmagupta(rec, ctx, rng, trials, colors):
-    if rng is None:
-        elems = list(ctx.enumerate_elements())
-        for d12 in elems:
-            for d23 in elems:
-                for d34 in elems:
-                    for d14 in elems:
-                        rec.case(_brahmagupta_case(d12, d23, d34, d14))
-    else:
-        for _ in range(trials):
-            rec.case(_brahmagupta_case(*(random_element(ctx, rng) for _ in range(4))))
+    _check_identity(rec, ctx, rng, trials, "brahmagupta-identity",
+                    ("d12", "d23", "d34", "d14"), _brahmagupta_sides)
 
 
-def _fibonacci_case(d, e, f, x1, y1, x2, y2) -> Optional[dict]:
+def _fibonacci_sides(d, e, f, x1, y1, x2, y2):
+    """Both sides of the generalized Fibonacci identity for the form (d:e:f):
+    (df - e^2)(x1 y2 - x2 y1)^2 + pairing^2 and the product of the form values."""
     disc = d * f - e * e
     cross = x1 * y2 - x2 * y1
     pair = d * x1 * x2 + e * x1 * y2 + e * x2 * y1 + f * y1 * y2
     v1 = d * x1 * x1 + 2 * e * x1 * y1 + f * y1 * y1
     v2 = d * x2 * x2 + 2 * e * x2 * y2 + f * y2 * y2
-    lhs = disc * cross * cross + pair * pair
-    rhs = v1 * v2
-    if lhs != rhs:
-        return mismatch(
-            "generalized-fibonacci",
-            {"d": d, "e": e, "f": f, "x1": x1, "y1": y1, "x2": x2, "y2": y2},
-            lhs, rhs,
-        )
-    return None
+    return disc * cross * cross + pair * pair, v1 * v2
 
 
 def _suite_fibonacci(rec, ctx, rng, trials, colors):
+    residue_cases = None
     if rng is None:
         # The identity has seven free variables; enumerating them all is
         # infeasible, so the four standard forms are paired with every
         # coordinate 4-tuple.
-        elems = list(ctx.enumerate_elements())
-        for name in FORM_NAMES:
-            form = named_form(name)
-            for x1 in elems:
-                for y1 in elems:
-                    for x2 in elems:
-                        for y2 in elems:
-                            rec.case(_fibonacci_case(form.d, form.e, form.f,
-                                                     x1, y1, x2, y2))
-    else:
-        for _ in range(trials):
-            rec.case(_fibonacci_case(*(random_element(ctx, rng) for _ in range(7))))
+        coords = list(itertools.product(range(ctx.p), repeat=4))
+        residue_cases = ((form.d, form.e, form.f) + xy
+                         for form in map(named_form, FORM_NAMES) for xy in coords)
+    _check_identity(rec, ctx, rng, trials, "generalized-fibonacci",
+                    ("d", "e", "f", "x1", "y1", "x2", "y2"), _fibonacci_sides, residue_cases)
 
 
 def _triple_spread_case(form, a1, a2, a3, free) -> Optional[dict]:
@@ -395,38 +427,31 @@ def _exhaustive_triple_spread_form(rec, ctx, form, pts):
     # Theorem sweep: triple spread formula, its proof-step identity, and
     # perpendicularity <=> q = 1 on every non-null ordered triple, via
     # precomputed pairwise quadrance and pairing tables.
-    n = len(pts)
-    null = [projective.form_value(form, a) == 0 for a in pts]
-    qtab = [[None] * n for _ in range(n)]
-    perp = [[False] * n for _ in range(n)]
-    for i in range(n):
-        if null[i]:
-            continue
-        for j in range(n):
-            if not null[j]:
-                qtab[i][j] = projective.p_quadrance(form, pts[i], pts[j])
-                perp[i][j] = projective.pairing(form, pts[i], pts[j]) == 0
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if null[i] or null[j] or null[k]:
-                    rec.skip("null-point")
+    p = ctx.p
+    live = _live_indices(rec, [projective.form_value(form, a) == 0 for a in pts], 3)
+    qtab = _p_quadrance_table(form, pts, live)
+    perp = {(i, j): projective.pairing(form, pts[i], pts[j]) == 0 for i in live for j in live}
+    triple_spread_fn = projective.triple_spread_fn
+    for i in live:
+        for j in live:
+            q3, perp_ij = qtab[i][j], perp[i, j]
+            for k in live:
+                q1, q2 = qtab[j][k], qtab[i][k]
+                val = triple_spread_fn(q1, q2, q3) % p
+                lhs = (q1 + q2 - q3) ** 2 % p
+                rhs = 4 * q1 * q2 * (1 - q3) % p
+                if val:
+                    failure = ("triple-spread-formula", val, 0)
+                elif lhs != rhs:
+                    failure = ("triple-spread-proof-identity", lhs, rhs)
+                elif perp_ij != (q3 == 1):
+                    failure = ("perpendicular-iff-q1", perp_ij, q3)
+                else:
+                    rec.case(None)
                     continue
-                q1, q2, q3 = qtab[j][k], qtab[i][k], qtab[i][j]
-                inputs = {"form": form, "a1": pts[i], "a2": pts[j], "a3": pts[k]}
-                val = projective.triple_spread_fn(q1, q2, q3)
-                if val != 0:
-                    rec.case(mismatch("triple-spread-formula", inputs, val, 0))
-                    continue
-                lhs = (q1 + q2 - q3) ** 2
-                rhs = 4 * q1 * q2 * (1 - q3)
-                if lhs != rhs:
-                    rec.case(mismatch("triple-spread-proof-identity", inputs, lhs, rhs))
-                    continue
-                if perp[i][j] != (q3 == 1):
-                    rec.case(mismatch("perpendicular-iff-q1", inputs, perp[i][j], q3))
-                    continue
-                rec.case(None)
+                identity, lhs, rhs = failure
+                rec.case(mismatch(identity, {"form": form, "a1": pts[i], "a2": pts[j],
+                                             "a3": pts[k]}, lhs, rhs))
 
 
 def _suite_triple_spread(rec, ctx, rng, trials, colors):
@@ -476,47 +501,13 @@ def _exhaustive_quadruple_spread_form(rec, ctx, form, pts):
     # Pairwise p-quadrances are precomputed; each 4-tuple case then checks
     # the quadruple formula and both solution fractions by table lookup.
     # The free-variable rearrangement identity is a random-input check.
-    n = len(pts)
-    null = [projective.form_value(form, a) == 0 for a in pts]
-    qtab = [[None] * n for _ in range(n)]
-    for i in range(n):
-        if null[i]:
-            continue
-        for j in range(n):
-            if not null[j]:
-                qtab[i][j] = projective.p_quadrance(form, pts[i], pts[j])
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for m in range(n):
-                    if null[i] or null[j] or null[k] or null[m]:
-                        rec.skip("null-point")
-                        continue
-                    q12, q23 = qtab[i][j], qtab[j][k]
-                    q34, q14 = qtab[k][m], qtab[i][m]
-                    inputs = {"form": form, "a1": pts[i], "a2": pts[j],
-                              "a3": pts[k], "a4": pts[m]}
-                    value = projective.quadruple_spread_fn(q12, q23, q34, q14)
-                    if value != 0:
-                        rec.case(mismatch("quadruple-spread-formula", inputs, value, 0))
-                        continue
-                    failure = None
-                    try:
-                        q13 = projective.solve_spread_triple_pair(q12, q23, q34, q14)
-                        if q13 != qtab[i][k]:
-                            failure = mismatch("quadruple-spread-q13", inputs,
-                                               q13, qtab[i][k])
-                    except DegenerateDenominator:
-                        pass
-                    if failure is None:
-                        try:
-                            q24 = projective.solve_spread_triple_pair(q23, q34, q12, q14)
-                            if q24 != qtab[j][m]:
-                                failure = mismatch("quadruple-spread-q24", inputs,
-                                                   q24, qtab[j][m])
-                        except DegenerateDenominator:
-                            pass
-                    rec.case(failure)
+    live = _live_indices(rec, [projective.form_value(form, a) == 0 for a in pts], 4)
+    _sweep_quadruple(rec, ctx.p, _p_quadrance_table(form, pts, live),
+                     projective.quadruple_spread_fn, projective.spread_triple_pair_fraction,
+                     "quadruple-spread",
+                     lambda i, j, k, m: {"form": form, "a1": pts[i], "a2": pts[j],
+                                         "a3": pts[k], "a4": pts[m]},
+                     live)
 
 
 def _suite_quadruple_spread(rec, ctx, rng, trials, colors):
@@ -701,6 +692,9 @@ def _suite_isometry(rec, ctx, rng, trials, colors):
         pts = proj_points(ctx)
         for color in wanted:
             null = [chromo.is_null_for(color, a) for a in pts]
+            before = [[None if null[i] or null[j]
+                       else chromo.colored_quadrance(color, pts[i], pts[j])
+                       for j in range(len(pts))] for i in range(len(pts))]
             for kind in IsoKind:
                 for pi, param in enumerate(pts):
                     if null[pi]:
@@ -713,14 +707,13 @@ def _suite_isometry(rec, ctx, rng, trials, colors):
                             if null[i] or null[j]:
                                 rec.skip("null-point")
                                 continue
-                            before = chromo.colored_quadrance(color, pts[i], pts[j])
                             after = chromo.colored_quadrance(color, images[i], images[j])
-                            if before != after:
+                            if before[i][j] != after:
                                 rec.case(mismatch(
                                     f"isometry-preservation-{color}",
                                     {"kind": kind, "param": param,
                                      "a1": pts[i], "a2": pts[j]},
-                                    after, before))
+                                    after, before[i][j]))
                             else:
                                 rec.case(None)
             for kind1 in IsoKind:

@@ -100,6 +100,31 @@ def test_mixed_contexts_raise():
         Fp(1, 5) * Fr(1, 2)
     with pytest.raises(MixedContexts):
         Fr(1, 2) - Fp(1, 5)
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b,
+               lambda a, b: a / b):
+        with pytest.raises(MixedContexts):
+            op(Fp(1, 5), Fp(2, 7))
+        with pytest.raises(MixedContexts):
+            op(Fp(1, 5), Fr(1, 2))
+        with pytest.raises(MixedContexts):
+            op(Fr(1, 2), Fp(1, 5))
+    assert Fp(1, 5) != Fp(1, 7)
+
+
+def test_fp_operators_match_integer_residues():
+    # every result is an Fp reduced into 0..p-1, as plain int arithmetic says
+    p = 7
+    for a in range(p):
+        for b in range(p):
+            x, y = Fp(a, p), Fp(b, p)
+            results = [(x + y, a + b), (x - y, a - b), (x * y, a * b), (-x, -a),
+                       (x ** 3, a ** 3), (x + b, a + b), (b - x, b - a)]
+            if b:
+                results += [(x / y, a * pow(b, -1, p)), (a / y, a * pow(b, -1, p))]
+            for got, want in results:
+                assert type(got) is Fp and got.p == p
+                assert got.r == want % p
+            assert (x == y) == (a == b)
 
 
 def test_fp_int_lifting():

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -207,3 +208,72 @@ def test_isometry_suite_counts_f5():
     expected += n          # blue square roots
     expected += 8 * n      # green power bridge
     assert report.attempted == expected
+
+
+GOLDEN = Path(__file__).with_name("data") / "verify_fp_golden.json"
+
+
+def test_exhaustive_reports_match_golden_file():
+    # Reports of every suite over F_3, F_5, F_7 and F_11 and of "all" over
+    # F_7, elapsed_ms dropped, as the sweep over Fp objects produced them.
+    expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    runs = [(s, p) for p in (3, 5, 7, 11) for s in SUITE_NAMES] + [("all", 7)]
+    assert len(runs) == len(expected)
+    for (suite, p), want in zip(runs, expected):
+        got = run_suite(suite, make_context(f"fp:{p}")).to_dict()
+        del got["elapsed_ms"]
+        assert json.dumps(got) == json.dumps(want), (suite, p)
+
+
+def _plus_abcd(fn):
+    return lambda a, b, c, d: fn(a, b, c, d) + a * b * c * d
+
+
+def _plus_abc(fn):
+    return lambda *args: fn(*args) + args[0] * args[1] * args[2]
+
+
+def _numerator_plus_ac(fn):
+    def broken(a, b, c, d):
+        num, den = fn(a, b, c, d)
+        return num + a * c, den
+    return broken
+
+
+# (module, kernel, how it is broken, suite, p, colors, failed, counterexample).
+# The counts and counterexamples are those the sweep over Fp objects gave for
+# the same mutation, so the residue sweep must report them byte for byte.
+RESIDUE_MUTATIONS = [
+    ("projective", "quadruple_spread_fn", _plus_abcd, "quadruple-spread", 7, ["blue"], 2408,
+     {"identity": "quadruple-spread-formula",
+      "inputs": {"form": "(1:0:1)", "a1": "[1:0]", "a2": "[1:1]", "a3": "[1:0]", "a4": "[1:1]"},
+      "lhs": "4", "rhs": "0"}),
+    ("affine", "brahmagupta_product", _plus_abc, "brahmagupta", 5, None, 320,
+     {"identity": "brahmagupta-identity",
+      "inputs": {"d12": "1", "d23": "1", "d34": "1", "d14": "0"}, "lhs": "0", "rhs": "4"}),
+    ("affine", "heron_product", _plus_abc, "heron", 5, None, 64,
+     {"identity": "heron-identity", "inputs": {"d1": "1", "d2": "1", "d3": "1"},
+      "lhs": "4", "rhs": "3"}),
+    ("projective", "spread_triple_pair_fraction", _numerator_plus_ac, "quadruple-spread", 7,
+     ["general"], 528,
+     {"identity": "quadruple-spread-q13",
+      "inputs": {"form": "(1:2:3)", "a1": "[1:0]", "a2": "[1:1]", "a3": "[1:0]", "a4": "[1:3]"},
+      "lhs": "1", "rhs": "0"}),
+    ("affine", "quad_triple_pair_fraction", _numerator_plus_ac, "quadruple-quad", 7, None, 1638,
+     {"identity": "quadruple-quad-q13", "inputs": {"x1": "0", "x2": "1", "x3": "0", "x4": "2"},
+      "lhs": "2", "rhs": "0"}),
+]
+
+
+@pytest.mark.parametrize("module, kernel, breaker, suite, p, colors, failed, counterexample",
+                         RESIDUE_MUTATIONS, ids=[m[1] for m in RESIDUE_MUTATIONS])
+def test_residue_sweeps_detect_broken_kernels(monkeypatch, module, kernel, breaker, suite, p,
+                                              colors, failed, counterexample):
+    import importlib
+
+    mod = importlib.import_module(f"quadrance.{module}")
+    monkeypatch.setattr(mod, kernel, breaker(getattr(mod, kernel)))
+    report = run_suite(suite, make_context(f"fp:{p}"), colors=colors)
+    assert report.failed == failed
+    assert report.counterexample == counterexample
+    assert counts_ok(report)
