@@ -59,24 +59,31 @@ def is_null_for(color: Color, a: ProjPoint) -> bool:
     return _null_value(color, a) == 0
 
 
-def colored_quadrance(color: Color, a1: ProjPoint, a2: ProjPoint):
-    """The color's p-quadrance, via its closed formula.
+def colored_quadrance_fraction(color: Color, a1: ProjPoint, a2: ProjPoint):
+    """The color's p-quadrance as an uncancelled pair (num, den), no null checks.
 
     Blue is cross^2 / ((x1^2+y1^2)(x2^2+y2^2)); red is the same with minus
-    signs throughout; green is -cross^2 / (4 x1 y1 x2 y2).
+    signs throughout; green is -cross^2 / (4 x1 y1 x2 y2).  The coefficients
+    are integers, so over F_p the pair may be computed on int residues and
+    reduced afterwards; den is 0 exactly when a point is null.
     """
-    v1 = _null_value(color, a1)
-    if v1 == 0:
-        raise NullPoint(f"first point {a1} is {color}-null", argument="a1")
-    v2 = _null_value(color, a2)
-    if v2 == 0:
-        raise NullPoint(f"second point {a2} is {color}-null", argument="a2")
     cross = a1.x * a2.y - a2.x * a1.y
+    den = _null_value(color, a1) * _null_value(color, a2)
     if color is Color.BLUE:
-        return exact_div(cross * cross, v1 * v2)
+        return cross * cross, den
     if color is Color.RED:
-        return exact_div(-(cross * cross), v1 * v2)
-    return exact_div(-(cross * cross), 4 * v1 * v2)
+        return -(cross * cross), den
+    return -(cross * cross), 4 * den
+
+
+def colored_quadrance(color: Color, a1: ProjPoint, a2: ProjPoint):
+    """The color's p-quadrance, via its closed formula (colored_quadrance_fraction)."""
+    num, den = colored_quadrance_fraction(color, a1, a2)
+    if den == 0:
+        if is_null_for(color, a1):
+            raise NullPoint(f"first point {a1} is {color}-null", argument="a1")
+        raise NullPoint(f"second point {a2} is {color}-null", argument="a2")
+    return exact_div(num, den)
 
 
 def reciprocal_sum(a1: ProjPoint, a2: ProjPoint):

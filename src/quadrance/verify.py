@@ -10,7 +10,15 @@ The polynomial identities (triple and quadruple quad and spread formulas,
 Heron, Brahmagupta, generalized Fibonacci) have integer coefficients, so
 their F_p sweeps call the library's own kernels on plain int residues
 0..p-1 and reduce mod p once per side.  Solution fractions are checked
-cleared of their denominator: num == den * q (mod p).
+cleared of their denominator: num == den * q (mod p).  The isometry sweep
+does the same for preservation, the composition table and the
+multiplication laws, on the points [1:t] and [0:1] with int coordinates:
+quadrances are compared cleared (num * den' == num' * den mod p), points
+and matrices by their cross products mod p.  The spreadpoly sweep
+evaluates the recurrence and composition checks on int residues.  Values
+are lifted to Fp only to report a failure.  What needs field division or
+square roots stays on Fp: the chromo suite, blue square roots, the green
+power bridge and the green ratio check.
 """
 
 from __future__ import annotations
@@ -596,6 +604,60 @@ def _suite_chromo(rec, ctx, rng, trials, colors):
             rec.case(_chromo_case(*pair))
 
 
+def _reduce(x, fp):
+    """x itself, or its residue mod p when fp is a prime context and x an int."""
+    return x if fp is None else x % fp.p
+
+
+def _points_differ(u: ProjPoint, v: ProjPoint, fp=None) -> bool:
+    """u != v as projective points.
+
+    With a prime context the coordinates are int residues and the points
+    are compared over F_p.  A point that is 0 mod p differs from every
+    point, so its case fails, and reporting it raises InvalidArgument as
+    building it over F_p does.
+    """
+    if fp is None:
+        return u != v
+    p = fp.p
+    return ((u.x * v.y - v.x * u.y) % p != 0
+            or not (u.x % p or u.y % p) or not (v.x % p or v.y % p))
+
+
+def _matrices_differ(m, n, fp=None) -> bool:
+    """m != n as projective matrices; over F_p like _points_differ."""
+    if fp is None:
+        return m != n
+    p = fp.p
+    a, b, c, d = m.entries()
+    e, f, g, h = n.entries()
+    return bool((a * f - e * b) % p or (a * g - e * c) % p or (a * h - e * d) % p
+                or (b * g - f * c) % p or (b * h - f * d) % p or (c * h - g * d) % p
+                or not (a % p or b % p or c % p or d % p)
+                or not (e % p or f % p or g % p or h % p))
+
+
+def _lift(fp, value):
+    """A point or matrix with int-residue coordinates as the F_p one it
+    stands for, so that reports print it as the Fp sweep did."""
+    if fp is not None:
+        if isinstance(value, ProjPoint):
+            return ProjPoint(fp.from_int(value.x), fp.from_int(value.y))
+        if isinstance(value, isometry.ProjMatrix):
+            return isometry.ProjMatrix(*map(fp.from_int, value.entries()))
+    return value
+
+
+def _lifted_mismatch(fp, identity: str, inputs: dict, lhs, rhs) -> dict:
+    return mismatch(identity, {k: _lift(fp, v) for k, v in inputs.items()},
+                    _lift(fp, lhs), _lift(fp, rhs))
+
+
+def _residue_points(p: int) -> list[ProjPoint]:
+    """proj_points with int coordinates: [1:0], [1:1], ..., [1:p-1], [0:1]."""
+    return [ProjPoint(1, t) for t in range(p)] + [ProjPoint(0, 1)]
+
+
 def _preservation_case(iso, a1, a2) -> Optional[dict]:
     before = chromo.colored_quadrance(iso.color, a1, a2)
     after = chromo.colored_quadrance(iso.color, isometry.apply(iso, a1),
@@ -609,62 +671,84 @@ def _preservation_case(iso, a1, a2) -> Optional[dict]:
     return None
 
 
-def _composition_case(color, kind1, p1, kind2, p2) -> Optional[dict]:
-    iso1 = isometry.ProjIsometry(color, kind1, p1)
-    iso2 = isometry.ProjIsometry(color, kind2, p2)
+def _composition_case(iso1, m1, iso2, m2, fp=None) -> Optional[dict]:
+    """The composition table entry for iso1 then iso2 (matrices m1, m2)
+    against the matrix product, its kind and non-null parameter, and the
+    blue/red Fibonacci identity.  With a prime context ``fp`` the
+    parameters have int-residue coordinates and comparisons are mod p."""
+    color, kind1, p1, kind2, p2 = iso1.color, iso1.kind, iso1.param, iso2.kind, iso2.param
     composed = isometry.compose(iso1, iso2)
-    inputs = {"color": color, "kind1": kind1, "p1": p1, "kind2": kind2, "p2": p2}
-    product = isometry.matrix_of(iso1) @ isometry.matrix_of(iso2)
-    if isometry.matrix_of(composed) != product:
-        return mismatch("composition-table-vs-matrix", inputs,
-                        isometry.matrix_of(composed), product)
+    table = isometry.matrix_of(composed)
+    product = m1 @ m2
     expected_kind = IsoKind.ROTATION if kind1 == kind2 else IsoKind.REFLECTION
-    if composed.kind is not expected_kind:
-        return mismatch("composition-kind-parity", inputs, composed.kind, expected_kind)
-    if chromo.is_null_for(color, composed.param):
-        return mismatch("composition-nonnull-closure", inputs, composed.param, "non-null")
-    if color is Color.BLUE:
-        a, b, c, d = p1.x, p1.y, p2.x, p2.y
-        lhs = (a * c + b * d) ** 2 + (a * d - b * c) ** 2
-        mid = (a * a + b * b) * (c * c + d * d)
-        rhs = (a * c - b * d) ** 2 + (a * d + b * c) ** 2
-        if not (lhs == mid == rhs):
-            return mismatch("fibonacci-identity-blue", inputs, lhs, mid)
-    if color is Color.RED:
-        a, b, c, d = p1.x, p1.y, p2.x, p2.y
-        lhs = (a * c - b * d) ** 2 - (a * d - b * c) ** 2
-        mid = (a * a - b * b) * (c * c - d * d)
-        rhs = (a * c + b * d) ** 2 - (a * d + b * c) ** 2
-        if not (lhs == mid == rhs):
-            return mismatch("fibonacci-identity-red", inputs, lhs, mid)
+    a, b, c, d = p1.x, p1.y, p2.x, p2.y
+    if _matrices_differ(table, product, fp):
+        failure = ("composition-table-vs-matrix", table, product)
+    elif composed.kind is not expected_kind:
+        failure = ("composition-kind-parity", composed.kind, expected_kind)
+    elif _reduce(projective.form_value(chromo.colored_form(color), composed.param), fp) == 0:
+        failure = ("composition-nonnull-closure", composed.param, "non-null")
+    elif color is Color.BLUE:
+        lhs = _reduce((a * c + b * d) ** 2 + (a * d - b * c) ** 2, fp)
+        mid = _reduce((a * a + b * b) * (c * c + d * d), fp)
+        rhs = _reduce((a * c - b * d) ** 2 + (a * d + b * c) ** 2, fp)
+        if lhs == mid == rhs:
+            return None
+        failure = ("fibonacci-identity-blue", lhs, mid)
+    elif color is Color.RED:
+        lhs = _reduce((a * c - b * d) ** 2 - (a * d - b * c) ** 2, fp)
+        mid = _reduce((a * a - b * b) * (c * c - d * d), fp)
+        rhs = _reduce((a * c + b * d) ** 2 - (a * d + b * c) ** 2, fp)
+        if lhs == mid == rhs:
+            return None
+        failure = ("fibonacci-identity-red", lhs, mid)
+    else:
+        return None
+    inputs = {"color": color, "kind1": kind1, "p1": p1, "kind2": kind2, "p2": p2}
+    return _lifted_mismatch(fp, failure[0], inputs, *failure[1:])
+
+
+def _unit_laws(color, a, fp=None) -> Optional[tuple]:
+    """(identity, lhs, rhs) of the first failing law a*1 = a, a*a^-1 = 1."""
+    ident = isometry.point_identity(color)
+    a_ident = isometry.multiply_points(color, a, ident)
+    if _points_differ(a_ident, a, fp):
+        return ("multiplication-identity", a_ident, a)
+    a_inv = isometry.multiply_points(color, a, isometry.point_inverse(color, a))
+    if _points_differ(a_inv, ident, fp):
+        return ("multiplication-inverse", a_inv, ident)
     return None
 
 
-def _multiplication_case(color, p1, p2, p3) -> Optional[dict]:
-    inputs = {"color": color, "p1": p1, "p2": p2, "p3": p3}
-    left = isometry.multiply_points(color, isometry.multiply_points(color, p1, p2), p3)
-    right = isometry.multiply_points(color, p1, isometry.multiply_points(color, p2, p3))
-    if left != right:
-        return mismatch("multiplication-associativity", inputs, left, right)
-    ab = isometry.multiply_points(color, p1, p2)
-    ba = isometry.multiply_points(color, p2, p1)
-    if ab != ba:
-        return mismatch("multiplication-commutativity", inputs, ab, ba)
-    ident = isometry.point_identity(color)
-    if isometry.multiply_points(color, p1, ident) != p1:
-        return mismatch("multiplication-identity", inputs,
-                        isometry.multiply_points(color, p1, ident), p1)
-    inv1 = isometry.point_inverse(color, p1)
-    if isometry.multiply_points(color, p1, inv1) != ident:
-        return mismatch("multiplication-inverse", inputs,
-                        isometry.multiply_points(color, p1, inv1), ident)
+def _pair_laws(color, p1, p2, ab, ba, unit_failure, fp=None) -> Optional[tuple]:
+    """The multiplication laws after associativity, in report order:
+    p1*p2 = p2*p1 (``ab``, ``ba``), the unit laws of p1 (``unit_failure``
+    from _unit_laws), and p1*p2 = the parameter of rotation p1 then p2."""
+    if _points_differ(ab, ba, fp):
+        return ("multiplication-commutativity", ab, ba)
+    if unit_failure is not None:
+        return unit_failure
     rot = isometry.compose(
         isometry.ProjIsometry(color, IsoKind.ROTATION, p1),
         isometry.ProjIsometry(color, IsoKind.ROTATION, p2),
     )
-    if rot.param != ab:
-        return mismatch("multiplication-vs-rotation-composition", inputs, rot.param, ab)
+    if _points_differ(rot.param, ab, fp):
+        return ("multiplication-vs-rotation-composition", rot.param, ab)
     return None
+
+
+def _multiplication_case(color, p1, p2, p3) -> Optional[dict]:
+    multiply = isometry.multiply_points
+    ab = multiply(color, p1, p2)
+    left = multiply(color, ab, p3)
+    right = multiply(color, p1, multiply(color, p2, p3))
+    if left != right:
+        failure = ("multiplication-associativity", left, right)
+    else:
+        failure = _pair_laws(color, p1, p2, ab, multiply(color, p2, p1), _unit_laws(color, p1))
+        if failure is None:
+            return None
+    return mismatch(failure[0], {"color": color, "p1": p1, "p2": p2, "p3": p3}, *failure[1:])
 
 
 def _blue_sqrt_case(p: ProjPoint) -> Optional[dict]:
@@ -686,51 +770,106 @@ def _green_power_case(p: ProjPoint, n: int) -> Optional[dict]:
     return None
 
 
+def _residue_quadrance(fp, color, a1, a2) -> tuple:
+    """The color's quadrance of two int-residue points as (num, den) mod p.
+    A null point (den = 0 mod p) raises as colored_quadrance does over F_p."""
+    num, den = chromo.colored_quadrance_fraction(color, a1, a2)
+    den %= fp.p
+    if den == 0:
+        chromo.colored_quadrance(color, _lift(fp, a1), _lift(fp, a2))
+    return num % fp.p, den
+
+
+def _residue_preservation(rec, fp, color, res, live, isos):
+    """Every isometry of the color (``isos``, keyed by kind and parameter
+    index) on every pair of live points.  The quadrances before (one table)
+    and after (images once per isometry) are compared cleared of their
+    denominators: num * den' == num' * den mod p."""
+    p, n = fp.p, len(res)
+    quadrance, apply = _residue_quadrance, isometry.apply
+    before = {(i, j): quadrance(fp, color, res[i], res[j]) for i in live for j in live}
+    for kind in IsoKind:
+        rec.skip("null-parameter", n - len(live))
+        for k in live:
+            rec.skip("null-point", n * n - len(live) ** 2)
+            iso = isos[kind, k]
+            images = [apply(iso, a) for a in res]
+            for i in live:
+                image = images[i]
+                for j in live:
+                    num, den = quadrance(fp, color, image, images[j])
+                    num0, den0 = before[i, j]
+                    if (num * den0 - num0 * den) % p == 0:
+                        rec.case(None)
+                        continue
+                    rec.case(_lifted_mismatch(
+                        fp, f"isometry-preservation-{color}",
+                        {"kind": kind, "param": iso.param, "a1": res[i], "a2": res[j]},
+                        fp.from_int(num) / fp.from_int(den),
+                        fp.from_int(num0) / fp.from_int(den0)))
+
+
+def _residue_composition(rec, fp, color, res, live, isos):
+    """Every composition table entry of two live parameters, against the
+    product of matrices built once per isometry."""
+    n = len(res)
+    matrices = {key: isometry.matrix_of(iso) for key, iso in isos.items()}
+    for kind1 in IsoKind:
+        for kind2 in IsoKind:
+            rec.skip("null-parameter", n * n - len(live) ** 2)
+            for i in live:
+                iso1, m1 = isos[kind1, i], matrices[kind1, i]
+                for j in live:
+                    rec.case(_composition_case(iso1, m1, isos[kind2, j], matrices[kind2, j], fp))
+
+
+def _residue_multiplication(rec, fp, color, res, live):
+    """The multiplication laws on every live triple.  The products p1*p2 and
+    the laws that involve only p1 and p2 are evaluated once per pair, so a
+    triple costs the two associativity products and table lookups."""
+    n = len(res)
+    rec.skip("null-parameter", n ** 3 - len(live) ** 3)
+    multiply, points_differ = isometry.multiply_points, _points_differ
+    ab = {(i, j): multiply(color, res[i], res[j]) for i in live for j in live}
+    unit = {i: _unit_laws(color, res[i], fp) for i in live}
+    pair = {(i, j): _pair_laws(color, res[i], res[j], ab[i, j], ab[j, i], unit[i], fp)
+            for i in live for j in live}
+    for i in live:
+        p1 = res[i]
+        for j in live:
+            p1p2, pair_failure = ab[i, j], pair[i, j]
+            for k in live:
+                left = multiply(color, p1p2, res[k])
+                right = multiply(color, p1, ab[j, k])
+                if points_differ(left, right, fp):
+                    failure = ("multiplication-associativity", left, right)
+                elif pair_failure is None:
+                    rec.case(None)
+                    continue
+                else:
+                    failure = pair_failure
+                rec.case(_lifted_mismatch(fp, failure[0], {"color": color, "p1": p1,
+                                                           "p2": res[j], "p3": res[k]},
+                                          *failure[1:]))
+
+
 def _suite_isometry(rec, ctx, rng, trials, colors):
     wanted = [c for c in Color if not colors or c.value in colors]
     if rng is None:
+        # Preservation, composition and the multiplication laws run the
+        # library's kernels on int-residue points and compare mod p; blue
+        # square roots and the green power bridge need field division and
+        # square roots, so they stay on Fp points.
         pts = proj_points(ctx)
+        res = _residue_points(ctx.p)
         for color in wanted:
             null = [chromo.is_null_for(color, a) for a in pts]
-            before = [[None if null[i] or null[j]
-                       else chromo.colored_quadrance(color, pts[i], pts[j])
-                       for j in range(len(pts))] for i in range(len(pts))]
-            for kind in IsoKind:
-                for pi, param in enumerate(pts):
-                    if null[pi]:
-                        rec.skip("null-parameter")
-                        continue
-                    iso = isometry.ProjIsometry(color, kind, param)
-                    images = [isometry.apply(iso, a) for a in pts]
-                    for i in range(len(pts)):
-                        for j in range(len(pts)):
-                            if null[i] or null[j]:
-                                rec.skip("null-point")
-                                continue
-                            after = chromo.colored_quadrance(color, images[i], images[j])
-                            if before[i][j] != after:
-                                rec.case(mismatch(
-                                    f"isometry-preservation-{color}",
-                                    {"kind": kind, "param": param,
-                                     "a1": pts[i], "a2": pts[j]},
-                                    after, before[i][j]))
-                            else:
-                                rec.case(None)
-            for kind1 in IsoKind:
-                for kind2 in IsoKind:
-                    for i, p1 in enumerate(pts):
-                        for j, p2 in enumerate(pts):
-                            if null[i] or null[j]:
-                                rec.skip("null-parameter")
-                                continue
-                            rec.case(_composition_case(color, kind1, p1, kind2, p2))
-            for i, p1 in enumerate(pts):
-                for j, p2 in enumerate(pts):
-                    for k, p3 in enumerate(pts):
-                        if null[i] or null[j] or null[k]:
-                            rec.skip("null-parameter")
-                            continue
-                        rec.case(_multiplication_case(color, p1, p2, p3))
+            live = [i for i, is_null in enumerate(null) if not is_null]
+            isos = {(kind, i): isometry.ProjIsometry(color, kind, res[i])
+                    for kind in IsoKind for i in live}
+            _residue_preservation(rec, ctx, color, res, live, isos)
+            _residue_composition(rec, ctx, color, res, live, isos)
+            _residue_multiplication(rec, ctx, color, res, live)
             if color is Color.BLUE:
                 for a in pts:
                     try:
@@ -739,11 +878,11 @@ def _suite_isometry(rec, ctx, rng, trials, colors):
                         rec.skip("not-unit-circle")
             if color is Color.GREEN:
                 for i, a in enumerate(pts):
-                    for n in range(1, 9):
-                        if null[i]:
-                            rec.skip("null-point")
-                            continue
-                        rec.case(_green_power_case(a, n))
+                    if null[i]:
+                        rec.skip("null-point", 8)
+                        continue
+                    for power in range(1, 9):
+                        rec.case(_green_power_case(a, power))
     else:
         for t in range(trials):
             color = wanted[t % len(wanted)]
@@ -755,9 +894,12 @@ def _suite_isometry(rec, ctx, rng, trials, colors):
             a2 = random_nonnull_point(form, ctx, rng)
             kind = IsoKind.ROTATION if rng.randrange(2) else IsoKind.REFLECTION
             kind2 = IsoKind.ROTATION if rng.randrange(2) else IsoKind.REFLECTION
-            failure = _preservation_case(isometry.ProjIsometry(color, kind, p1), a1, a2)
+            iso1 = isometry.ProjIsometry(color, kind, p1)
+            iso2 = isometry.ProjIsometry(color, kind2, p2)
+            failure = _preservation_case(iso1, a1, a2)
             if failure is None:
-                failure = _composition_case(color, kind, p1, kind2, p2)
+                failure = _composition_case(iso1, isometry.matrix_of(iso1),
+                                            iso2, isometry.matrix_of(iso2))
             if failure is None:
                 failure = _multiplication_case(color, p1, p2, p3)
             if failure is None and color is Color.BLUE:
@@ -803,14 +945,33 @@ def _spreadpoly_fixed_cases(rec):
                                product, spreadpoly.spread_poly(n)))
 
 
-def _recurrence_case(s) -> Optional[dict]:
+def _recurrence_case(s, p: Optional[int] = None) -> Optional[dict]:
+    """S_{n-1}(s), s, S_n(s) annihilate the triple spread function, n = 1..12.
+
+    With ``p`` the argument is an int residue and values are reduced mod p;
+    spread polynomials have integer coefficients, so this is exact over F_p.
+    """
     prev = spreadpoly.poly_eval(spreadpoly.spread_poly(0), s)
     for n in range(1, 13):
         cur = spreadpoly.poly_eval(spreadpoly.spread_poly(n), s)
         val = projective.triple_spread_fn(prev, s, cur)
+        if p is not None:
+            cur, val = cur % p, val % p
         if val != 0:
             return mismatch("spread-recurrence-triple", {"n": n, "s": s}, val, 0)
         prev = cur
+    return None
+
+
+def _composition_eval_case(s: int, p: int) -> Optional[dict]:
+    """S_n(S_m(s)) = S_nm(s) for n, m = 1..6, at an int residue s mod p."""
+    poly_eval, spread_poly = spreadpoly.poly_eval, spreadpoly.spread_poly
+    for n in range(1, 7):
+        for m in range(1, 7):
+            lhs = poly_eval(spread_poly(n), poly_eval(spread_poly(m), s) % p) % p
+            rhs = poly_eval(spread_poly(n * m), s) % p
+            if lhs != rhs:
+                return mismatch("spread-composition-eval", {"n": n, "m": m, "s": s}, lhs, rhs)
     return None
 
 
@@ -826,23 +987,11 @@ def _green_ratio_case(x, y, ns) -> Optional[dict]:
 def _suite_spreadpoly(rec, ctx, rng, trials, colors):
     _spreadpoly_fixed_cases(rec)
     if rng is None:
+        # Recurrence and composition on int residues; the green ratio
+        # divides, so it stays on Fp.
+        for s in range(ctx.p):
+            rec.case(_recurrence_case(s, ctx.p) or _composition_eval_case(s, ctx.p))
         elems = list(ctx.enumerate_elements())
-        for s in elems:
-            failure = _recurrence_case(s)
-            if failure is None:
-                for n in range(1, 7):
-                    for m in range(1, 7):
-                        lhs = spreadpoly.poly_eval(
-                            spreadpoly.spread_poly(n),
-                            spreadpoly.poly_eval(spreadpoly.spread_poly(m), s))
-                        rhs = spreadpoly.poly_eval(spreadpoly.spread_poly(n * m), s)
-                        if lhs != rhs:
-                            failure = mismatch("spread-composition-eval",
-                                               {"n": n, "m": m, "s": s}, lhs, rhs)
-                            break
-                    if failure is not None:
-                        break
-            rec.case(failure)
         for x in elems:
             for y in elems:
                 if x == 0 or y == 0:

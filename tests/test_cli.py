@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -250,3 +254,13 @@ def test_batch_field_option(tmp_path, capsys):
     code, out, _ = run(capsys, "batch", str(f), "--field", "fp:7")
     assert code == 0
     assert out.splitlines() == ["2", "9"]
+
+
+def test_python_dash_m_runs_from_a_checkout(tmp_path):
+    # no install: the package is found through PYTHONPATH=src alone
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "quadrance", "example", "paper"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "R(q12, q23, q34, q14) = 0" in proc.stdout

@@ -3,8 +3,9 @@ from pathlib import Path
 
 import pytest
 
+from quadrance import isometry, spreadpoly
 from quadrance.chromo import Color, is_null_for
-from quadrance.errors import CharacteristicTwo, UnknownSuite
+from quadrance.errors import CharacteristicTwo, InvalidArgument, UnknownSuite
 from quadrance.field import make_context
 from quadrance.verify import (
     FORM_NAMES,
@@ -225,6 +226,23 @@ def test_exhaustive_reports_match_golden_file():
         assert json.dumps(got) == json.dumps(want), (suite, p)
 
 
+RATIONAL_GOLDEN = Path(__file__).with_name("data") / "verify_rational_golden.json"
+
+
+def test_randomized_reports_match_golden_file():
+    # Reports of every suite over the rationals, seeds 0 and 42, 200 trials,
+    # elapsed_ms dropped, as they were before the isometry and spreadpoly
+    # sweeps moved to int residues (the randomized branch shares their checks).
+    expected = json.loads(RATIONAL_GOLDEN.read_text(encoding="utf-8"))
+    runs = [(s, seed) for seed in (0, 42) for s in SUITE_NAMES]
+    assert len(runs) == len(expected)
+    ctx = make_context("rationals")
+    for (suite, seed), want in zip(runs, expected):
+        got = run_suite(suite, ctx, trials=200, seed=seed).to_dict()
+        del got["elapsed_ms"]
+        assert json.dumps(got) == json.dumps(want), (suite, seed)
+
+
 def _plus_abcd(fn):
     return lambda a, b, c, d: fn(a, b, c, d) + a * b * c * d
 
@@ -238,6 +256,46 @@ def _numerator_plus_ac(fn):
         num, den = fn(a, b, c, d)
         return num + a * c, den
     return broken
+
+
+def _left_factor(fn):
+    # associative but not commutative, so commutativity is the first law to fail
+    return lambda color, p1, p2: p1
+
+
+def _times_inverse(fn):
+    # p1 * p2^-1: not associative, so associativity is the first law to fail
+    def broken(color, p1, p2):
+        return fn(color, p1, isometry.point_inverse(color, p2))
+    return broken
+
+
+def _transposed(fn):
+    def broken(iso):
+        m = fn(iso)
+        return isometry.ProjMatrix(m.a, m.c, m.b, m.d)
+    return broken
+
+
+def _numerator_plus_x1x2(fn):
+    def broken(color, a1, a2):
+        num, den = fn(color, a1, a2)
+        return num + a1.x * a2.x, den
+    return broken
+
+
+def _s7_linear_plus_one(fn):
+    def broken(n):
+        poly = fn(n)
+        if n != 7:
+            return poly
+        return spreadpoly.IntPolynomial((poly.coeffs[0], poly.coeffs[1] + 1) + poly.coeffs[2:])
+    return broken
+
+
+def _plus_s_above_degree_12(fn):
+    # only S_nm with nm > 12 change, which only the composition check evaluates
+    return lambda poly, s: fn(poly, s) + (s if poly.degree > 12 else 0)
 
 
 # (module, kernel, how it is broken, suite, p, colors, failed, counterexample).
@@ -262,6 +320,30 @@ RESIDUE_MUTATIONS = [
     ("affine", "quad_triple_pair_fraction", _numerator_plus_ac, "quadruple-quad", 7, None, 1638,
      {"identity": "quadruple-quad-q13", "inputs": {"x1": "0", "x2": "1", "x3": "0", "x4": "2"},
       "lhs": "2", "rhs": "0"}),
+    ("isometry", "multiply_points", _left_factor, "isometry", 7, None, 945,
+     {"identity": "multiplication-commutativity",
+      "inputs": {"color": "blue", "p1": "[1:0]", "p2": "[1:1]", "p3": "[1:0]"},
+      "lhs": "[1:0]", "rhs": "[1:1]"}),
+    ("isometry", "multiply_points", _times_inverse, "isometry", 7, ["green"], 228,
+     {"identity": "multiplication-associativity",
+      "inputs": {"color": "green", "p1": "[1:1]", "p2": "[1:1]", "p3": "[1:2]"},
+      "lhs": "[1:4]", "rhs": "[1:2]"}),
+    ("isometry", "matrix_of", _transposed, "isometry", 7, None, 288,
+     {"identity": "composition-table-vs-matrix",
+      "inputs": {"color": "blue", "kind1": "rho", "p1": "[1:1]", "kind2": "sigma", "p2": "[1:0]"},
+      "lhs": "[[1,6],[6,6]]", "rhs": "[[1,1],[1,6]]"}),
+    # the Fp sweep called colored_quadrance, broken as (num + x1*x2) / den
+    ("chromo", "colored_quadrance_fraction", _numerator_plus_x1x2, "isometry", 7, None, 1450,
+     {"identity": "isometry-preservation-blue",
+      "inputs": {"kind": "rho", "param": "[1:1]", "a1": "[1:0]", "a2": "[1:0]"},
+      "lhs": "2", "rhs": "1"}),
+    ("spreadpoly", "spread_poly", _s7_linear_plus_one, "spreadpoly", 7, None, 37,
+     {"identity": "spread-via-chebyshev", "inputs": {"n": "7"},
+      "lhs": "0 49 -784 4704 -13440 19712 -14336 4096",
+      "rhs": "0 50 -784 4704 -13440 19712 -14336 4096"}),
+    ("spreadpoly", "poly_eval", _plus_s_above_degree_12, "spreadpoly", 7, None, 6,
+     {"identity": "spread-composition-eval", "inputs": {"n": "3", "m": "5", "s": "1"},
+      "lhs": "1", "rhs": "2"}),
 ]
 
 
@@ -273,7 +355,47 @@ def test_residue_sweeps_detect_broken_kernels(monkeypatch, module, kernel, break
 
     mod = importlib.import_module(f"quadrance.{module}")
     monkeypatch.setattr(mod, kernel, breaker(getattr(mod, kernel)))
+    # spread-cyclotomic factors are cached from spread_poly: start cold, and
+    # keep factors of a broken spread_poly out of the shared cache
+    monkeypatch.setattr(spreadpoly, "_phi_cache", {})
     report = run_suite(suite, make_context(f"fp:{p}"), colors=colors)
     assert report.failed == failed
     assert report.counterexample == counterexample
     assert counts_ok(report)
+
+
+def test_multiplication_laws_report_in_order(monkeypatch):
+    # Over Q the first trial's p1 is not the identity, so under a left-factor
+    # product commutativity and the inverse law both fail; the exhaustive and
+    # the random sweep share the pair laws, and commutativity is reported.
+    monkeypatch.setattr(isometry, "multiply_points", _left_factor(isometry.multiply_points))
+    report = run_suite("isometry", make_context("rationals"), trials=30, seed=0)
+    assert report.failed == 30
+    assert report.counterexample == {
+        "identity": "multiplication-commutativity",
+        "inputs": {"color": "blue", "p1": "[0:1]", "p2": "[1:0]", "p3": "[1:3]"},
+        "lhs": "[0:1]", "rhs": "[1:0]",
+    }
+
+
+def _point_times_7(point):
+    return isometry.ProjPoint(7 * point.x, 7 * point.y)
+
+
+VANISHING_MOD_7 = [
+    ("multiply_points", lambda fn: lambda color, p1, p2: _point_times_7(fn(color, p1, p2))),
+    ("matrix_of", lambda fn: lambda iso: isometry.ProjMatrix(*(7 * v for v in fn(iso).entries()))),
+    ("compose", lambda fn: lambda iso1, iso2: isometry.ProjIsometry(
+        iso1.color, fn(iso1, iso2).kind, _point_times_7(fn(iso1, iso2).param))),
+]
+
+
+@pytest.mark.parametrize("kernel, breaker", VANISHING_MOD_7, ids=[m[0] for m in VANISHING_MOD_7])
+def test_isometry_sweep_rejects_values_that_vanish_mod_p(monkeypatch, kernel, breaker):
+    # Points and matrices that are 0 mod 7 cannot be built over F_7, so the
+    # sweep over Fp objects raised here; the residue sweep must not count
+    # them as equal to anything, and raises the same error.  Red has no
+    # checks on Fp objects that could raise first.
+    monkeypatch.setattr(isometry, kernel, breaker(getattr(isometry, kernel)))
+    with pytest.raises(InvalidArgument):
+        run_suite("isometry", make_context("fp:7"), colors=["red"])
