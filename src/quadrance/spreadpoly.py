@@ -4,14 +4,15 @@ The spread polynomials satisfy S0 = 0, S1 = s and
 S_n = 2(1 - 2s) S_{n-1} - S_{n-2} + 2s; they compose multiplicatively
 (S_n o S_m = S_nm), relate to the Chebyshev polynomials of the first kind
 by S_n(s) = (1 - T_n(1 - 2s)) / 2, and factor into integer polynomials
-phi_k of degree totient(k) with S_n = prod over k | n of phi_k.
+phi_k of degree totient(k) with S_n = prod over k | n of phi_k. The
+coefficients are Python ints, and the factors are found by integer long
+division.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import DivisionByZero, FactorizationFailure, InvalidArgument, NonIntegralResult
 from .field import exact_div
@@ -160,29 +161,32 @@ def spread_via_chebyshev(n: int) -> IntPolynomial:
 
 
 def _exact_poly_div(num: IntPolynomial, den: IntPolynomial) -> IntPolynomial:
-    """num / den with zero remainder and integer quotient, else FactorizationFailure."""
+    """num / den by integer long division, else FactorizationFailure.
+
+    The quotient is found from its top coefficient down; each step divides
+    the top remainder coefficient by the leading coefficient of ``den``.
+    When the quotient has integer coefficients every step divides exactly,
+    so the first step that does not shows the quotient is not integral.
+    The low deg(den) coefficients left over are the remainder.
+    """
     if den.is_zero():
         raise FactorizationFailure("division by the zero polynomial")
-    rem = [Fraction(c) for c in num.coeffs]
-    dcs = [Fraction(c) for c in den.coeffs]
+    rem = list(num.coeffs)
+    dcs = den.coeffs
     dd = len(dcs) - 1
     lead = dcs[-1]
-    quot = [Fraction(0)] * max(len(rem) - dd, 0)
-    while len(rem) - 1 >= dd and any(rem):
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) - 1 < dd:
-            break
-        shift = len(rem) - 1 - dd
-        factor = rem[-1] / lead
+    low = dcs[:-1]
+    quot = [0] * max(len(rem) - dd, 0)
+    for shift in range(len(quot) - 1, -1, -1):
+        factor, r = divmod(rem[shift + dd], lead)
+        if r:
+            raise FactorizationFailure("non-integer quotient in exact polynomial division")
         quot[shift] = factor
-        for i, c in enumerate(dcs):
-            rem[shift + i] -= factor * c
-    if any(rem):
+        for i, c in enumerate(low, shift):
+            rem[i] -= factor * c
+    if any(rem[:dd]):
         raise FactorizationFailure("nonzero remainder in exact polynomial division")
-    if any(c.denominator != 1 for c in quot):
-        raise FactorizationFailure("non-integer quotient in exact polynomial division")
-    return IntPolynomial([int(c) for c in quot])
+    return IntPolynomial(quot)
 
 
 def _totient(n: int) -> int:
@@ -214,8 +218,9 @@ def divisors(n: int) -> list[int]:
 def spread_cyclotomic(k: int) -> IntPolynomial:
     """The k-th spread-cyclotomic factor: S_n = prod over k | n of phi_k.
 
-    Computed by exact division of S_k by all earlier factors; the result
-    must have integer coefficients and degree totient(k).
+    Computed by integer long division of S_k by the factors phi_d of its
+    proper divisors d; each division must be exact, and the result must
+    have degree totient(k).
     """
     if k < 1:
         raise InvalidArgument("index must be positive")

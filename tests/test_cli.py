@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -120,6 +121,14 @@ def test_spreadpoly_factor(capsys):
         coeffs = [int(c) for c in line.split(":")[1].split()]
         product = product * IntPolynomial(coeffs)
     assert product == spread_poly(6)
+
+
+def test_spreadpoly_factor_360_output_is_pinned(capsys):
+    # the digest pins every coefficient of S_0..S_360 and of phi_d for d | 360
+    code, out, _ = run(capsys, "spreadpoly", "--n", "360", "--factor")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "54b177ac6fdeaa75053b1d5f8f20a8da3bf144ae4093f3fb24cbd56a4405a2f2")
 
 
 def test_example_paper(capsys):

@@ -3,12 +3,14 @@ import random
 from fractions import Fraction as Fr
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quadrance.errors import DivisionByZero, FactorizationFailure
 from quadrance.field import Fp, make_context
 from quadrance.projective import triple_spread_fn
 from quadrance.spreadpoly import (
     IntPolynomial,
+    _exact_poly_div,
     chebyshev_T,
     divisors,
     poly_compose,
@@ -126,7 +128,7 @@ def test_spread_cyclotomic_product_and_degrees():
     def totient(n):
         return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
 
-    for n in range(1, 13):
+    for n in range(1, 61):
         product = IntPolynomial([1])
         for k in divisors(n):
             phi = spread_cyclotomic(k)
@@ -220,3 +222,48 @@ def test_polynomial_str_rows():
     assert str(spread_poly(0)) == "0"
     assert str(spread_poly(1)) == "0 1"
     assert str(spread_poly(2)) == "0 4 -4"
+
+
+def _fraction_long_division(num, den):
+    """Rational long division: the quotient and remainder coefficients as Fractions."""
+    rem = [Fr(c) for c in num.coeffs]
+    dcs = den.coeffs
+    dd = len(dcs) - 1
+    quot = [Fr(0)] * max(len(rem) - dd, 0)
+    for shift in reversed(range(len(quot))):
+        factor = rem[shift + dd] / dcs[-1]
+        quot[shift] = factor
+        for i, c in enumerate(dcs):
+            rem[shift + i] -= factor * c
+    return quot, rem
+
+
+_coeffs = st.lists(st.integers(-40, 40), max_size=7)
+_nonzero_lead = st.integers(-6, 6).filter(bool)
+
+
+@st.composite
+def _division_cases(draw):
+    # divisors with any nonzero leading coefficient, unit or not, either sign
+    den = IntPolynomial(draw(st.lists(st.integers(-40, 40), max_size=4)) + [draw(_nonzero_lead)])
+    kind = draw(st.sampled_from(("exact product", "product plus remainder", "arbitrary")))
+    num = IntPolynomial(draw(_coeffs))
+    if kind != "arbitrary":
+        num = num * den
+        if kind == "product plus remainder":
+            num = num + IntPolynomial(draw(_coeffs))
+    return num, den
+
+
+@settings(max_examples=400, deadline=None)
+@given(_division_cases())
+def test_exact_division_matches_fraction_oracle(case):
+    num, den = case
+    quot, rem = _fraction_long_division(num, den)
+    if any(rem) or any(q.denominator != 1 for q in quot):
+        with pytest.raises(FactorizationFailure):
+            _exact_poly_div(num, den)
+    else:
+        expected = IntPolynomial([int(q) for q in quot])
+        assert expected * den == num
+        assert _exact_poly_div(num, den) == expected

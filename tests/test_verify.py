@@ -399,3 +399,34 @@ def test_isometry_sweep_rejects_values_that_vanish_mod_p(monkeypatch, kernel, br
     monkeypatch.setattr(isometry, kernel, breaker(getattr(isometry, kernel)))
     with pytest.raises(InvalidArgument):
         run_suite("isometry", make_context("fp:7"), colors=["red"])
+
+
+def test_wrong_small_spread_poly_is_reported_not_raised(monkeypatch):
+    # with a wrong S_2, phi_2 = 5 - 4s still has degree 1, but S_4 is not
+    # divisible by it: spread_cyclotomic(4) raises FactorizationFailure, and
+    # the spread-cyclotomic-product case must report that as its mismatch
+    import quadrance.verify as v
+
+    right, record = spreadpoly.spread_poly, v.mismatch
+
+    def wrong_s2(n):
+        return spreadpoly.IntPolynomial([0, 5, -4]) if n == 2 else right(n)
+
+    seen = []
+
+    def recording_mismatch(identity, inputs, lhs, rhs):
+        seen.append((identity, inputs, str(lhs)))
+        return record(identity, inputs, lhs, rhs)
+
+    monkeypatch.setattr(spreadpoly, "spread_poly", wrong_s2)
+    monkeypatch.setattr(spreadpoly, "_phi_cache", {})
+    monkeypatch.setattr(v, "mismatch", recording_mismatch)
+    for ctx in (make_context("fp:7"), make_context("rationals")):
+        seen.clear()
+        report = run_suite("spreadpoly", ctx, trials=50)
+        assert report.failed > 0
+        assert counts_ok(report)
+        factor_failures = [inputs["n"] for identity, inputs, lhs in seen
+                           if identity == "spread-cyclotomic-product"
+                           and lhs.startswith("FactorizationFailure")]
+        assert factor_failures == [4, 6, 8, 10, 12]
