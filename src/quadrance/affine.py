@@ -34,10 +34,6 @@ def archimedes(a, b, c):
     return s * s - 2 * (a * a + b * b + c * c)
 
 
-def det2(m):
-    return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-
-
 def det4(m):
     # Laplace expansion along the first two rows; no minor lists built
     (a00, a01, a02, a03), (a10, a11, a12, a13) = m[0], m[1]
@@ -64,7 +60,7 @@ def archimedes_forms(a, b, c) -> list:
         4 * a * b - (a + b - c) ** 2,
         2 * (a * b + b * c + c * a) - (a * a + b * b + c * c),
         4 * (a * b + b * c + c * a) - (a + b + c) ** 2,
-        det2([[2 * a, a + b - c], [a + b - c, 2 * b]]),
+        (2 * a) * (2 * b) - (a + b - c) * (a + b - c),  # det [[2a, a+b-c], [a+b-c, 2b]]
         -det4([[0, a, b, 1], [a, 0, c, 1], [b, c, 0, 1], [1, 1, 1, 0]]),
     ]
 
@@ -108,35 +104,40 @@ def quadruple_quad_fn(a, b, c, d):
 
 
 @dataclass(frozen=True)
-class QuadrupleQuadResult:
-    """Quadruple quad value plus the two diagonal quadrances when defined."""
+class QuadrupleResult:
+    """Quadruple function value plus the two diagonal quadrances when defined."""
 
     value: object
     q13: Optional[object]
     q24: Optional[object]
 
 
-def quadruple_quad_check(a1, a2, a3, a4) -> QuadrupleQuadResult:
-    """Evaluate the quadruple quad function on the four side quadrances.
+def quadruple_check(fn, solve, q12, q23, q34, q14) -> QuadrupleResult:
+    """Evaluate a quadruple function ``fn`` on four side quadrances.
 
-    ``value`` is always zero for genuine points.  ``q13`` and ``q24`` come
-    from the solution fractions and are None when a fraction's denominator
-    vanishes.
+    ``q13`` and ``q24`` are the diagonals from ``solve`` (the triple-pair
+    solution of the same law), None where ``solve`` finds them undetermined.
     """
-    q12 = quadrance(a1, a2)
-    q23 = quadrance(a2, a3)
-    q34 = quadrance(a3, a4)
-    q14 = quadrance(a1, a4)
-    value = quadruple_quad_fn(q12, q23, q34, q14)
+    value = fn(q12, q23, q34, q14)
     try:
-        q13 = solve_quad_triple_pair(q12, q23, q34, q14)
+        q13 = solve(q12, q23, q34, q14)
     except DegenerateDenominator:
         q13 = None
     try:
-        q24 = solve_quad_triple_pair(q23, q34, q12, q14)
+        q24 = solve(q23, q34, q12, q14)
     except DegenerateDenominator:
         q24 = None
-    return QuadrupleQuadResult(value, q13, q24)
+    return QuadrupleResult(value, q13, q24)
+
+
+def quadruple_quad_check(a1, a2, a3, a4) -> QuadrupleResult:
+    """The quadruple quad function on the four side quadrances of four points.
+
+    ``value`` is always zero for genuine points; ``q13`` and ``q24`` are
+    None when a solution fraction's denominator vanishes.
+    """
+    return quadruple_check(quadruple_quad_fn, solve_quad_triple_pair, quadrance(a1, a2),
+                           quadrance(a2, a3), quadrance(a3, a4), quadrance(a1, a4))
 
 
 def brahmagupta_product(d12, d23, d34, d14):

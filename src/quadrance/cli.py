@@ -138,6 +138,14 @@ def parse_eval_request(tokens: list[str], default_field: str = "rationals") -> E
     return EvalRequest(what, field, form, color, points, matrix)
 
 
+def split_request(line: str) -> list[str]:
+    """The shell-style tokens of one request line."""
+    try:
+        return shlex.split(line)
+    except ValueError as exc:  # an unbalanced quote or a trailing backslash
+        raise ParseError(f"cannot split request: {exc}") from exc
+
+
 def _parse_color(name: str) -> Color:
     try:
         return Color(name)
@@ -260,14 +268,15 @@ def cmd_batch(args) -> int:
     except OSError as exc:
         print(f"error: FileNotFound: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{args.file} is not UTF-8 text: {exc}") from exc
     worst = EXIT_OK
     for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped:
             continue
         try:
-            tokens = shlex.split(stripped)
-            request = parse_eval_request(tokens, default_field=args.field)
+            request = parse_eval_request(split_request(stripped), default_field=args.field)
             print(execute_eval_request(request))
         except ParseError as exc:
             print(f"line {lineno}: error: ParseError: {exc}")

@@ -222,31 +222,11 @@ def modular_sqrt(a: int, p: int):
 
 
 class FieldContext:
-    """Shared interface of the rational and prime-field contexts."""
+    """Shared interface of the rational and prime-field contexts: zero, one,
+    from_int, parse, format, sqrt and enumerate_elements."""
 
     kind: str
     descriptor: str
-
-    def zero(self):
-        raise NotImplementedError
-
-    def one(self):
-        raise NotImplementedError
-
-    def from_int(self, n: int):
-        raise NotImplementedError
-
-    def parse(self, text: str):
-        raise NotImplementedError
-
-    def format(self, x) -> str:
-        raise NotImplementedError
-
-    def sqrt(self, t):
-        raise NotImplementedError
-
-    def enumerate_elements(self):
-        raise NotImplementedError
 
     def __repr__(self):
         return f"<FieldContext {self.descriptor}>"
@@ -273,14 +253,19 @@ class RationalContext(FieldContext):
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"not a rational literal: {text!r}") from exc
 
-    def format(self, x) -> str:
-        f = Fraction(x) if isinstance(x, int) else x
-        if not isinstance(f, Fraction):
+    def _element(self, x) -> Fraction:
+        """x as a rational; anything else raises MixedContexts."""
+        if isinstance(x, int):
+            return Fraction(x)
+        if not isinstance(x, Fraction):
             raise MixedContexts(f"{x!r} is not a rational value")
-        return str(f)
+        return x
+
+    def format(self, x) -> str:
+        return str(self._element(x))
 
     def sqrt(self, t):
-        return rational_sqrt(Fraction(t) if isinstance(t, int) else t)
+        return field_sqrt(self._element(t))
 
     def enumerate_elements(self):
         raise InfiniteField("the rational field cannot be enumerated")
@@ -323,20 +308,19 @@ class PrimeContext(FieldContext):
             raise ParseError(f"not an F_{self.p} literal: {text!r}") from exc
         return Fp(n, self.p)
 
-    def format(self, x) -> str:
+    def _element(self, x) -> Fp:
+        """x as an element of this field; anything else raises MixedContexts."""
         if isinstance(x, int):
-            return str(x % self.p)
-        if isinstance(x, Fp) and x.p == self.p:
-            return str(x.r)
-        raise MixedContexts(f"{x!r} is not an element of F_{self.p}")
+            return Fp(x, self.p)
+        if not isinstance(x, Fp) or x.p != self.p:
+            raise MixedContexts(f"{x!r} is not an element of F_{self.p}")
+        return x
+
+    def format(self, x) -> str:
+        return str(self._element(x))
 
     def sqrt(self, t):
-        if isinstance(t, int):
-            t = Fp(t, self.p)
-        if not isinstance(t, Fp) or t.p != self.p:
-            raise MixedContexts(f"{t!r} is not an element of F_{self.p}")
-        r = modular_sqrt(t.r, self.p)
-        return None if r is None else Fp(r, self.p)
+        return field_sqrt(self._element(t))
 
     def enumerate_elements(self):
         return (Fp(i, self.p) for i in range(self.p))
@@ -370,29 +354,19 @@ def make_context(descriptor: str) -> FieldContext:
     return ctx
 
 
-def context_of(x) -> FieldContext:
-    """The context an element belongs to (ints count as rational)."""
-    if isinstance(x, Fp):
-        return make_context(f"fp:{x.p}")
-    if isinstance(x, (int, Fraction)):
-        return make_context("rationals")
-    raise MixedContexts(f"{x!r} is not a field element")
-
-
 def exact_div(a, b):
-    """Exact a / b; int-by-int division yields a Fraction, never a float."""
-    if isinstance(a, int) and isinstance(b, int):
-        if b == 0:
-            raise DivisionByZero("division by zero")
-        return Fraction(a, b)
-    return a / b
+    """Exact a / b; int-by-int division yields a Fraction, never a float.
 
-
-def inv(x):
-    """Multiplicative inverse of a field element."""
-    if x == 0:
-        raise DivisionByZero("inverse of zero")
-    return exact_div(1, x)
+    Division by zero raises DivisionByZero whatever the operand types.
+    """
+    try:
+        if isinstance(a, int) and isinstance(b, int):
+            return Fraction(a, b)
+        return a / b
+    except DivisionByZero:
+        raise
+    except ZeroDivisionError as exc:
+        raise DivisionByZero("division by zero") from exc
 
 
 def sqrt_in_field(ctx: FieldContext, t):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .chromo import Color, colored_quadrance, is_null_for
+from .chromo import Color, is_null_for
 from .errors import ColorMismatch, InvalidArgument, NotIsometry, NotUnitCircle, NullParameter
 from .field import exact_div, field_sqrt
 from .projective import ProjPoint
@@ -237,10 +237,3 @@ def blue_sqrt(p: ProjPoint) -> ProjPoint:
     if b == 0:
         return ProjPoint(1, 0)
     return ProjPoint(a + 1, b)
-
-
-def quadrance_preserved(iso: ProjIsometry, a1: ProjPoint, a2: ProjPoint) -> bool:
-    """Whether q_color(a1 iso, a2 iso) equals q_color(a1, a2)."""
-    before = colored_quadrance(iso.color, a1, a2)
-    after = colored_quadrance(iso.color, apply(iso, a1), apply(iso, a2))
-    return before == after

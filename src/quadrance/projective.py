@@ -9,10 +9,7 @@ p-quadrances annihilate the triple and quadruple spread functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
-from .affine import archimedes, det4
+from .affine import QuadrupleResult, archimedes, det4, quadruple_check
 from .errors import DegenerateDenominator, DegenerateForm, InvalidArgument, NullPoint
 from .field import exact_div
 
@@ -193,17 +190,8 @@ def quadruple_spread_fn(a, b, c, d):
     return inner * inner - 64 * a * b * c * d * (1 - a) * (1 - b) * (1 - c) * (1 - d)
 
 
-@dataclass(frozen=True)
-class QuadrupleSpreadResult:
-    """Quadruple spread value plus the two diagonal p-quadrances when defined."""
-
-    value: object
-    q13: Optional[object]
-    q24: Optional[object]
-
-
-def projective_quadruple_check(form: Form, a1, a2, a3, a4) -> QuadrupleSpreadResult:
-    """Evaluate the quadruple spread function on the four side p-quadrances.
+def projective_quadruple_check(form: Form, a1, a2, a3, a4) -> QuadrupleResult:
+    """The quadruple spread function on the four side p-quadrances.
 
     ``value`` is always zero for genuine non-null points; q13 and q24 come
     from the solution fractions and are None on a vanishing denominator.
@@ -212,17 +200,6 @@ def projective_quadruple_check(form: Form, a1, a2, a3, a4) -> QuadrupleSpreadRes
     for name, a in (("a1", a1), ("a2", a2), ("a3", a3), ("a4", a4)):
         if form_value(form, a) == 0:
             raise NullPoint(f"point {name} = {a} is null for form {form}", argument=name)
-    q12 = p_quadrance(form, a1, a2)
-    q23 = p_quadrance(form, a2, a3)
-    q34 = p_quadrance(form, a3, a4)
-    q14 = p_quadrance(form, a1, a4)
-    value = quadruple_spread_fn(q12, q23, q34, q14)
-    try:
-        q13 = solve_spread_triple_pair(q12, q23, q34, q14)
-    except DegenerateDenominator:
-        q13 = None
-    try:
-        q24 = solve_spread_triple_pair(q23, q34, q12, q14)
-    except DegenerateDenominator:
-        q24 = None
-    return QuadrupleSpreadResult(value, q13, q24)
+    return quadruple_check(quadruple_spread_fn, solve_spread_triple_pair,
+                           p_quadrance(form, a1, a2), p_quadrance(form, a2, a3),
+                           p_quadrance(form, a3, a4), p_quadrance(form, a1, a4))

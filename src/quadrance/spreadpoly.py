@@ -121,29 +121,28 @@ _phi_cache: dict[int, IntPolynomial] = {}
 _cache_lock = threading.Lock()
 
 
+def _three_term(cache: list, n: int, step: IntPolynomial, shift: IntPolynomial):
+    """cache[n] of P_k = step * P_(k-1) - P_(k-2) + shift, extending the cache."""
+    with _cache_lock:
+        while len(cache) <= n:
+            cache.append(step * cache[-1] - cache[-2] + shift)
+        return cache[n]
+
+
 def spread_poly(n: int) -> IntPolynomial:
     """The n-th spread polynomial (degree n, leading coefficient (-4)^(n-1))."""
     if n < 0:
         raise InvalidArgument("spread polynomial index must be nonnegative")
-    with _cache_lock:
-        step = IntPolynomial([2, -4])  # 2(1 - 2s)
-        two_s = IntPolynomial([0, 2])
-        while len(_spread_cache) <= n:
-            k = len(_spread_cache)
-            _spread_cache.append(step * _spread_cache[k - 1] - _spread_cache[k - 2] + two_s)
-        return _spread_cache[n]
+    # S_n = 2(1 - 2s) S_(n-1) - S_(n-2) + 2s
+    return _three_term(_spread_cache, n, IntPolynomial([2, -4]), IntPolynomial([0, 2]))
 
 
 def chebyshev_T(n: int) -> IntPolynomial:
     """The n-th Chebyshev polynomial of the first kind."""
     if n < 0:
         raise InvalidArgument("Chebyshev index must be nonnegative")
-    with _cache_lock:
-        two_x = IntPolynomial([0, 2])
-        while len(_cheb_cache) <= n:
-            k = len(_cheb_cache)
-            _cheb_cache.append(two_x * _cheb_cache[k - 1] - _cheb_cache[k - 2])
-        return _cheb_cache[n]
+    # T_n = 2x T_(n-1) - T_(n-2)
+    return _three_term(_cheb_cache, n, IntPolynomial([0, 2]), ZERO)
 
 
 def spread_via_chebyshev(n: int) -> IntPolynomial:

@@ -6,19 +6,23 @@ skipping and counting tuples that are null where non-null inputs are
 required.  Every report satisfies passed + failed + skipped = attempted,
 and identical seeds and arguments reproduce identical results.
 
-The polynomial identities (triple and quadruple quad and spread formulas,
-Heron, Brahmagupta, generalized Fibonacci) have integer coefficients, so
-their F_p sweeps call the library's own kernels on plain int residues
-0..p-1 and reduce mod p once per side.  Solution fractions are checked
-cleared of their denominator: num == den * q (mod p).  The isometry sweep
-does the same for preservation, the composition table and the
-multiplication laws, on the points [1:t] and [0:1] with int coordinates:
-quadrances are compared cleared (num * den' == num' * den mod p), points
-and matrices by their cross products mod p.  The spreadpoly sweep
-evaluates the recurrence and composition checks on int residues.  Values
-are lifted to Fp only to report a failure.  What needs field division or
-square roots stays on Fp: the chromo suite, blue square roots, the green
-power bridge and the green ratio check.
+Each identity is checked by one function, which both drivers call.  A
+check takes ``p=None`` over Q; the F_p sweep passes int residues 0..p-1
+and the prime p, and the check compares mod p.  This is exact because the
+polynomial identities (triple and quadruple quad and spread formulas,
+Heron, Brahmagupta, generalized Fibonacci) have integer coefficients:
+the library's own kernels run on the residues and each side is reduced
+once.  Solution fractions are checked cleared of their denominator
+(num == den * q); coloured quadrances before and after an isometry are
+compared cleared (num * den' == num' * den), and points and matrices by
+their cross products.  The isometry sweep runs on the points [1:t] and
+[0:1] with int coordinates, and the spreadpoly sweep evaluates the
+recurrence and composition checks on int residues.  Values are lifted to
+Fp only to report a failure.  What needs field division or square roots
+stays on Fp: the chromo suite, blue square roots, the green power bridge
+and the green ratio check.  The free-variable identities (the alternate
+forms, the proof and rearrangement identities, rescaling invariance) are
+random-input checks and run over Q only.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from typing import Callable, Optional
 from . import affine, chromo, isometry, projective, spreadpoly
 from .chromo import Color
 from .errors import FactorizationFailure, NotUnitCircle, UnknownSuite
-from .field import FieldContext
+from .field import FieldContext, Fp, exact_div
 from .isometry import IsoKind
 from .projective import Form, ProjPoint
 
@@ -169,15 +173,227 @@ def proj_points(ctx: FieldContext) -> list[ProjPoint]:
     return pts
 
 
-# -- identity drivers and residue sweeps over F_p -----------------------------
+# -- identity checks, shared by the rational and the F_p driver ---------------
+#
+# Each check returns (identity, lhs, rhs) for the first law that fails, in
+# report order, or None.  Over Q it takes field values and p=None; the F_p
+# sweeps pass int residues and the prime p, and values are compared mod p.
 
-def _check_sides(rec, identity: str, names, sides: Callable, cases,
-                 p: Optional[int] = None):
+def _reduce(x, p=None):
+    """x itself, or its residue mod p."""
+    return x if p is None else x % p
+
+
+def _quotient(num, den, p=None):
+    """num / den, as a residue mod p when p is given."""
+    return exact_div(num, den) if p is None else num * pow(den, -1, p) % p
+
+
+def _solution_mismatch(num, den, want, p=None):
+    """num/den where it differs from ``want``; None when equal or den = 0."""
+    if p is None:
+        settled = den == 0 or num == den * want
+    else:
+        settled = den % p == 0 or (num - den * want) % p == 0
+    return None if settled else _quotient(num, den, p)
+
+
+def _triple_quad_law(q1, q2, q3, p=None) -> Optional[tuple]:
+    """Archimedes' function vanishes on the quadrances of three points."""
+    value = affine.archimedes(q1, q2, q3)
+    if p is not None:
+        value %= p
+    return None if value == 0 else ("triple-quad-formula", value, 0)
+
+
+def _triple_spread_laws(q1, q2, q3, perp12: bool, p=None) -> Optional[tuple]:
+    """The p-quadrances of three points annihilate the triple spread
+    function and its proof-step identity, and the first two points are
+    perpendicular (``perp12``) exactly when q3 = 1."""
+    value = projective.triple_spread_fn(q1, q2, q3)
+    lhs = (q1 + q2 - q3) ** 2
+    rhs = 4 * q1 * q2 * (1 - q3)
+    if p is not None:
+        value, lhs, rhs = value % p, lhs % p, rhs % p
+    if value != 0:
+        return ("triple-spread-formula", value, 0)
+    if lhs != rhs:
+        return ("triple-spread-proof-identity", lhs, rhs)
+    if perp12 != (q3 == 1):
+        return ("perpendicular-iff-q1", perp12, q3)
+    return None
+
+
+def _quadruple_laws(name: str, fn, fraction, q12, q23, q34, q14, q13, q24,
+                    p=None) -> Optional[tuple]:
+    """The six quadrances of four points: ``fn`` of the four sides vanishes,
+    and each diagonal equals its solution ``fraction`` where that is defined."""
+    value = fn(q12, q23, q34, q14)
+    if p is not None:
+        value %= p
+    if value != 0:
+        return (f"{name}-formula", value, 0)
+    got = _solution_mismatch(*fraction(q12, q23, q34, q14), q13, p)
+    if got is not None:
+        return (f"{name}-q13", got, q13)
+    got = _solution_mismatch(*fraction(q23, q34, q12, q14), q24, p)
+    if got is not None:
+        return (f"{name}-q24", got, q24)
+    return None
+
+
+def _colored_fraction(color, a1, a2, p=None) -> tuple:
+    """The color's quadrance of two points as (num, den), mod p when given.
+    A null point (den = 0) raises as colored_quadrance does."""
+    num, den = chromo.colored_quadrance_fraction(color, a1, a2)
+    if p is not None:
+        num, den = num % p, den % p
+    if den == 0:
+        chromo.colored_quadrance(color, _lift(p, a1), _lift(p, a2))
+    return num, den
+
+
+def _preservation_law(color, before: tuple, after: tuple, p=None) -> Optional[tuple]:
+    """An isometry keeps the color's quadrance of two points; ``before`` and
+    ``after`` are _colored_fraction pairs, compared cleared of denominators."""
+    (num0, den0), (num, den) = before, after
+    diff = num * den0 - num0 * den
+    if (diff if p is None else diff % p) == 0:
+        return None
+    return (f"isometry-preservation-{color}", _quotient(num, den, p), _quotient(num0, den0, p))
+
+
+def _points_differ(u: ProjPoint, v: ProjPoint, p=None) -> bool:
+    """u != v as projective points.
+
+    With p the coordinates are int residues and the points are compared
+    over F_p.  A point that is 0 mod p differs from every point, so its
+    case fails, and reporting it raises InvalidArgument as building it over
+    F_p does.
+    """
+    if p is None:
+        return u != v
+    return ((u.x * v.y - v.x * u.y) % p != 0
+            or not (u.x % p or u.y % p) or not (v.x % p or v.y % p))
+
+
+def _matrices_differ(m, n, p=None) -> bool:
+    """m != n as projective matrices; over F_p like _points_differ."""
+    if p is None:
+        return m != n
+    a, b, c, d = m.entries()
+    e, f, g, h = n.entries()
+    return bool((a * f - e * b) % p or (a * g - e * c) % p or (a * h - e * d) % p
+                or (b * g - f * c) % p or (b * h - f * d) % p or (c * h - g * d) % p
+                or not (a % p or b % p or c % p or d % p)
+                or not (e % p or f % p or g % p or h % p))
+
+
+def _composition_case(iso1, m1, iso2, m2, p=None) -> Optional[dict]:
+    """The composition table entry for iso1 then iso2 (matrices m1, m2)
+    against the matrix product, its kind and non-null parameter, and the
+    blue/red Fibonacci identity."""
+    color, kind1, p1, kind2, p2 = iso1.color, iso1.kind, iso1.param, iso2.kind, iso2.param
+    composed = isometry.compose(iso1, iso2)
+    table = isometry.matrix_of(composed)
+    product = m1 @ m2
+    expected_kind = IsoKind.ROTATION if kind1 == kind2 else IsoKind.REFLECTION
+    a, b, c, d = p1.x, p1.y, p2.x, p2.y
+    if _matrices_differ(table, product, p):
+        failure = ("composition-table-vs-matrix", table, product)
+    elif composed.kind is not expected_kind:
+        failure = ("composition-kind-parity", composed.kind, expected_kind)
+    elif _reduce(projective.form_value(chromo.colored_form(color), composed.param), p) == 0:
+        failure = ("composition-nonnull-closure", composed.param, "non-null")
+    elif color is Color.GREEN:
+        return None
+    else:
+        # the Fibonacci identity of x^2 + s y^2: blue s = 1, red s = -1
+        s = 1 if color is Color.BLUE else -1
+        lhs = _reduce((a * c + s * b * d) ** 2 + s * (a * d - b * c) ** 2, p)
+        mid = _reduce((a * a + s * b * b) * (c * c + s * d * d), p)
+        rhs = _reduce((a * c - s * b * d) ** 2 + s * (a * d + b * c) ** 2, p)
+        if lhs == mid == rhs:
+            return None
+        failure = (f"fibonacci-identity-{color}", lhs, mid)
+    inputs = {"color": color, "kind1": kind1, "p1": p1, "kind2": kind2, "p2": p2}
+    return _failed(failure, inputs, p)
+
+
+def _associativity_law(color, p1, p3, ab, bc, p=None) -> Optional[tuple]:
+    """(p1 p2) p3 = p1 (p2 p3), given the products ab = p1 p2 and bc = p2 p3."""
+    left = isometry.multiply_points(color, ab, p3)
+    right = isometry.multiply_points(color, p1, bc)
+    if _points_differ(left, right, p):
+        return ("multiplication-associativity", left, right)
+    return None
+
+
+def _unit_laws(color, a, p=None) -> Optional[tuple]:
+    """The first failing law of a*1 = a, a*a^-1 = 1."""
+    ident = isometry.point_identity(color)
+    a_ident = isometry.multiply_points(color, a, ident)
+    if _points_differ(a_ident, a, p):
+        return ("multiplication-identity", a_ident, a)
+    a_inv = isometry.multiply_points(color, a, isometry.point_inverse(color, a))
+    if _points_differ(a_inv, ident, p):
+        return ("multiplication-inverse", a_inv, ident)
+    return None
+
+
+def _pair_laws(color, p1, p2, ab, ba, unit_failure, p=None) -> Optional[tuple]:
+    """The multiplication laws after associativity, in report order:
+    p1*p2 = p2*p1 (``ab``, ``ba``), the unit laws of p1 (``unit_failure``
+    from _unit_laws), and p1*p2 = the parameter of rotation p1 then p2."""
+    if _points_differ(ab, ba, p):
+        return ("multiplication-commutativity", ab, ba)
+    if unit_failure is not None:
+        return unit_failure
+    rot = isometry.compose(
+        isometry.ProjIsometry(color, IsoKind.ROTATION, p1),
+        isometry.ProjIsometry(color, IsoKind.ROTATION, p2),
+    )
+    if _points_differ(rot.param, ab, p):
+        return ("multiplication-vs-rotation-composition", rot.param, ab)
+    return None
+
+
+def _lift(p, value):
+    """A point or matrix with int-residue coordinates as the F_p one it
+    stands for, so that reports print it as a sweep over Fp objects would."""
+    if p is not None:
+        if isinstance(value, ProjPoint):
+            return ProjPoint(Fp(value.x, p), Fp(value.y, p))
+        if isinstance(value, isometry.ProjMatrix):
+            return isometry.ProjMatrix(*(Fp(v, p) for v in value.entries()))
+    return value
+
+
+def _failed(failure: tuple, inputs: dict, p=None) -> dict:
+    """The mismatch of a check's (identity, lhs, rhs).  With p, points and
+    matrices with int-residue coordinates are lifted to F_p."""
+    identity, lhs, rhs = failure
+    return mismatch(identity, {k: _lift(p, v) for k, v in inputs.items()},
+                    _lift(p, lhs), _lift(p, rhs))
+
+
+# -- drivers and pairwise tables ------------------------------------------------
+
+def _check_identity(rec, ctx, rng, trials, identity, names, sides, residue_cases=None):
     """One case per argument tuple: ``sides(*args)`` must return equal (lhs, rhs).
 
-    With ``p`` the arguments are int residues and both sides are compared,
-    and reported, reduced mod p.
+    Over Q the tuples are ``trials`` random ones.  Over F_p they are
+    ``residue_cases`` (by default every tuple of residues), and both sides
+    are compared, and reported, mod p.
     """
+    if rng is not None:
+        p = None
+        cases = (tuple(random_element(ctx, rng) for _ in names) for _ in range(trials))
+    else:
+        p = ctx.p
+        cases = residue_cases
+        if cases is None:
+            cases = itertools.product(range(p), repeat=len(names))
     for args in cases:
         lhs, rhs = sides(*args)
         if p is not None:
@@ -188,13 +404,6 @@ def _check_sides(rec, identity: str, names, sides: Callable, cases,
             rec.case(mismatch(identity, dict(zip(names, args)), lhs, rhs))
 
 
-def _solution_mismatch(num, den, want: int, p: int):
-    """num/den mod p where it differs from ``want``; None when equal or den = 0 mod p."""
-    if den % p == 0 or (num - den * want) % p == 0:
-        return None
-    return num * pow(den, -1, p) % p
-
-
 def _live_indices(rec, null: list, arity: int) -> list:
     """Indices of the non-null points; the tuples with a null entry are skipped."""
     live = [i for i, is_null in enumerate(null) if not is_null]
@@ -202,12 +411,31 @@ def _live_indices(rec, null: list, arity: int) -> list:
     return live
 
 
-def _sweep_quadruple(rec, p: int, qtab, fn, fraction, name: str, inputs, live):
-    """Every 4-tuple over ``live`` indices of the residue table ``qtab``.
+def _pair_table(n: int, live, fn: Callable) -> list:
+    """The n x n table of fn(i, j) over the ``live`` indices; None elsewhere."""
+    table = [[None] * n for _ in range(n)]
+    for i in live:
+        row = table[i]
+        for j in live:
+            row[j] = fn(i, j)
+    return table
 
-    ``fn`` of the four sides must vanish mod p, and each diagonal must equal
-    its solution fraction whenever that fraction's denominator is nonzero.
-    """
+
+def _quadrance_table(p: int) -> list:
+    """Residues of the quadrances between all points of the affine line over F_p."""
+    pts = [affine.AffinePoint(t) for t in range(p)]
+    return _pair_table(p, range(p), lambda i, j: affine.quadrance(pts[i], pts[j]) % p)
+
+
+def _p_quadrance_table(form, pts, live) -> list:
+    """Residues of the p-quadrances between the ``live`` (non-null) points."""
+    return _pair_table(len(pts), live,
+                       lambda i, j: projective.p_quadrance(form, pts[i], pts[j]).r)
+
+
+def _sweep_quadruple(rec, p: int, qtab, live, name: str, fn, fraction, inputs: Callable):
+    """_quadruple_laws on every 4-tuple of ``live`` indices of the residue
+    table ``qtab``; ``inputs(i, j, k, m)`` names a failing tuple."""
     for i in live:
         row_i = qtab[i]
         for j in live:
@@ -215,59 +443,19 @@ def _sweep_quadruple(rec, p: int, qtab, fn, fraction, name: str, inputs, live):
             for k in live:
                 q23, row_k, q13 = row_j[k], qtab[k], row_i[k]
                 for m in live:
-                    q34, q14, q24 = row_k[m], row_i[m], row_j[m]
-                    value = fn(q12, q23, q34, q14) % p
-                    if value:
-                        rec.case(mismatch(f"{name}-formula", inputs(i, j, k, m), value, 0))
-                        continue
-                    got = _solution_mismatch(*fraction(q12, q23, q34, q14), q13, p)
-                    if got is not None:
-                        rec.case(mismatch(f"{name}-q13", inputs(i, j, k, m), got, q13))
-                        continue
-                    got = _solution_mismatch(*fraction(q23, q34, q12, q14), q24, p)
-                    if got is not None:
-                        rec.case(mismatch(f"{name}-q24", inputs(i, j, k, m), got, q24))
-                        continue
-                    rec.case(None)
-
-
-def _check_identity(rec, ctx, rng, trials, identity, names, sides, residue_cases=None):
-    """``sides`` on ``trials`` random argument tuples, or over F_p on
-    ``residue_cases`` (by default every tuple of residues)."""
-    if rng is None:
-        if residue_cases is None:
-            residue_cases = itertools.product(range(ctx.p), repeat=len(names))
-        _check_sides(rec, identity, names, sides, residue_cases, ctx.p)
-    else:
-        cases = (tuple(random_element(ctx, rng) for _ in names) for _ in range(trials))
-        _check_sides(rec, identity, names, sides, cases)
-
-
-def _residue_quadrance_table(p: int) -> list:
-    """Residues of the quadrances (b - a)^2 between all points of the affine line."""
-    return [[(b - a) ** 2 % p for b in range(p)] for a in range(p)]
-
-
-def _p_quadrance_table(form, pts, live) -> list:
-    """Residues of the p-quadrances between the ``live`` (non-null) points."""
-    n = len(pts)
-    qtab = [[None] * n for _ in range(n)]
-    for i in live:
-        for j in live:
-            qtab[i][j] = projective.p_quadrance(form, pts[i], pts[j]).r
-    return qtab
+                    failure = _quadruple_laws(name, fn, fraction, q12, q23, row_k[m], row_i[m],
+                                              q13, row_j[m], p)
+                    rec.case(None if failure is None else _failed(failure, inputs(i, j, k, m)))
 
 
 # -- individual suites --------------------------------------------------------
 
 def _triple_quad_case(t1, t2, t3) -> Optional[dict]:
     a1, a2, a3 = affine.AffinePoint(t1), affine.AffinePoint(t2), affine.AffinePoint(t3)
-    q1 = affine.quadrance(a2, a3)
-    q2 = affine.quadrance(a1, a3)
-    q3 = affine.quadrance(a1, a2)
-    val = affine.archimedes(q1, q2, q3)
-    if val != 0:
-        return mismatch("triple-quad-formula", {"x1": t1, "x2": t2, "x3": t3}, val, 0)
+    quadrance = affine.quadrance
+    failure = _triple_quad_law(quadrance(a2, a3), quadrance(a1, a3), quadrance(a1, a2))
+    if failure is not None:
+        return _failed(failure, {"x1": t1, "x2": t2, "x3": t3})
     base = affine.archimedes(t1, t2, t3)
     for i, alt in enumerate(affine.archimedes_forms(t1, t2, t3)):
         if alt != base:
@@ -282,43 +470,30 @@ def _triple_quad_case(t1, t2, t3) -> Optional[dict]:
 
 def _suite_triple_quad(rec, ctx, rng, trials, colors):
     if rng is None:
-        # The theorem itself over all p^3 ordered point triples; the
-        # free-variable alternate/proof identities are random-input checks
-        # and live in the randomized mode below.
         p = ctx.p
-        archimedes = affine.archimedes
-        qtab = _residue_quadrance_table(p)
+        qtab = _quadrance_table(p)
         for i in range(p):
             row_i = qtab[i]
             for j in range(p):
-                q3 = row_i[j]
-                row_j = qtab[j]
+                q3, row_j = row_i[j], qtab[j]
                 for k in range(p):
-                    val = archimedes(row_j[k], row_i[k], q3) % p
-                    if val == 0:
-                        rec.case(None)
-                    else:
-                        rec.case(mismatch("triple-quad-formula",
-                                          {"x1": i, "x2": j, "x3": k}, val, 0))
+                    failure = _triple_quad_law(row_j[k], row_i[k], q3, p)
+                    rec.case(None if failure is None
+                             else _failed(failure, {"x1": i, "x2": j, "x3": k}))
     else:
         for _ in range(trials):
             rec.case(_triple_quad_case(*(random_element(ctx, rng) for _ in range(3))))
 
 
 def _quadruple_quad_case(t1, t2, t3, t4) -> Optional[dict]:
-    pts = [affine.AffinePoint(t) for t in (t1, t2, t3, t4)]
-    res = affine.quadruple_quad_check(*pts)
-    inputs = {"x1": t1, "x2": t2, "x3": t3, "x4": t4}
-    if res.value != 0:
-        return mismatch("quadruple-quad-formula", inputs, res.value, 0)
-    if res.q13 is not None:
-        direct = affine.quadrance(pts[0], pts[2])
-        if res.q13 != direct:
-            return mismatch("quadruple-quad-q13", inputs, res.q13, direct)
-    if res.q24 is not None:
-        direct = affine.quadrance(pts[1], pts[3])
-        if res.q24 != direct:
-            return mismatch("quadruple-quad-q24", inputs, res.q24, direct)
+    a1, a2, a3, a4 = (affine.AffinePoint(t) for t in (t1, t2, t3, t4))
+    quadrance = affine.quadrance
+    failure = _quadruple_laws("quadruple-quad", affine.quadruple_quad_fn,
+                              affine.quad_triple_pair_fraction,
+                              quadrance(a1, a2), quadrance(a2, a3), quadrance(a3, a4),
+                              quadrance(a1, a4), quadrance(a1, a3), quadrance(a2, a4))
+    if failure is not None:
+        return _failed(failure, {"x1": t1, "x2": t2, "x3": t3, "x4": t4})
     a, b, c, d = t1, t2, t3, t4
     lhs = ((a - b) ** 2 - (c - d) ** 2 - 2 * (a + b - c - d) * (a + b)) ** 2 \
         - 16 * a * b * (a + b - c - d) ** 2
@@ -331,13 +506,10 @@ def _quadruple_quad_case(t1, t2, t3, t4) -> Optional[dict]:
 
 def _suite_quadruple_quad(rec, ctx, rng, trials, colors):
     if rng is None:
-        # theorem sweep over all p^4 point tuples: value and both fractions;
-        # the free-variable rearrangement identity is a random-input check
         p = ctx.p
-        _sweep_quadruple(rec, p, _residue_quadrance_table(p), affine.quadruple_quad_fn,
-                         affine.quad_triple_pair_fraction, "quadruple-quad",
-                         lambda i, j, k, m: {"x1": i, "x2": j, "x3": k, "x4": m},
-                         range(p))
+        _sweep_quadruple(rec, p, _quadrance_table(p), range(p), "quadruple-quad",
+                         affine.quadruple_quad_fn, affine.quad_triple_pair_fraction,
+                         lambda i, j, k, m: {"x1": i, "x2": j, "x3": k, "x4": m})
     else:
         for _ in range(trials):
             rec.case(_quadruple_quad_case(*(random_element(ctx, rng) for _ in range(4))))
@@ -387,20 +559,12 @@ def _suite_fibonacci(rec, ctx, rng, trials, colors):
 
 
 def _triple_spread_case(form, a1, a2, a3, free) -> Optional[dict]:
-    q1 = projective.p_quadrance(form, a2, a3)
-    q2 = projective.p_quadrance(form, a1, a3)
-    q3 = projective.p_quadrance(form, a1, a2)
-    inputs = {"form": form, "a1": a1, "a2": a2, "a3": a3}
-    val = projective.triple_spread_fn(q1, q2, q3)
-    if val != 0:
-        return mismatch("triple-spread-formula", inputs, val, 0)
-    lhs = (q1 + q2 - q3) ** 2
-    rhs = 4 * q1 * q2 * (1 - q3)
-    if lhs != rhs:
-        return mismatch("triple-spread-proof-identity", inputs, lhs, rhs)
-    perp = projective.is_perpendicular(form, a1, a2)
-    if perp != (q3 == 1):
-        return mismatch("perpendicular-iff-q1", inputs, perp, q3)
+    p_quadrance = projective.p_quadrance
+    failure = _triple_spread_laws(p_quadrance(form, a2, a3), p_quadrance(form, a1, a3),
+                                  p_quadrance(form, a1, a2),
+                                  projective.is_perpendicular(form, a1, a2))
+    if failure is not None:
+        return _failed(failure, {"form": form, "a1": a1, "a2": a2, "a3": a3})
     u, v, w = free
     base = projective.triple_spread_fn(u, v, w)
     for i, alt in enumerate(projective.triple_spread_forms(u, v, w)):
@@ -431,35 +595,21 @@ def _selected_forms(colors) -> list[str]:
     return [c for c in FORM_NAMES if c in colors]
 
 
-def _exhaustive_triple_spread_form(rec, ctx, form, pts):
-    # Theorem sweep: triple spread formula, its proof-step identity, and
-    # perpendicularity <=> q = 1 on every non-null ordered triple, via
-    # precomputed pairwise quadrance and pairing tables.
-    p = ctx.p
+def _exhaustive_triple_spread_form(rec, p: int, form, pts):
+    """_triple_spread_laws on every non-null ordered triple, from tables of
+    the pairwise p-quadrances and perpendicularities."""
     live = _live_indices(rec, [projective.form_value(form, a) == 0 for a in pts], 3)
     qtab = _p_quadrance_table(form, pts, live)
-    perp = {(i, j): projective.pairing(form, pts[i], pts[j]) == 0 for i in live for j in live}
-    triple_spread_fn = projective.triple_spread_fn
+    perp = _pair_table(len(pts), live,
+                       lambda i, j: projective.is_perpendicular(form, pts[i], pts[j]))
     for i in live:
+        row_i, perp_i = qtab[i], perp[i]
         for j in live:
-            q3, perp_ij = qtab[i][j], perp[i, j]
+            q3, perp_ij, row_j = row_i[j], perp_i[j], qtab[j]
             for k in live:
-                q1, q2 = qtab[j][k], qtab[i][k]
-                val = triple_spread_fn(q1, q2, q3) % p
-                lhs = (q1 + q2 - q3) ** 2 % p
-                rhs = 4 * q1 * q2 * (1 - q3) % p
-                if val:
-                    failure = ("triple-spread-formula", val, 0)
-                elif lhs != rhs:
-                    failure = ("triple-spread-proof-identity", lhs, rhs)
-                elif perp_ij != (q3 == 1):
-                    failure = ("perpendicular-iff-q1", perp_ij, q3)
-                else:
-                    rec.case(None)
-                    continue
-                identity, lhs, rhs = failure
-                rec.case(mismatch(identity, {"form": form, "a1": pts[i], "a2": pts[j],
-                                             "a3": pts[k]}, lhs, rhs))
+                failure = _triple_spread_laws(row_j[k], row_i[k], q3, perp_ij, p)
+                rec.case(None if failure is None else _failed(
+                    failure, {"form": form, "a1": pts[i], "a2": pts[j], "a3": pts[k]}))
 
 
 def _suite_triple_spread(rec, ctx, rng, trials, colors):
@@ -467,7 +617,7 @@ def _suite_triple_spread(rec, ctx, rng, trials, colors):
     if rng is None:
         pts = proj_points(ctx)
         for name in names:
-            _exhaustive_triple_spread_form(rec, ctx, named_form(name), pts)
+            _exhaustive_triple_spread_form(rec, ctx.p, named_form(name), pts)
     else:
         for t in range(trials):
             form = named_form(names[t % len(names)])
@@ -482,18 +632,14 @@ def _suite_triple_spread(rec, ctx, rng, trials, colors):
 
 
 def _quadruple_spread_case(form, a1, a2, a3, a4, free) -> Optional[dict]:
-    res = projective.projective_quadruple_check(form, a1, a2, a3, a4)
-    inputs = {"form": form, "a1": a1, "a2": a2, "a3": a3, "a4": a4}
-    if res.value != 0:
-        return mismatch("quadruple-spread-formula", inputs, res.value, 0)
-    if res.q13 is not None:
-        direct = projective.p_quadrance(form, a1, a3)
-        if res.q13 != direct:
-            return mismatch("quadruple-spread-q13", inputs, res.q13, direct)
-    if res.q24 is not None:
-        direct = projective.p_quadrance(form, a2, a4)
-        if res.q24 != direct:
-            return mismatch("quadruple-spread-q24", inputs, res.q24, direct)
+    p_quadrance = projective.p_quadrance
+    failure = _quadruple_laws("quadruple-spread", projective.quadruple_spread_fn,
+                              projective.spread_triple_pair_fraction,
+                              p_quadrance(form, a1, a2), p_quadrance(form, a2, a3),
+                              p_quadrance(form, a3, a4), p_quadrance(form, a1, a4),
+                              p_quadrance(form, a1, a3), p_quadrance(form, a2, a4))
+    if failure is not None:
+        return _failed(failure, {"form": form, "a1": a1, "a2": a2, "a3": a3, "a4": a4})
     a, b, c, d = free
     den = a + b - c - d - 2 * a * b + 2 * c * d
     lhs = ((a - b) ** 2 - (c - d) ** 2 - 2 * den * (a + b - 2 * a * b)) ** 2 \
@@ -505,25 +651,18 @@ def _quadruple_spread_case(form, a1, a2, a3, a4, free) -> Optional[dict]:
     return None
 
 
-def _exhaustive_quadruple_spread_form(rec, ctx, form, pts):
-    # Pairwise p-quadrances are precomputed; each 4-tuple case then checks
-    # the quadruple formula and both solution fractions by table lookup.
-    # The free-variable rearrangement identity is a random-input check.
-    live = _live_indices(rec, [projective.form_value(form, a) == 0 for a in pts], 4)
-    _sweep_quadruple(rec, ctx.p, _p_quadrance_table(form, pts, live),
-                     projective.quadruple_spread_fn, projective.spread_triple_pair_fraction,
-                     "quadruple-spread",
-                     lambda i, j, k, m: {"form": form, "a1": pts[i], "a2": pts[j],
-                                         "a3": pts[k], "a4": pts[m]},
-                     live)
-
-
 def _suite_quadruple_spread(rec, ctx, rng, trials, colors):
     names = _selected_forms(colors)
     if rng is None:
         pts = proj_points(ctx)
         for name in names:
-            _exhaustive_quadruple_spread_form(rec, ctx, named_form(name), pts)
+            form = named_form(name)
+            live = _live_indices(rec, [projective.form_value(form, a) == 0 for a in pts], 4)
+            _sweep_quadruple(rec, ctx.p, _p_quadrance_table(form, pts, live), live,
+                             "quadruple-spread", projective.quadruple_spread_fn,
+                             projective.spread_triple_pair_fraction,
+                             lambda i, j, k, m: {"form": form, "a1": pts[i], "a2": pts[j],
+                                                 "a3": pts[k], "a4": pts[m]})
     else:
         for t in range(trials):
             form = named_form(names[t % len(names)])
@@ -604,151 +743,14 @@ def _suite_chromo(rec, ctx, rng, trials, colors):
             rec.case(_chromo_case(*pair))
 
 
-def _reduce(x, fp):
-    """x itself, or its residue mod p when fp is a prime context and x an int."""
-    return x if fp is None else x % fp.p
-
-
-def _points_differ(u: ProjPoint, v: ProjPoint, fp=None) -> bool:
-    """u != v as projective points.
-
-    With a prime context the coordinates are int residues and the points
-    are compared over F_p.  A point that is 0 mod p differs from every
-    point, so its case fails, and reporting it raises InvalidArgument as
-    building it over F_p does.
-    """
-    if fp is None:
-        return u != v
-    p = fp.p
-    return ((u.x * v.y - v.x * u.y) % p != 0
-            or not (u.x % p or u.y % p) or not (v.x % p or v.y % p))
-
-
-def _matrices_differ(m, n, fp=None) -> bool:
-    """m != n as projective matrices; over F_p like _points_differ."""
-    if fp is None:
-        return m != n
-    p = fp.p
-    a, b, c, d = m.entries()
-    e, f, g, h = n.entries()
-    return bool((a * f - e * b) % p or (a * g - e * c) % p or (a * h - e * d) % p
-                or (b * g - f * c) % p or (b * h - f * d) % p or (c * h - g * d) % p
-                or not (a % p or b % p or c % p or d % p)
-                or not (e % p or f % p or g % p or h % p))
-
-
-def _lift(fp, value):
-    """A point or matrix with int-residue coordinates as the F_p one it
-    stands for, so that reports print it as the Fp sweep did."""
-    if fp is not None:
-        if isinstance(value, ProjPoint):
-            return ProjPoint(fp.from_int(value.x), fp.from_int(value.y))
-        if isinstance(value, isometry.ProjMatrix):
-            return isometry.ProjMatrix(*map(fp.from_int, value.entries()))
-    return value
-
-
-def _lifted_mismatch(fp, identity: str, inputs: dict, lhs, rhs) -> dict:
-    return mismatch(identity, {k: _lift(fp, v) for k, v in inputs.items()},
-                    _lift(fp, lhs), _lift(fp, rhs))
-
-
-def _residue_points(p: int) -> list[ProjPoint]:
-    """proj_points with int coordinates: [1:0], [1:1], ..., [1:p-1], [0:1]."""
-    return [ProjPoint(1, t) for t in range(p)] + [ProjPoint(0, 1)]
-
-
-def _preservation_case(iso, a1, a2) -> Optional[dict]:
-    before = chromo.colored_quadrance(iso.color, a1, a2)
-    after = chromo.colored_quadrance(iso.color, isometry.apply(iso, a1),
-                                     isometry.apply(iso, a2))
-    if before != after:
-        return mismatch(
-            f"isometry-preservation-{iso.color}",
-            {"kind": iso.kind, "param": iso.param, "a1": a1, "a2": a2},
-            after, before,
-        )
-    return None
-
-
-def _composition_case(iso1, m1, iso2, m2, fp=None) -> Optional[dict]:
-    """The composition table entry for iso1 then iso2 (matrices m1, m2)
-    against the matrix product, its kind and non-null parameter, and the
-    blue/red Fibonacci identity.  With a prime context ``fp`` the
-    parameters have int-residue coordinates and comparisons are mod p."""
-    color, kind1, p1, kind2, p2 = iso1.color, iso1.kind, iso1.param, iso2.kind, iso2.param
-    composed = isometry.compose(iso1, iso2)
-    table = isometry.matrix_of(composed)
-    product = m1 @ m2
-    expected_kind = IsoKind.ROTATION if kind1 == kind2 else IsoKind.REFLECTION
-    a, b, c, d = p1.x, p1.y, p2.x, p2.y
-    if _matrices_differ(table, product, fp):
-        failure = ("composition-table-vs-matrix", table, product)
-    elif composed.kind is not expected_kind:
-        failure = ("composition-kind-parity", composed.kind, expected_kind)
-    elif _reduce(projective.form_value(chromo.colored_form(color), composed.param), fp) == 0:
-        failure = ("composition-nonnull-closure", composed.param, "non-null")
-    elif color is Color.BLUE:
-        lhs = _reduce((a * c + b * d) ** 2 + (a * d - b * c) ** 2, fp)
-        mid = _reduce((a * a + b * b) * (c * c + d * d), fp)
-        rhs = _reduce((a * c - b * d) ** 2 + (a * d + b * c) ** 2, fp)
-        if lhs == mid == rhs:
-            return None
-        failure = ("fibonacci-identity-blue", lhs, mid)
-    elif color is Color.RED:
-        lhs = _reduce((a * c - b * d) ** 2 - (a * d - b * c) ** 2, fp)
-        mid = _reduce((a * a - b * b) * (c * c - d * d), fp)
-        rhs = _reduce((a * c + b * d) ** 2 - (a * d + b * c) ** 2, fp)
-        if lhs == mid == rhs:
-            return None
-        failure = ("fibonacci-identity-red", lhs, mid)
-    else:
-        return None
-    inputs = {"color": color, "kind1": kind1, "p1": p1, "kind2": kind2, "p2": p2}
-    return _lifted_mismatch(fp, failure[0], inputs, *failure[1:])
-
-
-def _unit_laws(color, a, fp=None) -> Optional[tuple]:
-    """(identity, lhs, rhs) of the first failing law a*1 = a, a*a^-1 = 1."""
-    ident = isometry.point_identity(color)
-    a_ident = isometry.multiply_points(color, a, ident)
-    if _points_differ(a_ident, a, fp):
-        return ("multiplication-identity", a_ident, a)
-    a_inv = isometry.multiply_points(color, a, isometry.point_inverse(color, a))
-    if _points_differ(a_inv, ident, fp):
-        return ("multiplication-inverse", a_inv, ident)
-    return None
-
-
-def _pair_laws(color, p1, p2, ab, ba, unit_failure, fp=None) -> Optional[tuple]:
-    """The multiplication laws after associativity, in report order:
-    p1*p2 = p2*p1 (``ab``, ``ba``), the unit laws of p1 (``unit_failure``
-    from _unit_laws), and p1*p2 = the parameter of rotation p1 then p2."""
-    if _points_differ(ab, ba, fp):
-        return ("multiplication-commutativity", ab, ba)
-    if unit_failure is not None:
-        return unit_failure
-    rot = isometry.compose(
-        isometry.ProjIsometry(color, IsoKind.ROTATION, p1),
-        isometry.ProjIsometry(color, IsoKind.ROTATION, p2),
-    )
-    if _points_differ(rot.param, ab, fp):
-        return ("multiplication-vs-rotation-composition", rot.param, ab)
-    return None
-
-
 def _multiplication_case(color, p1, p2, p3) -> Optional[dict]:
     multiply = isometry.multiply_points
     ab = multiply(color, p1, p2)
-    left = multiply(color, ab, p3)
-    right = multiply(color, p1, multiply(color, p2, p3))
-    if left != right:
-        failure = ("multiplication-associativity", left, right)
-    else:
-        failure = _pair_laws(color, p1, p2, ab, multiply(color, p2, p1), _unit_laws(color, p1))
-        if failure is None:
-            return None
-    return mismatch(failure[0], {"color": color, "p1": p1, "p2": p2, "p3": p3}, *failure[1:])
+    failure = (_associativity_law(color, p1, p3, ab, multiply(color, p2, p3))
+               or _pair_laws(color, p1, p2, ab, multiply(color, p2, p1), _unit_laws(color, p1)))
+    if failure is None:
+        return None
+    return _failed(failure, {"color": color, "p1": p1, "p2": p2, "p3": p3})
 
 
 def _blue_sqrt_case(p: ProjPoint) -> Optional[dict]:
@@ -770,24 +772,18 @@ def _green_power_case(p: ProjPoint, n: int) -> Optional[dict]:
     return None
 
 
-def _residue_quadrance(fp, color, a1, a2) -> tuple:
-    """The color's quadrance of two int-residue points as (num, den) mod p.
-    A null point (den = 0 mod p) raises as colored_quadrance does over F_p."""
-    num, den = chromo.colored_quadrance_fraction(color, a1, a2)
-    den %= fp.p
-    if den == 0:
-        chromo.colored_quadrance(color, _lift(fp, a1), _lift(fp, a2))
-    return num % fp.p, den
+def _residue_points(p: int) -> list[ProjPoint]:
+    """proj_points with int coordinates: [1:0], [1:1], ..., [1:p-1], [0:1]."""
+    return [ProjPoint(1, t) for t in range(p)] + [ProjPoint(0, 1)]
 
 
-def _residue_preservation(rec, fp, color, res, live, isos):
+def _residue_preservation(rec, p: int, color, res, live, isos):
     """Every isometry of the color (``isos``, keyed by kind and parameter
-    index) on every pair of live points.  The quadrances before (one table)
-    and after (images once per isometry) are compared cleared of their
-    denominators: num * den' == num' * den mod p."""
-    p, n = fp.p, len(res)
-    quadrance, apply = _residue_quadrance, isometry.apply
-    before = {(i, j): quadrance(fp, color, res[i], res[j]) for i in live for j in live}
+    index) on every pair of live points: the quadrances before (one table)
+    and after (images once per isometry)."""
+    n = len(res)
+    apply = isometry.apply
+    before = _pair_table(n, live, lambda i, j: _colored_fraction(color, res[i], res[j], p))
     for kind in IsoKind:
         rec.skip("null-parameter", n - len(live))
         for k in live:
@@ -795,21 +791,16 @@ def _residue_preservation(rec, fp, color, res, live, isos):
             iso = isos[kind, k]
             images = [apply(iso, a) for a in res]
             for i in live:
-                image = images[i]
+                image, before_i = images[i], before[i]
                 for j in live:
-                    num, den = quadrance(fp, color, image, images[j])
-                    num0, den0 = before[i, j]
-                    if (num * den0 - num0 * den) % p == 0:
-                        rec.case(None)
-                        continue
-                    rec.case(_lifted_mismatch(
-                        fp, f"isometry-preservation-{color}",
-                        {"kind": kind, "param": iso.param, "a1": res[i], "a2": res[j]},
-                        fp.from_int(num) / fp.from_int(den),
-                        fp.from_int(num0) / fp.from_int(den0)))
+                    after = _colored_fraction(color, image, images[j], p)
+                    failure = _preservation_law(color, before_i[j], after, p)
+                    rec.case(None if failure is None else _failed(
+                        failure, {"kind": kind, "param": iso.param, "a1": res[i], "a2": res[j]},
+                        p))
 
 
-def _residue_composition(rec, fp, color, res, live, isos):
+def _residue_composition(rec, p: int, color, res, live, isos):
     """Every composition table entry of two live parameters, against the
     product of matrices built once per isometry."""
     n = len(res)
@@ -820,37 +811,28 @@ def _residue_composition(rec, fp, color, res, live, isos):
             for i in live:
                 iso1, m1 = isos[kind1, i], matrices[kind1, i]
                 for j in live:
-                    rec.case(_composition_case(iso1, m1, isos[kind2, j], matrices[kind2, j], fp))
+                    rec.case(_composition_case(iso1, m1, isos[kind2, j], matrices[kind2, j], p))
 
 
-def _residue_multiplication(rec, fp, color, res, live):
+def _residue_multiplication(rec, p: int, color, res, live):
     """The multiplication laws on every live triple.  The products p1*p2 and
     the laws that involve only p1 and p2 are evaluated once per pair, so a
     triple costs the two associativity products and table lookups."""
     n = len(res)
     rec.skip("null-parameter", n ** 3 - len(live) ** 3)
-    multiply, points_differ = isometry.multiply_points, _points_differ
-    ab = {(i, j): multiply(color, res[i], res[j]) for i in live for j in live}
-    unit = {i: _unit_laws(color, res[i], fp) for i in live}
-    pair = {(i, j): _pair_laws(color, res[i], res[j], ab[i, j], ab[j, i], unit[i], fp)
-            for i in live for j in live}
+    ab = _pair_table(n, live, lambda i, j: isometry.multiply_points(color, res[i], res[j]))
+    unit = {i: _unit_laws(color, res[i], p) for i in live}
+    pair = _pair_table(n, live, lambda i, j: _pair_laws(color, res[i], res[j], ab[i][j],
+                                                        ab[j][i], unit[i], p))
     for i in live:
-        p1 = res[i]
+        p1, ab_i, pair_i = res[i], ab[i], pair[i]
         for j in live:
-            p1p2, pair_failure = ab[i, j], pair[i, j]
+            ab_j, pair_failure = ab[j], pair_i[j]
             for k in live:
-                left = multiply(color, p1p2, res[k])
-                right = multiply(color, p1, ab[j, k])
-                if points_differ(left, right, fp):
-                    failure = ("multiplication-associativity", left, right)
-                elif pair_failure is None:
-                    rec.case(None)
-                    continue
-                else:
-                    failure = pair_failure
-                rec.case(_lifted_mismatch(fp, failure[0], {"color": color, "p1": p1,
-                                                           "p2": res[j], "p3": res[k]},
-                                          *failure[1:]))
+                failure = (_associativity_law(color, p1, res[k], ab_i[j], ab_j[k], p)
+                           or pair_failure)
+                rec.case(None if failure is None else _failed(
+                    failure, {"color": color, "p1": p1, "p2": res[j], "p3": res[k]}, p))
 
 
 def _suite_isometry(rec, ctx, rng, trials, colors):
@@ -867,9 +849,9 @@ def _suite_isometry(rec, ctx, rng, trials, colors):
             live = [i for i, is_null in enumerate(null) if not is_null]
             isos = {(kind, i): isometry.ProjIsometry(color, kind, res[i])
                     for kind in IsoKind for i in live}
-            _residue_preservation(rec, ctx, color, res, live, isos)
-            _residue_composition(rec, ctx, color, res, live, isos)
-            _residue_multiplication(rec, ctx, color, res, live)
+            _residue_preservation(rec, ctx.p, color, res, live, isos)
+            _residue_composition(rec, ctx.p, color, res, live, isos)
+            _residue_multiplication(rec, ctx.p, color, res, live)
             if color is Color.BLUE:
                 for a in pts:
                     try:
@@ -896,8 +878,12 @@ def _suite_isometry(rec, ctx, rng, trials, colors):
             kind2 = IsoKind.ROTATION if rng.randrange(2) else IsoKind.REFLECTION
             iso1 = isometry.ProjIsometry(color, kind, p1)
             iso2 = isometry.ProjIsometry(color, kind2, p2)
-            failure = _preservation_case(iso1, a1, a2)
-            if failure is None:
+            before = _colored_fraction(color, a1, a2)
+            after = _colored_fraction(color, isometry.apply(iso1, a1), isometry.apply(iso1, a2))
+            failure = _preservation_law(color, before, after)
+            if failure is not None:
+                failure = _failed(failure, {"kind": kind, "param": p1, "a1": a1, "a2": a2})
+            else:
                 failure = _composition_case(iso1, isometry.matrix_of(iso1),
                                             iso2, isometry.matrix_of(iso2))
             if failure is None:

@@ -257,6 +257,26 @@ def test_batch_missing_file(capsys):
     assert "FileNotFound" in err
 
 
+def test_batch_reports_an_unbalanced_quote_and_goes_on(tmp_path, capsys):
+    f = tmp_path / "quotes.txt"
+    f.write_text('quad --points 1 4\nquad --points "1 2\nquad --points 2 5\n')
+    code, out, err = run(capsys, "batch", str(f))
+    assert code == 2
+    assert out.splitlines() == [
+        "9", "line 2: error: ParseError: cannot split request: No closing quotation", "9"]
+    assert err == ""
+
+
+def test_batch_file_that_is_not_utf8(tmp_path, capsys):
+    f = tmp_path / "latin1.txt"
+    f.write_bytes("quad --points 1 4\nquad --points \u00e9 2\n".encode("latin-1"))
+    code, out, err = run(capsys, "batch", str(f))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ParseError: ") and "not UTF-8" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_batch_field_option(tmp_path, capsys):
     f = tmp_path / "fp.txt"
     f.write_text("quad --points 3 6\nquad --field rationals --points 3 6\n")

@@ -13,10 +13,8 @@ from quadrance.errors import (
 )
 from quadrance.field import (
     Fp,
-    context_of,
     exact_div,
     field_sqrt,
-    inv,
     is_prime,
     make_context,
     sqrt_in_field,
@@ -86,7 +84,7 @@ def test_fp_inverse_matches_brute_force():
 
 def test_inverse_of_zero_raises():
     with pytest.raises(DivisionByZero):
-        inv(Fr(0))
+        exact_div(1, Fr(0))
     with pytest.raises(DivisionByZero):
         1 / Fp(0, 13)
     with pytest.raises(DivisionByZero):
@@ -195,7 +193,7 @@ def test_inverse_law_randomized_rationals():
     for _ in range(1000):
         a = Fr(rng.randint(-999, 999), rng.randint(1, 999))
         if a != 0:
-            assert a * inv(a) == 1
+            assert a * exact_div(1, a) == 1
 
 
 def test_rational_normalization_idempotent():
@@ -234,16 +232,24 @@ def test_exact_div_never_floats():
         exact_div(1, 0)
 
 
+def test_contexts_reject_foreign_values_with_library_errors():
+    rationals, f13 = make_context("rationals"), make_context("fp:13")
+    assert rationals.sqrt(4) == 2 and f13.sqrt(3) == Fp(4, 13)
+    for ctx, foreign in ((rationals, Fp(3, 13)), (f13, Fr(1, 2)), (f13, Fp(3, 7))):
+        with pytest.raises(MixedContexts):
+            ctx.sqrt(foreign)
+        with pytest.raises(MixedContexts):
+            ctx.format(foreign)
+    with pytest.raises(DivisionByZero, match="^division by zero$"):
+        exact_div(Fr(1), Fr(0))
+    with pytest.raises(DivisionByZero, match="in F_7"):
+        exact_div(Fp(1, 7), Fp(0, 7))
+
+
 def test_field_sqrt_dispatches():
     assert field_sqrt(Fr(9, 4)) == Fr(3, 2)
     assert field_sqrt(4) == 2
     assert field_sqrt(Fp(3, 13)) == Fp(4, 13)
-
-
-def test_context_of():
-    assert context_of(Fr(1, 2)).kind == "rationals"
-    assert context_of(5).kind == "rationals"
-    assert context_of(Fp(1, 13)).p == 13
 
 
 def test_contexts_compare_and_cache():

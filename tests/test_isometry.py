@@ -25,7 +25,6 @@ from quadrance.isometry import (
     point_identity,
     point_inverse,
     point_power,
-    quadrance_preserved,
 )
 from quadrance.projective import ProjPoint
 from quadrance.spreadpoly import poly_eval, spread_poly
@@ -288,7 +287,8 @@ def test_quadrance_preservation_random():
             iso = ProjIsometry(color, rng.choice((RHO, SIGMA)), rand_nonnull(color, rng))
             a1 = rand_nonnull(color, rng)
             a2 = rand_nonnull(color, rng)
-            assert quadrance_preserved(iso, a1, a2)
+            before = colored_quadrance(color, a1, a2)
+            assert colored_quadrance(color, apply(iso, a1), apply(iso, a2)) == before
 
 
 def test_quadrance_preservation_exhaustive():

@@ -270,6 +270,11 @@ def _times_inverse(fn):
     return broken
 
 
+def _self_inverse(fn):
+    # a * a^-1 = a^2 is not the identity, while the other laws still hold
+    return lambda color, point: point
+
+
 def _transposed(fn):
     def broken(iso):
         m = fn(iso)
@@ -364,6 +369,77 @@ def test_residue_sweeps_detect_broken_kernels(monkeypatch, module, kernel, break
     assert counts_ok(report)
 
 
+# (module, kernel, how it is broken, suite, colors), run over Q with seed 0 and
+# 30 trials.  The rational golden file pins counts only; these reports pin the
+# first counterexample the sampler finds, so a change in which identity or
+# which inputs a rational run reports shows up here.
+RATIONAL_MUTATIONS = [
+    ("affine", "archimedes", _plus_abc, "triple-quad", None),
+    ("affine", "quadruple_quad_fn", _plus_abcd, "quadruple-quad", None),
+    ("affine", "quad_triple_pair_fraction", _numerator_plus_ac, "quadruple-quad", None),
+    ("projective", "triple_spread_fn", _plus_abc, "triple-spread", None),
+    ("projective", "quadruple_spread_fn", _plus_abcd, "quadruple-spread", None),
+    ("projective", "spread_triple_pair_fraction", _numerator_plus_ac, "quadruple-spread", None),
+    ("chromo", "colored_quadrance_fraction", _numerator_plus_x1x2, "isometry", None),
+    ("isometry", "multiply_points", _times_inverse, "isometry", ["green"]),
+    ("isometry", "matrix_of", _transposed, "isometry", None),
+    ("isometry", "point_inverse", _self_inverse, "isometry", None),
+]
+
+RATIONAL_MUTATION_GOLDEN = (Path(__file__).with_name("data")
+                            / "verify_rational_mutations_golden.json")
+
+
+def rational_mutation_report(module, kernel, breaker, suite, colors):
+    import importlib
+
+    mod = importlib.import_module(f"quadrance.{module}")
+    original = getattr(mod, kernel)
+    setattr(mod, kernel, breaker(original))
+    try:
+        report = run_suite(suite, make_context("rationals"), trials=30, seed=0, colors=colors)
+    finally:
+        setattr(mod, kernel, original)
+    got = report.to_dict()
+    del got["elapsed_ms"]
+    return got
+
+
+@pytest.mark.parametrize("module, kernel, breaker, suite, colors",
+                         RATIONAL_MUTATIONS, ids=[m[1] for m in RATIONAL_MUTATIONS])
+def test_rational_sampler_reports_broken_kernels(module, kernel, breaker, suite, colors):
+    # Reports captured before the rational and F_p drivers shared their checks.
+    want = json.loads(RATIONAL_MUTATION_GOLDEN.read_text(encoding="utf-8"))[kernel]
+    got = rational_mutation_report(module, kernel, breaker, suite, colors)
+    assert got["failed"] == want["failed"] > 0
+    assert got["counterexample"] == want["counterexample"]
+    assert json.dumps(got) == json.dumps(want)
+
+
+TABLE_KERNELS = [
+    ("affine", "quadrance", lambda fn: lambda a1, a2: fn(a1, a2) + a1.x, "triple-quad",
+     "triple-quad-formula"),
+    ("projective", "is_perpendicular", lambda fn: lambda form, a1, a2: not fn(form, a1, a2),
+     "triple-spread", "perpendicular-iff-q1"),
+]
+
+
+@pytest.mark.parametrize("module, kernel, breaker, suite, identity", TABLE_KERNELS,
+                         ids=[m[1] for m in TABLE_KERNELS])
+def test_fp_tables_use_the_kernels_of_the_rational_driver(monkeypatch, module, kernel, breaker,
+                                                          suite, identity):
+    # the F_p sweeps build their pairwise tables with the library kernels the
+    # rational driver calls, so a broken kernel fails both drivers
+    import importlib
+
+    mod = importlib.import_module(f"quadrance.{module}")
+    monkeypatch.setattr(mod, kernel, breaker(getattr(mod, kernel)))
+    for ctx in (make_context("fp:5"), make_context("rationals")):
+        report = run_suite(suite, ctx, trials=30)
+        assert report.failed > 0, ctx
+        assert report.counterexample["identity"] == identity
+
+
 def test_multiplication_laws_report_in_order(monkeypatch):
     # Over Q the first trial's p1 is not the identity, so under a left-factor
     # product commutativity and the inverse law both fail; the exhaustive and
@@ -384,6 +460,7 @@ def _point_times_7(point):
 
 VANISHING_MOD_7 = [
     ("multiply_points", lambda fn: lambda color, p1, p2: _point_times_7(fn(color, p1, p2))),
+    ("apply", lambda fn: lambda iso, point: _point_times_7(fn(iso, point))),
     ("matrix_of", lambda fn: lambda iso: isometry.ProjMatrix(*(7 * v for v in fn(iso).entries()))),
     ("compose", lambda fn: lambda iso1, iso2: isometry.ProjIsometry(
         iso1.color, fn(iso1, iso2).kind, _point_times_7(fn(iso1, iso2).param))),
