@@ -112,22 +112,17 @@ class QuadrupleResult:
     q24: Optional[object]
 
 
-def quadruple_check(fn, solve, q12, q23, q34, q14) -> QuadrupleResult:
+def quadruple_check(fn, fraction, q12, q23, q34, q14) -> QuadrupleResult:
     """Evaluate a quadruple function ``fn`` on four side quadrances.
 
-    ``q13`` and ``q24`` are the diagonals from ``solve`` (the triple-pair
-    solution of the same law), None where ``solve`` finds them undetermined.
+    ``q13`` and ``q24`` are the diagonals from ``fraction`` (the (num, den)
+    triple-pair solution of the same law), None where den = 0.
     """
-    value = fn(q12, q23, q34, q14)
-    try:
-        q13 = solve(q12, q23, q34, q14)
-    except DegenerateDenominator:
-        q13 = None
-    try:
-        q24 = solve(q23, q34, q12, q14)
-    except DegenerateDenominator:
-        q24 = None
-    return QuadrupleResult(value, q13, q24)
+    def diagonal(num, den):
+        return None if den == 0 else exact_div(num, den)
+
+    return QuadrupleResult(fn(q12, q23, q34, q14), diagonal(*fraction(q12, q23, q34, q14)),
+                           diagonal(*fraction(q23, q34, q12, q14)))
 
 
 def quadruple_quad_check(a1, a2, a3, a4) -> QuadrupleResult:
@@ -136,7 +131,7 @@ def quadruple_quad_check(a1, a2, a3, a4) -> QuadrupleResult:
     ``value`` is always zero for genuine points; ``q13`` and ``q24`` are
     None when a solution fraction's denominator vanishes.
     """
-    return quadruple_check(quadruple_quad_fn, solve_quad_triple_pair, quadrance(a1, a2),
+    return quadruple_check(quadruple_quad_fn, quad_triple_pair_fraction, quadrance(a1, a2),
                            quadrance(a2, a3), quadrance(a3, a4), quadrance(a1, a4))
 
 

@@ -28,8 +28,8 @@ class InfiniteField(QuadranceError):
 
 
 class InvalidArgument(QuadranceError, ValueError):
-    """An argument outside a function's domain: an all-zero proportion
-    (point, form or matrix) or an out-of-range index or exponent."""
+    """An argument outside a function's domain: an all-zero proportion, an
+    out-of-range index or exponent, or a rational too long to print."""
 
 
 # -- geometry --------------------------------------------------------------

@@ -10,12 +10,14 @@ with integer literals.  Characteristic 2 is rejected at construction.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 from .errors import (
     CharacteristicTwo,
     DivisionByZero,
     InfiniteField,
+    InvalidArgument,
     MixedContexts,
     NotPrime,
     ParseError,
@@ -248,8 +250,14 @@ class RationalContext(FieldContext):
         return Fraction(n)
 
     def parse(self, text: str):
+        literal = text.strip()
+        # Fraction computes 10**exponent, past Python's int-string digit
+        # limit and for as long as that takes; refuse such an exponent first
+        exponent = literal.lower().partition("e")[2]
         try:
-            return Fraction(text.strip())
+            if exponent and 0 < sys.get_int_max_str_digits() < abs(int(exponent)):
+                raise ParseError(f"exponent too large in rational literal: {text!r}")
+            return Fraction(literal)
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"not a rational literal: {text!r}") from exc
 
@@ -262,7 +270,10 @@ class RationalContext(FieldContext):
         return x
 
     def format(self, x) -> str:
-        return str(self._element(x))
+        try:
+            return str(self._element(x))
+        except ValueError as exc:  # more digits than the int-string limit
+            raise InvalidArgument(f"cannot print the value: {exc}") from exc
 
     def sqrt(self, t):
         return field_sqrt(self._element(t))

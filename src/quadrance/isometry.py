@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .chromo import Color, is_null_for
 from .errors import ColorMismatch, InvalidArgument, NotIsometry, NotUnitCircle, NullParameter
 from .field import exact_div, field_sqrt
-from .projective import ProjPoint
+from .projective import ProjPoint, canonical
 
 
 class ProjMatrix:
@@ -62,10 +62,7 @@ class ProjMatrix:
         )
 
     def __hash__(self):
-        for lead in self.entries():
-            if lead != 0:
-                return hash(tuple(exact_div(v, lead) for v in self.entries()))
-        raise AssertionError("unreachable: zero matrix")
+        return hash(canonical(self.entries()))
 
     def __repr__(self):
         return f"ProjMatrix({self.a!r}, {self.b!r}, {self.c!r}, {self.d!r})"
@@ -146,34 +143,27 @@ def compose(iso1: ProjIsometry, iso2: ProjIsometry) -> ProjIsometry:
 
 
 def classify(matrix: ProjMatrix, color: Color) -> ProjIsometry:
-    """Recognize a matrix as one of the color's rotation/reflection shapes."""
+    """Recognize a matrix as one of the color's rotation/reflection shapes:
+    the kind whose matrix_of, with the parameter read off the first row (for
+    green, the diagonal or the anti-diagonal), has exactly these entries."""
     if matrix.det() == 0:
         raise NotIsometry(f"matrix {matrix} is singular")
-    a, b, c, d = matrix.entries()
+    a, b, c, d = entries = matrix.entries()
     if color is Color.GREEN:
-        if b == 0 and c == 0:
-            kind, param = IsoKind.ROTATION, ProjPoint(a, d)
-        elif a == 0 and d == 0:
-            kind, param = IsoKind.REFLECTION, ProjPoint(b, c)
-        else:
-            raise NotIsometry(f"matrix {matrix} has no green isometry shape")
-    elif color is Color.BLUE:
-        if c == -b and d == a:
-            kind, param = IsoKind.ROTATION, ProjPoint(a, b)
-        elif c == b and d == -a:
-            kind, param = IsoKind.REFLECTION, ProjPoint(a, b)
-        else:
-            raise NotIsometry(f"matrix {matrix} has no blue isometry shape")
+        params = {IsoKind.ROTATION: (a, d), IsoKind.REFLECTION: (b, c)}
     else:
-        if c == b and d == a:
-            kind, param = IsoKind.ROTATION, ProjPoint(a, b)
-        elif c == -b and d == -a:
-            kind, param = IsoKind.REFLECTION, ProjPoint(a, b)
-        else:
-            raise NotIsometry(f"matrix {matrix} has no red isometry shape")
-    if is_null_for(color, param):
-        raise NotIsometry(f"parameter {param} is {color}-null")
-    return ProjIsometry(color, kind, param)
+        params = dict.fromkeys(IsoKind, (a, b))
+    for kind, (x, y) in params.items():
+        if x == 0 and y == 0:
+            continue  # a zero parameter gives the zero matrix, not this one
+        iso = ProjIsometry(color, kind, ProjPoint(x, y))
+        if matrix_of(iso).entries() == entries:
+            break
+    else:
+        raise NotIsometry(f"matrix {matrix} has no {color} isometry shape")
+    if is_null_for(color, iso.param):
+        raise NotIsometry(f"parameter {iso.param} is {color}-null")
+    return iso
 
 
 def point_identity(color: Color) -> ProjPoint:

@@ -14,6 +14,12 @@ from .errors import DegenerateDenominator, DegenerateForm, InvalidArgument, Null
 from .field import exact_div
 
 
+def canonical(values) -> tuple:
+    """A proportion's values divided by the first nonzero one."""
+    lead = next(v for v in values if v != 0)
+    return tuple(exact_div(v, lead) for v in values)
+
+
 class ProjPoint:
     """A proportion [x:y], not both zero.
 
@@ -31,9 +37,7 @@ class ProjPoint:
         self.y = y
 
     def canonical(self):
-        if self.x != 0:
-            return (exact_div(self.x, self.x), exact_div(self.y, self.x))
-        return (exact_div(self.x, self.y), exact_div(self.y, self.y))
+        return canonical((self.x, self.y))
 
     def __eq__(self, other):
         if not isinstance(other, ProjPoint):
@@ -64,10 +68,7 @@ class Form:
         self.f = f
 
     def canonical(self):
-        for lead in (self.d, self.e, self.f):
-            if lead != 0:
-                return tuple(exact_div(v, lead) for v in (self.d, self.e, self.f))
-        raise AssertionError("unreachable: zero form")
+        return canonical((self.d, self.e, self.f))
 
     def __eq__(self, other):
         if not isinstance(other, Form):
@@ -200,6 +201,6 @@ def projective_quadruple_check(form: Form, a1, a2, a3, a4) -> QuadrupleResult:
     for name, a in (("a1", a1), ("a2", a2), ("a3", a3), ("a4", a4)):
         if form_value(form, a) == 0:
             raise NullPoint(f"point {name} = {a} is null for form {form}", argument=name)
-    return quadruple_check(quadruple_spread_fn, solve_spread_triple_pair,
+    return quadruple_check(quadruple_spread_fn, spread_triple_pair_fraction,
                            p_quadrance(form, a1, a2), p_quadrance(form, a2, a3),
                            p_quadrance(form, a3, a4), p_quadrance(form, a1, a4))

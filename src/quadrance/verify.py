@@ -8,11 +8,14 @@ and identical seeds and arguments reproduce identical results.
 
 Each identity is checked by one function, which both drivers call.  A
 check takes ``p=None`` over Q; the F_p sweep passes int residues 0..p-1
-and the prime p, and the check compares mod p.  This is exact because the
-polynomial identities (triple and quadruple quad and spread formulas,
-Heron, Brahmagupta, generalized Fibonacci) have integer coefficients:
-the library's own kernels run on the residues and each side is reduced
-once.  Solution fractions are checked cleared of their denominator
+and the prime p, and the check compares mod p.  This is exact because
+the polynomial identities (triple and quadruple quad and spread
+formulas, Heron, Brahmagupta, generalized Fibonacci) have integer
+coefficients: the library's own kernels run on the residues and each
+side is reduced once.  No check re-derives a kernel: the generalized
+Fibonacci identity runs through projective.discriminant, pairing and
+form_value, on plain records so that zero coefficients and vectors count
+too.  Solution fractions are checked cleared of their denominator
 (num == den * q); coloured quadrances before and after an isometry are
 compared cleared (num * den' == num' * den), and points and matrices by
 their cross products.  The isometry sweep runs on the points [1:t] and
@@ -21,7 +24,7 @@ recurrence and composition checks on int residues.  Values are lifted to
 Fp only to report a failure.  What needs field division or square roots
 stays on Fp: the chromo suite, blue square roots, the green power bridge
 and the green ratio check.  The free-variable identities (the alternate
-forms, the proof and rearrangement identities, rescaling invariance) are
+forms, the rearrangement identities, rescaling invariance) are
 random-input checks and run over Q only.
 """
 
@@ -30,7 +33,8 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import dataclass, field as dataclass_field
+from collections import namedtuple
+from dataclasses import asdict, dataclass, field as dataclass_field
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -68,47 +72,19 @@ def named_form(name: str) -> Form:
 
 @dataclass
 class Report:
-    """Outcome of one suite run over one field."""
+    """Outcome of one suite run over one field.  The suites tally their
+    cases on it, and it keeps the first counterexample in exact form."""
 
-    suite: str
-    field: str
-    attempted: int
-    passed: int
-    failed: int
-    skipped: int
-    skip_reasons: dict
-    counterexample: Optional[dict]
-    seed: Optional[int]
-    elapsed_ms: int
-
-    def to_dict(self) -> dict:
-        out = {
-            "suite": self.suite,
-            "field": self.field,
-            "attempted": self.attempted,
-            "passed": self.passed,
-            "failed": self.failed,
-            "skipped": self.skipped,
-            "skip_reasons": {k: self.skip_reasons[k] for k in sorted(self.skip_reasons)},
-        }
-        if self.counterexample is not None:
-            out["counterexample"] = self.counterexample
-        if self.seed is not None:
-            out["seed"] = self.seed
-        out["elapsed_ms"] = self.elapsed_ms
-        return out
-
-
-@dataclass
-class Recorder:
-    """Tallies cases; keeps the first counterexample in exact form."""
-
+    suite: str = ""
+    field: str = ""
     attempted: int = 0
     passed: int = 0
     failed: int = 0
     skipped: int = 0
     skip_reasons: dict = dataclass_field(default_factory=dict)
     counterexample: Optional[dict] = None
+    seed: Optional[int] = None
+    elapsed_ms: int = 0
 
     def skip(self, reason: str, count: int = 1):
         if count:
@@ -125,6 +101,12 @@ class Recorder:
             if self.counterexample is None:
                 self.counterexample = failure
 
+    def to_dict(self) -> dict:
+        """The JSON report, in field order; counterexample and seed only when set."""
+        out = {k: v for k, v in asdict(self).items() if v is not None}
+        out["skip_reasons"] = dict(sorted(self.skip_reasons.items()))
+        return out
+
 
 def mismatch(identity: str, inputs: dict, lhs, rhs) -> dict:
     return {
@@ -138,9 +120,7 @@ def mismatch(identity: str, inputs: dict, lhs, rhs) -> dict:
 # -- sampling and enumeration -------------------------------------------------
 
 def random_element(ctx: FieldContext, rng: random.Random):
-    """A small random field element (uniform residue over F_p)."""
-    if ctx.kind == "fp":
-        return ctx.from_int(rng.randrange(ctx.p))
+    """A small random rational; only the rational driver samples."""
     return Fraction(rng.randint(-12, 12), rng.randint(1, 12))
 
 
@@ -165,12 +145,15 @@ def random_nonnull_point(form: Form, ctx, rng) -> ProjPoint:
             return a
 
 
+def _residue_points(p: int) -> list[ProjPoint]:
+    """All p+1 projective points over F_p with int coordinates:
+    [1:0], [1:1], ..., [1:p-1], [0:1]."""
+    return [ProjPoint(1, t) for t in range(p)] + [ProjPoint(0, 1)]
+
+
 def proj_points(ctx: FieldContext) -> list[ProjPoint]:
-    """All p+1 projective points over F_p: [1:0], [1:1], ..., [1:p-1], [0:1]."""
-    one = ctx.one()
-    pts = [ProjPoint(one, ctx.from_int(t)) for t in range(ctx.p)]
-    pts.append(ProjPoint(ctx.zero(), one))
-    return pts
+    """_residue_points with coordinates in F_p."""
+    return [_lift(ctx.p, a) for a in _residue_points(ctx.p)]
 
 
 # -- identity checks, shared by the rational and the F_p driver ---------------
@@ -292,30 +275,29 @@ def _matrices_differ(m, n, p=None) -> bool:
 def _composition_case(iso1, m1, iso2, m2, p=None) -> Optional[dict]:
     """The composition table entry for iso1 then iso2 (matrices m1, m2)
     against the matrix product, its kind and non-null parameter, and the
-    blue/red Fibonacci identity."""
+    blue/red Fibonacci identity: the colour form's value at the composed
+    parameter is the product of its values at the two parameters."""
     color, kind1, p1, kind2, p2 = iso1.color, iso1.kind, iso1.param, iso2.kind, iso2.param
     composed = isometry.compose(iso1, iso2)
     table = isometry.matrix_of(composed)
     product = m1 @ m2
     expected_kind = IsoKind.ROTATION if kind1 == kind2 else IsoKind.REFLECTION
-    a, b, c, d = p1.x, p1.y, p2.x, p2.y
+    form = chromo.colored_form(color)
+    value = _reduce(projective.form_value(form, composed.param), p)
     if _matrices_differ(table, product, p):
         failure = ("composition-table-vs-matrix", table, product)
     elif composed.kind is not expected_kind:
         failure = ("composition-kind-parity", composed.kind, expected_kind)
-    elif _reduce(projective.form_value(chromo.colored_form(color), composed.param), p) == 0:
+    elif value == 0:
         failure = ("composition-nonnull-closure", composed.param, "non-null")
     elif color is Color.GREEN:
+        # green's 2xy is multiplicative only up to the factor 2
         return None
     else:
-        # the Fibonacci identity of x^2 + s y^2: blue s = 1, red s = -1
-        s = 1 if color is Color.BLUE else -1
-        lhs = _reduce((a * c + s * b * d) ** 2 + s * (a * d - b * c) ** 2, p)
-        mid = _reduce((a * a + s * b * b) * (c * c + s * d * d), p)
-        rhs = _reduce((a * c - s * b * d) ** 2 + s * (a * d + b * c) ** 2, p)
-        if lhs == mid == rhs:
+        expected = _reduce(projective.form_value(form, p1) * projective.form_value(form, p2), p)
+        if value == expected:
             return None
-        failure = (f"fibonacci-identity-{color}", lhs, mid)
+        failure = (f"fibonacci-identity-{color}", value, expected)
     inputs = {"color": color, "kind1": kind1, "p1": p1, "kind2": kind2, "p2": p2}
     return _failed(failure, inputs, p)
 
@@ -379,21 +361,18 @@ def _failed(failure: tuple, inputs: dict, p=None) -> dict:
 
 # -- drivers and pairwise tables ------------------------------------------------
 
-def _check_identity(rec, ctx, rng, trials, identity, names, sides, residue_cases=None):
+def _check_identity(rec, ctx, rng, trials, identity, names, sides):
     """One case per argument tuple: ``sides(*args)`` must return equal (lhs, rhs).
 
-    Over Q the tuples are ``trials`` random ones.  Over F_p they are
-    ``residue_cases`` (by default every tuple of residues), and both sides
-    are compared, and reported, mod p.
+    Over Q the tuples are ``trials`` random ones.  Over F_p they are every
+    tuple of residues, and both sides are compared, and reported, mod p.
     """
     if rng is not None:
         p = None
         cases = (tuple(random_element(ctx, rng) for _ in names) for _ in range(trials))
     else:
         p = ctx.p
-        cases = residue_cases
-        if cases is None:
-            cases = itertools.product(range(p), repeat=len(names))
+        cases = itertools.product(range(p), repeat=len(names))
     for args in cases:
         lhs, rhs = sides(*args)
         if p is not None:
@@ -461,10 +440,6 @@ def _triple_quad_case(t1, t2, t3) -> Optional[dict]:
         if alt != base:
             return mismatch(f"archimedes-alternate-{i + 1}",
                             {"a": t1, "b": t2, "c": t3}, alt, base)
-    proof = 4 * t1 * t2 - (t1 + t2 - t3) ** 2
-    if proof != base:
-        return mismatch("triple-quad-proof-identity",
-                        {"a": t1, "b": t2, "c": t3}, proof, base)
     return None
 
 
@@ -534,28 +509,47 @@ def _suite_brahmagupta(rec, ctx, rng, trials, colors):
                     ("d12", "d23", "d34", "d14"), _brahmagupta_sides)
 
 
-def _fibonacci_sides(d, e, f, x1, y1, x2, y2):
-    """Both sides of the generalized Fibonacci identity for the form (d:e:f):
-    (df - e^2)(x1 y2 - x2 y1)^2 + pairing^2 and the product of the form values."""
-    disc = d * f - e * e
-    cross = x1 * y2 - x2 * y1
-    pair = d * x1 * x2 + e * x1 * y2 + e * x2 * y1 + f * y1 * y2
-    v1 = d * x1 * x1 + 2 * e * x1 * y1 + f * y1 * y1
-    v2 = d * x2 * x2 + 2 * e * x2 * y2 + f * y2 * y2
-    return disc * cross * cross + pair * pair, v1 * v2
+# The generalized Fibonacci identity also holds for the zero vector and the
+# zero coefficient triple, which ProjPoint and Form reject; the projective
+# kernels read only these fields.
+_Vector = namedtuple("_Vector", "x y")
+_Coefficients = namedtuple("_Coefficients", "d e f")
+
+
+def _fibonacci_sides(form, disc, v1, value1, v2, value2):
+    """Both sides of the generalized Fibonacci identity, given the form's
+    discriminant and its values at v1 and v2: disc (x1 y2 - x2 y1)^2 +
+    pairing^2 and value1 value2."""
+    cross = v1.x * v2.y - v2.x * v1.y
+    pair = projective.pairing(form, v1, v2)
+    return disc * cross * cross + pair * pair, value1 * value2
 
 
 def _suite_fibonacci(rec, ctx, rng, trials, colors):
-    residue_cases = None
-    if rng is None:
-        # The identity has seven free variables; enumerating them all is
-        # infeasible, so the four standard forms are paired with every
-        # coordinate 4-tuple.
-        coords = list(itertools.product(range(ctx.p), repeat=4))
-        residue_cases = ((form.d, form.e, form.f) + xy
-                         for form in map(named_form, FORM_NAMES) for xy in coords)
-    _check_identity(rec, ctx, rng, trials, "generalized-fibonacci",
-                    ("d", "e", "f", "x1", "y1", "x2", "y2"), _fibonacci_sides, residue_cases)
+    names = ("d", "e", "f", "x1", "y1", "x2", "y2")
+    value = projective.form_value
+    if rng is not None:
+        def sides(d, e, f, x1, y1, x2, y2):
+            form, v1, v2 = _Coefficients(d, e, f), _Vector(x1, y1), _Vector(x2, y2)
+            return _fibonacci_sides(form, projective.discriminant(form),
+                                    v1, value(form, v1), v2, value(form, v2))
+        _check_identity(rec, ctx, rng, trials, "generalized-fibonacci", names, sides)
+        return
+    # The identity has seven free variables; enumerating them all is
+    # infeasible, so the four standard forms are paired with every
+    # coordinate 4-tuple.  Each form's discriminant and values are taken once.
+    p = ctx.p
+    vectors = [_Vector(x, y) for x, y in itertools.product(range(p), repeat=2)]
+    for form in map(named_form, FORM_NAMES):
+        disc = projective.discriminant(form)
+        values = [value(form, v) for v in vectors]
+        for v1, value1 in zip(vectors, values):
+            for v2, value2 in zip(vectors, values):
+                lhs, rhs = _fibonacci_sides(form, disc, v1, value1, v2, value2)
+                lhs, rhs = lhs % p, rhs % p
+                rec.case(None if lhs == rhs else mismatch(
+                    "generalized-fibonacci",
+                    dict(zip(names, (form.d, form.e, form.f) + v1 + v2)), lhs, rhs))
 
 
 def _triple_spread_case(form, a1, a2, a3, free) -> Optional[dict]:
@@ -671,12 +665,18 @@ def _suite_quadruple_spread(rec, ctx, rng, trials, colors):
             rec.case(_quadruple_spread_case(form, *quad, free))
 
 
+_CYCLIC_COLORS = ((Color.BLUE, Color.RED, Color.GREEN), (Color.RED, Color.GREEN, Color.BLUE),
+                  (Color.GREEN, Color.BLUE, Color.RED))
+
+
 def _chromo_case(a1, a2) -> Optional[dict]:
     inputs = {"a1": a1, "a2": a2}
-    x1, y1, x2, y2 = a1.x, a1.y, a2.x, a2.y
-    lhs = (x1 * x1 + y1 * y1) * (x2 * x2 + y2 * y2) \
-        - (x1 * x1 - y1 * y1) * (x2 * x2 - y2 * y2) - 4 * x1 * y1 * x2 * y2
-    rhs = 2 * (x1 * y2 - x2 * y1) ** 2
+    # red and green numerators are -num_blue, so the reciprocal sum is
+    # (den_blue - den_red - den_green) / num_blue, and it is 2
+    fraction = chromo.colored_quadrance_fraction
+    num, den = fraction(Color.BLUE, a1, a2)
+    lhs = den - fraction(Color.RED, a1, a2)[1] - fraction(Color.GREEN, a1, a2)[1]
+    rhs = 2 * num
     if lhs != rhs:
         return mismatch("reciprocal-sum-proof-identity", inputs, lhs, rhs)
     if a1 != a2:
@@ -684,14 +684,10 @@ def _chromo_case(a1, a2) -> Optional[dict]:
         if total != 2:
             return mismatch("reciprocal-sum", inputs, total, 2)
     perps1 = {c: chromo.perpendicular_point(c, a1) for c in Color}
-    cyc = [
-        ("blue", chromo.colored_quadrance(Color.BLUE, perps1[Color.RED], perps1[Color.GREEN])),
-        ("red", chromo.colored_quadrance(Color.RED, perps1[Color.GREEN], perps1[Color.BLUE])),
-        ("green", chromo.colored_quadrance(Color.GREEN, perps1[Color.BLUE], perps1[Color.RED])),
-    ]
-    for cname, val in cyc:
+    for c, u, v in _CYCLIC_COLORS:
+        val = chromo.colored_quadrance(c, perps1[u], perps1[v])
         if val != 1:
-            return mismatch(f"cyclic-perpendicularity-{cname}", {"a": a1}, val, 1)
+            return mismatch(f"cyclic-perpendicularity-{c}", {"a": a1}, val, 1)
     for c in Color:
         base = chromo.colored_quadrance(c, a1, a2)
         for e in Color:
@@ -700,12 +696,7 @@ def _chromo_case(a1, a2) -> Optional[dict]:
             moved = chromo.colored_quadrance(c, b1, b2)
             if moved != base:
                 return mismatch(f"color-invariance-{c}-{e}", inputs, moved, base)
-    cross_pairs = (
-        (Color.BLUE, Color.RED, Color.GREEN),
-        (Color.RED, Color.GREEN, Color.BLUE),
-        (Color.GREEN, Color.BLUE, Color.RED),
-    )
-    for c, u, v in cross_pairs:
+    for c, u, v in _CYCLIC_COLORS:
         lhs_q = chromo.colored_quadrance(c, chromo.perpendicular_point(u, a1),
                                          chromo.perpendicular_point(v, a2))
         rhs_q = chromo.colored_quadrance(c, chromo.perpendicular_point(v, a1),
@@ -770,11 +761,6 @@ def _green_power_case(p: ProjPoint, n: int) -> Optional[dict]:
     if lhs != rhs:
         return mismatch("green-power-spread-bridge", {"p": p, "n": n}, lhs, rhs)
     return None
-
-
-def _residue_points(p: int) -> list[ProjPoint]:
-    """proj_points with int coordinates: [1:0], [1:1], ..., [1:p-1], [0:1]."""
-    return [ProjPoint(1, t) for t in range(p)] + [ProjPoint(0, 1)]
 
 
 def _residue_preservation(rec, p: int, color, res, live, isos):
@@ -1024,22 +1010,10 @@ def run_suite(suite: str, ctx: FieldContext, *, trials: int = 1000,
                            f"{', '.join(SUITE_NAMES)} or 'all'")
     randomized = ctx.kind == "rationals"
     rng = random.Random(seed) if randomized else None
-    rec = Recorder()
+    report = Report(suite, ctx.descriptor, seed=seed if randomized else None)
     started = time.perf_counter()
-    names = SUITE_NAMES if suite == "all" else (suite,)
-    for name in names:
-        _SUITES[name](rec, ctx, rng, trials, colors)
-    elapsed_ms = int(round((time.perf_counter() - started) * 1000))
-    assert rec.passed + rec.failed + rec.skipped == rec.attempted
-    return Report(
-        suite=suite,
-        field=ctx.descriptor,
-        attempted=rec.attempted,
-        passed=rec.passed,
-        failed=rec.failed,
-        skipped=rec.skipped,
-        skip_reasons=rec.skip_reasons,
-        counterexample=rec.counterexample,
-        seed=seed if randomized else None,
-        elapsed_ms=elapsed_ms,
-    )
+    for name in SUITE_NAMES if suite == "all" else (suite,):
+        _SUITES[name](report, ctx, rng, trials, colors)
+    report.elapsed_ms = int(round((time.perf_counter() - started) * 1000))
+    assert report.passed + report.failed + report.skipped == report.attempted
+    return report

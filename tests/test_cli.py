@@ -277,6 +277,38 @@ def test_batch_file_that_is_not_utf8(tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+def test_eval_refuses_an_exponent_beyond_the_digit_limit(capsys):
+    # refused before 10**5000 is built; Fraction alone would build it and
+    # then fail to print it
+    code, out, err = run(capsys, "eval", "quad", "--points", "1e5000", "2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ParseError: ") and len(err.splitlines()) == 1
+
+
+def test_eval_result_beyond_the_digit_limit_is_a_domain_error(capsys):
+    # no exponent: a 2,200-digit literal squares to about 4,400 digits
+    code, out, err = run(capsys, "eval", "quad", "--points", "0", "9" * 2200)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: InvalidArgument: ") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
+def test_batch_goes_on_after_a_literal_beyond_the_digit_limit(tmp_path, capsys):
+    f = tmp_path / "big.txt"
+    f.write_text("quad --points 1 4\nquad --points 1e5000 2\nquad --points 1e4000 2\n"
+                 "quad --points 2 5\n")
+    code, out, err = run(capsys, "batch", str(f))
+    assert code == 3
+    lines = out.splitlines()
+    assert len(lines) == 4
+    assert lines[0] == lines[3] == "9"
+    assert lines[1].startswith("line 2: error: ParseError: ")
+    assert lines[2].startswith("line 3: error: InvalidArgument: ")
+    assert err == ""
+
+
 def test_batch_field_option(tmp_path, capsys):
     f = tmp_path / "fp.txt"
     f.write_text("quad --points 3 6\nquad --field rationals --points 3 6\n")

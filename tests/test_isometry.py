@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import random
 from fractions import Fraction as Fr
 
@@ -192,6 +194,43 @@ def test_classify_round_trip():
             assert back.kind is iso.kind
             assert back.param == iso.param
             assert matrix_of(back) == matrix_of(iso)
+
+
+def test_classify_inverts_matrix_of_over_f7():
+    for color in Color:
+        for kind in IsoKind:
+            for param in proj_points(7):
+                iso = ProjIsometry(color, kind, param)
+                if is_null_for(color, param):
+                    with pytest.raises(NotIsometry):
+                        classify(matrix_of(iso), color)
+                else:
+                    assert classify(matrix_of(iso), color) == iso
+
+
+def classify_lines():
+    """classify's result or error line, for each colour, on every nonzero
+    matrix over F_7 and every integer matrix with entries in [-3, 3]."""
+    over_f7 = [tuple(Fp(v, 7) for v in e) for e in itertools.product(range(7), repeat=4)]
+    small = list(itertools.product(range(-3, 4), repeat=4))
+    lines = []
+    for entries in over_f7 + small:
+        if not any(entries):
+            continue  # ProjMatrix rejects the zero matrix
+        for color in Color:
+            try:
+                iso = classify(ProjMatrix(*entries), color)
+                lines.append(f"{iso.kind}:{iso.color}:{iso.param}")
+            except NotIsometry as exc:
+                lines.append(f"NotIsometry: {exc}")
+    return lines
+
+
+def test_classify_results_are_pinned():
+    # the digest pins the result or the error message of 14,400 classify calls
+    digest = hashlib.sha256("\n".join(classify_lines()).encode()).hexdigest()
+    assert digest == (
+        "f55644feace5e2b058aac94c4d939f692b04a3c6c3598bf1ec5f1b4c88b5d68d")
 
 
 def test_multiply_points_examples():

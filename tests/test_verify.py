@@ -181,7 +181,7 @@ def test_counterexample_shape_on_forced_failure():
     # force a failure by running a suite against a broken identity checker
     from quadrance import verify as v
 
-    rec = v.Recorder()
+    rec = v.Report()
     rec.case(v.mismatch("demo", {"a": 1}, 2, 3))
     rec.case(None)
     rec.skip("why")
@@ -507,3 +507,59 @@ def test_wrong_small_spread_poly_is_reported_not_raised(monkeypatch):
                            if identity == "spread-cyclotomic-product"
                            and lhs.startswith("FactorizationFailure")]
         assert factor_failures == [4, 6, 8, 10, 12]
+
+
+def _plus_one(fn):
+    return lambda *args: fn(*args) + 1
+
+
+# (module, kernel, how it is broken, suite, fields, the identity reported first).
+# These checks call the kernel instead of re-deriving its formula, so a broken
+# kernel fails them.
+REROUTED_KERNELS = [
+    ("projective", "pairing", _plus_one, "fibonacci", ("fp:5", "rationals"),
+     "generalized-fibonacci"),
+    ("projective", "form_value", _plus_one, "fibonacci", ("fp:5", "rationals"),
+     "generalized-fibonacci"),
+    ("projective", "discriminant", _plus_one, "fibonacci", ("fp:5", "rationals"),
+     "generalized-fibonacci"),
+    ("chromo", "colored_quadrance_fraction", _numerator_plus_x1x2, "chromo",
+     ("fp:7", "rationals"), "reciprocal-sum-proof-identity"),
+    ("projective", "form_value", _plus_one, "isometry", ("fp:7",), "fibonacci-identity-blue"),
+]
+
+
+@pytest.mark.parametrize("module, kernel, breaker, suite, fields, identity", REROUTED_KERNELS,
+                         ids=[f"{m[1]}-{m[3]}" for m in REROUTED_KERNELS])
+def test_checks_reach_the_kernels_they_state(monkeypatch, module, kernel, breaker, suite,
+                                             fields, identity):
+    import importlib
+
+    mod = importlib.import_module(f"quadrance.{module}")
+    monkeypatch.setattr(mod, kernel, breaker(getattr(mod, kernel)))
+    for field in fields:
+        report = run_suite(suite, make_context(field), trials=50)
+        assert report.failed > 0, field
+        assert report.counterexample["identity"] == identity, field
+        assert counts_ok(report)
+
+
+def _numerator_plus_abc(fn):
+    def broken(a, b, c, d):
+        num, den = fn(a, b, c, d)
+        return num + a * b * c, den
+    return broken
+
+
+def test_quadruple_quad_diagonal_is_reported_mod_p(monkeypatch):
+    # the first failing diagonal is q13 = (2 - 0)^2 = 4, which prints as 1 mod 3
+    import quadrance.affine as af
+
+    monkeypatch.setattr(af, "quad_triple_pair_fraction",
+                        _numerator_plus_abc(af.quad_triple_pair_fraction))
+    report = run_suite("quadruple-quad", make_context("fp:3"))
+    assert report.failed == 6
+    assert report.counterexample == {
+        "identity": "quadruple-quad-q13",
+        "inputs": {"x1": "0", "x2": "1", "x3": "2", "x4": "0"}, "lhs": "0", "rhs": "1",
+    }
