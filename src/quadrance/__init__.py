@@ -19,13 +19,12 @@ from .affine import (
     isometry_compose,
     isometry_invert,
     quadrance,
-    quadruple_quad_check,
     quadruple_quad_fn,
     solve_quad_triple_pair,
 )
 from .chromo import Color, colored_form, colored_quadrance, perpendicular_point, reciprocal_sum
 from .errors import QuadranceError
-from .field import Fp, FieldContext, PrimeContext, RationalContext, make_context, sqrt_in_field
+from .field import Fp, FieldContext, PrimeContext, RationalContext, make_context
 from .isometry import (
     IsoKind,
     ProjIsometry,
@@ -110,7 +109,6 @@ __all__ = [
     "poly_eval",
     "projective_quadruple_check",
     "quadrance",
-    "quadruple_quad_check",
     "quadruple_quad_fn",
     "quadruple_spread_fn",
     "reciprocal_sum",
@@ -121,6 +119,5 @@ __all__ = [
     "spread_cyclotomic",
     "spread_poly",
     "spread_via_chebyshev",
-    "sqrt_in_field",
     "triple_spread_fn",
 ]

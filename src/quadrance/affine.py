@@ -9,7 +9,6 @@ is a translation x -> x + a or a reflection x -> a - x.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .errors import DegenerateDenominator, NotIsometry
 from .field import exact_div
@@ -101,38 +100,6 @@ def quadruple_quad_fn(a, b, c, d):
     s = a + b + c + d
     inner = s * s - 2 * (a * a + b * b + c * c + d * d)
     return inner * inner - 64 * a * b * c * d
-
-
-@dataclass(frozen=True)
-class QuadrupleResult:
-    """Quadruple function value plus the two diagonal quadrances when defined."""
-
-    value: object
-    q13: Optional[object]
-    q24: Optional[object]
-
-
-def quadruple_check(fn, fraction, q12, q23, q34, q14) -> QuadrupleResult:
-    """Evaluate a quadruple function ``fn`` on four side quadrances.
-
-    ``q13`` and ``q24`` are the diagonals from ``fraction`` (the (num, den)
-    triple-pair solution of the same law), None where den = 0.
-    """
-    def diagonal(num, den):
-        return None if den == 0 else exact_div(num, den)
-
-    return QuadrupleResult(fn(q12, q23, q34, q14), diagonal(*fraction(q12, q23, q34, q14)),
-                           diagonal(*fraction(q23, q34, q12, q14)))
-
-
-def quadruple_quad_check(a1, a2, a3, a4) -> QuadrupleResult:
-    """The quadruple quad function on the four side quadrances of four points.
-
-    ``value`` is always zero for genuine points; ``q13`` and ``q24`` are
-    None when a solution fraction's denominator vanishes.
-    """
-    return quadruple_check(quadruple_quad_fn, quad_triple_pair_fraction, quadrance(a1, a2),
-                           quadrance(a2, a3), quadrance(a3, a4), quadrance(a1, a4))
 
 
 def brahmagupta_product(d12, d23, d34, d14):

@@ -64,7 +64,7 @@ class Fp:
         self.p = p
 
     def _residue(self, other):
-        if isinstance(other, Fp):
+        if type(other) is Fp:
             if other.p != self.p:
                 raise MixedContexts(
                     f"cannot combine elements of F_{self.p} and F_{other.p}"
@@ -76,29 +76,19 @@ class Fp:
             raise MixedContexts(f"cannot combine a rational with an element of F_{self.p}")
         return None
 
-    # Each operator first tries the common case, another residue mod the same
-    # prime; anything else goes through _residue, which lifts ints and raises
-    # MixedContexts for a foreign operand.
-
     def __add__(self, other):
-        p = self.p
-        if type(other) is Fp and other.p == p:
-            return _fp((self.r + other.r) % p, p)
         r = self._residue(other)
         if r is None:
             return NotImplemented
-        return _fp((self.r + r) % p, p)
+        return _fp((self.r + r) % self.p, self.p)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        p = self.p
-        if type(other) is Fp and other.p == p:
-            return _fp((self.r - other.r) % p, p)
         r = self._residue(other)
         if r is None:
             return NotImplemented
-        return _fp((self.r - r) % p, p)
+        return _fp((self.r - r) % self.p, self.p)
 
     def __rsub__(self, other):
         r = self._residue(other)
@@ -107,27 +97,20 @@ class Fp:
         return _fp((r - self.r) % self.p, self.p)
 
     def __mul__(self, other):
-        p = self.p
-        if type(other) is Fp and other.p == p:
-            return _fp(self.r * other.r % p, p)
         r = self._residue(other)
         if r is None:
             return NotImplemented
-        return _fp(self.r * r % p, p)
+        return _fp(self.r * r % self.p, self.p)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        p = self.p
-        if type(other) is Fp and other.p == p:
-            r = other.r
-        else:
-            r = self._residue(other)
-            if r is None:
-                return NotImplemented
+        r = self._residue(other)
+        if r is None:
+            return NotImplemented
         if r == 0:
-            raise DivisionByZero(f"division by zero in F_{p}")
-        return _fp(self.r * pow(r, -1, p) % p, p)
+            raise DivisionByZero(f"division by zero in F_{self.p}")
+        return _fp(self.r * pow(r, -1, self.p) % self.p, self.p)
 
     def __rtruediv__(self, other):
         r = self._residue(other)
@@ -176,6 +159,15 @@ def _fp(r: int, p: int) -> Fp:
     x.r = r
     x.p = p
     return x
+
+
+def decimal_str(x) -> str:
+    """str(x); a value with more digits than Python's int-string limit
+    raises InvalidArgument instead of ValueError."""
+    try:
+        return str(x)
+    except ValueError as exc:
+        raise InvalidArgument(f"cannot print the value: {exc}") from exc
 
 
 def rational_sqrt(t: Fraction):
@@ -270,10 +262,7 @@ class RationalContext(FieldContext):
         return x
 
     def format(self, x) -> str:
-        try:
-            return str(self._element(x))
-        except ValueError as exc:  # more digits than the int-string limit
-            raise InvalidArgument(f"cannot print the value: {exc}") from exc
+        return decimal_str(self._element(x))
 
     def sqrt(self, t):
         return field_sqrt(self._element(t))
@@ -378,11 +367,6 @@ def exact_div(a, b):
         raise
     except ZeroDivisionError as exc:
         raise DivisionByZero("division by zero") from exc
-
-
-def sqrt_in_field(ctx: FieldContext, t):
-    """Canonical square root of t in ctx, or None if t is not a square."""
-    return ctx.sqrt(t)
 
 
 def field_sqrt(x):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .chromo import Color, is_null_for
 from .errors import ColorMismatch, InvalidArgument, NotIsometry, NotUnitCircle, NullParameter
-from .field import exact_div, field_sqrt
+from .field import decimal_str, exact_div, field_sqrt
 from .projective import ProjPoint, canonical
 
 
@@ -68,7 +68,8 @@ class ProjMatrix:
         return f"ProjMatrix({self.a!r}, {self.b!r}, {self.c!r}, {self.d!r})"
 
     def __str__(self):
-        return f"[[{self.a},{self.b}],[{self.c},{self.d}]]"
+        a, b, c, d = map(decimal_str, self.entries())
+        return f"[[{a},{b}],[{c},{d}]]"
 
 
 class IsoKind(enum.Enum):
@@ -145,7 +146,10 @@ def compose(iso1: ProjIsometry, iso2: ProjIsometry) -> ProjIsometry:
 def classify(matrix: ProjMatrix, color: Color) -> ProjIsometry:
     """Recognize a matrix as one of the color's rotation/reflection shapes:
     the kind whose matrix_of, with the parameter read off the first row (for
-    green, the diagonal or the anti-diagonal), has exactly these entries."""
+    green, the diagonal or the anti-diagonal), has exactly these entries.
+
+    The parameter found is never null: each shape's determinant vanishes
+    exactly when its parameter is null, and a singular matrix is refused."""
     if matrix.det() == 0:
         raise NotIsometry(f"matrix {matrix} is singular")
     a, b, c, d = entries = matrix.entries()
@@ -161,8 +165,6 @@ def classify(matrix: ProjMatrix, color: Color) -> ProjIsometry:
             break
     else:
         raise NotIsometry(f"matrix {matrix} has no {color} isometry shape")
-    if is_null_for(color, iso.param):
-        raise NotIsometry(f"parameter {iso.param} is {color}-null")
     return iso
 
 

@@ -9,9 +9,12 @@ p-quadrances annihilate the triple and quadruple spread functions.
 
 from __future__ import annotations
 
-from .affine import QuadrupleResult, archimedes, det4, quadruple_check
+from dataclasses import dataclass
+from typing import Optional
+
+from .affine import archimedes, det4
 from .errors import DegenerateDenominator, DegenerateForm, InvalidArgument, NullPoint
-from .field import exact_div
+from .field import decimal_str, exact_div
 
 
 def canonical(values) -> tuple:
@@ -48,8 +51,7 @@ class ProjPoint:
         return hash(self.canonical())
 
     def __str__(self):
-        cx, cy = self.canonical()
-        return f"[{cx}:{cy}]"
+        return "[" + ":".join(map(decimal_str, self.canonical())) + "]"
 
     def __repr__(self):
         return f"ProjPoint({self.x!r}, {self.y!r})"
@@ -81,8 +83,7 @@ class Form:
         return hash(self.canonical())
 
     def __str__(self):
-        cd, ce, cf = self.canonical()
-        return f"({cd}:{ce}:{cf})"
+        return "(" + ":".join(map(decimal_str, self.canonical())) + ")"
 
     def __repr__(self):
         return f"Form({self.d!r}, {self.e!r}, {self.f!r})"
@@ -191,16 +192,30 @@ def quadruple_spread_fn(a, b, c, d):
     return inner * inner - 64 * a * b * c * d * (1 - a) * (1 - b) * (1 - c) * (1 - d)
 
 
+@dataclass(frozen=True)
+class QuadrupleResult:
+    """Quadruple function value plus the two diagonal quadrances when defined."""
+
+    value: object
+    q13: Optional[object]
+    q24: Optional[object]
+
+
 def projective_quadruple_check(form: Form, a1, a2, a3, a4) -> QuadrupleResult:
     """The quadruple spread function on the four side p-quadrances.
 
     ``value`` is always zero for genuine non-null points; q13 and q24 come
     from the solution fractions and are None on a vanishing denominator.
     """
-    _require_nondegenerate(form)
     for name, a in (("a1", a1), ("a2", a2), ("a3", a3), ("a4", a4)):
-        if form_value(form, a) == 0:
+        if is_null(form, a):
             raise NullPoint(f"point {name} = {a} is null for form {form}", argument=name)
-    return quadruple_check(quadruple_spread_fn, spread_triple_pair_fraction,
-                           p_quadrance(form, a1, a2), p_quadrance(form, a2, a3),
-                           p_quadrance(form, a3, a4), p_quadrance(form, a1, a4))
+    q12, q23 = p_quadrance(form, a1, a2), p_quadrance(form, a2, a3)
+    q34, q14 = p_quadrance(form, a3, a4), p_quadrance(form, a1, a4)
+
+    def diagonal(num, den):
+        return None if den == 0 else exact_div(num, den)
+
+    return QuadrupleResult(quadruple_spread_fn(q12, q23, q34, q14),
+                           diagonal(*spread_triple_pair_fraction(q12, q23, q34, q14)),
+                           diagonal(*spread_triple_pair_fraction(q23, q34, q12, q14)))

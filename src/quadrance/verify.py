@@ -119,29 +119,30 @@ def mismatch(identity: str, inputs: dict, lhs, rhs) -> dict:
 
 # -- sampling and enumeration -------------------------------------------------
 
-def random_element(ctx: FieldContext, rng: random.Random):
-    """A small random rational; only the rational driver samples."""
+def random_element(ctx: Optional[FieldContext], rng: random.Random):
+    """A small random rational; only the rational driver samples, so ``ctx``
+    is ignored.  It stays because perfbench's field probes pass one."""
     return Fraction(rng.randint(-12, 12), rng.randint(1, 12))
 
 
-def random_nonzero(ctx, rng):
+def random_nonzero(rng):
     while True:
-        x = random_element(ctx, rng)
+        x = random_element(None, rng)
         if x != 0:
             return x
 
 
-def random_point(ctx, rng) -> ProjPoint:
+def random_point(rng) -> ProjPoint:
     while True:
-        x, y = random_element(ctx, rng), random_element(ctx, rng)
+        x, y = random_element(None, rng), random_element(None, rng)
         if x != 0 or y != 0:
             return ProjPoint(x, y)
 
 
-def random_nonnull_point(form: Form, ctx, rng) -> ProjPoint:
+def random_nonnull_point(form: Form, rng) -> ProjPoint:
     while True:
-        a = random_point(ctx, rng)
-        if projective.form_value(form, a) != 0:
+        a = random_point(rng)
+        if not projective.is_null(form, a):
             return a
 
 
@@ -331,10 +332,8 @@ def _pair_laws(color, p1, p2, ab, ba, unit_failure, p=None) -> Optional[tuple]:
         return ("multiplication-commutativity", ab, ba)
     if unit_failure is not None:
         return unit_failure
-    rot = isometry.compose(
-        isometry.ProjIsometry(color, IsoKind.ROTATION, p1),
-        isometry.ProjIsometry(color, IsoKind.ROTATION, p2),
-    )
+    rot = isometry.compose(isometry.make_isometry(color, IsoKind.ROTATION, p1),
+                           isometry.make_isometry(color, IsoKind.ROTATION, p2))
     if _points_differ(rot.param, ab, p):
         return ("multiplication-vs-rotation-composition", rot.param, ab)
     return None
@@ -592,7 +591,7 @@ def _selected_forms(colors) -> list[str]:
 def _exhaustive_triple_spread_form(rec, p: int, form, pts):
     """_triple_spread_laws on every non-null ordered triple, from tables of
     the pairwise p-quadrances and perpendicularities."""
-    live = _live_indices(rec, [projective.form_value(form, a) == 0 for a in pts], 3)
+    live = _live_indices(rec, [projective.is_null(form, a) for a in pts], 3)
     qtab = _p_quadrance_table(form, pts, live)
     perp = _pair_table(len(pts), live,
                        lambda i, j: projective.is_perpendicular(form, pts[i], pts[j]))
@@ -615,13 +614,13 @@ def _suite_triple_spread(rec, ctx, rng, trials, colors):
     else:
         for t in range(trials):
             form = named_form(names[t % len(names)])
-            a1 = random_nonnull_point(form, ctx, rng)
-            a2 = random_nonnull_point(form, ctx, rng)
-            a3 = random_nonnull_point(form, ctx, rng)
+            a1 = random_nonnull_point(form, rng)
+            a2 = random_nonnull_point(form, rng)
+            a3 = random_nonnull_point(form, rng)
             free = tuple(random_element(ctx, rng) for _ in range(3))
             failure = _triple_spread_case(form, a1, a2, a3, free)
             if failure is None:
-                failure = _scale_invariance_case(form, a1, a2, random_nonzero(ctx, rng))
+                failure = _scale_invariance_case(form, a1, a2, random_nonzero(rng))
             rec.case(failure)
 
 
@@ -651,7 +650,7 @@ def _suite_quadruple_spread(rec, ctx, rng, trials, colors):
         pts = proj_points(ctx)
         for name in names:
             form = named_form(name)
-            live = _live_indices(rec, [projective.form_value(form, a) == 0 for a in pts], 4)
+            live = _live_indices(rec, [projective.is_null(form, a) for a in pts], 4)
             _sweep_quadruple(rec, ctx.p, _p_quadrance_table(form, pts, live), live,
                              "quadruple-spread", projective.quadruple_spread_fn,
                              projective.spread_triple_pair_fraction,
@@ -660,7 +659,7 @@ def _suite_quadruple_spread(rec, ctx, rng, trials, colors):
     else:
         for t in range(trials):
             form = named_form(names[t % len(names)])
-            quad = [random_nonnull_point(form, ctx, rng) for _ in range(4)]
+            quad = [random_nonnull_point(form, rng) for _ in range(4)]
             free = tuple(random_element(ctx, rng) for _ in range(4))
             rec.case(_quadruple_spread_case(form, *quad, free))
 
@@ -728,7 +727,7 @@ def _suite_chromo(rec, ctx, rng, trials, colors):
         for _ in range(trials):
             pair = []
             while len(pair) < 2:
-                a = random_point(ctx, rng)
+                a = random_point(rng)
                 if _all_colors_nonnull(a):
                     pair.append(a)
             rec.case(_chromo_case(*pair))
@@ -753,7 +752,7 @@ def _blue_sqrt_case(p: ProjPoint) -> Optional[dict]:
 
 
 def _green_power_case(p: ProjPoint, n: int) -> Optional[dict]:
-    one_one = ProjPoint(1, 1)
+    one_one = isometry.point_identity(Color.GREEN)
     s = chromo.colored_quadrance(Color.GREEN, one_one, p)
     pn = isometry.point_power(Color.GREEN, p, n)
     lhs = chromo.colored_quadrance(Color.GREEN, one_one, pn)
@@ -833,7 +832,7 @@ def _suite_isometry(rec, ctx, rng, trials, colors):
         for color in wanted:
             null = [chromo.is_null_for(color, a) for a in pts]
             live = [i for i, is_null in enumerate(null) if not is_null]
-            isos = {(kind, i): isometry.ProjIsometry(color, kind, res[i])
+            isos = {(kind, i): isometry.make_isometry(color, kind, res[i])
                     for kind in IsoKind for i in live}
             _residue_preservation(rec, ctx.p, color, res, live, isos)
             _residue_composition(rec, ctx.p, color, res, live, isos)
@@ -855,15 +854,15 @@ def _suite_isometry(rec, ctx, rng, trials, colors):
         for t in range(trials):
             color = wanted[t % len(wanted)]
             form = chromo.colored_form(color)
-            p1 = random_nonnull_point(form, ctx, rng)
-            p2 = random_nonnull_point(form, ctx, rng)
-            p3 = random_nonnull_point(form, ctx, rng)
-            a1 = random_nonnull_point(form, ctx, rng)
-            a2 = random_nonnull_point(form, ctx, rng)
+            p1 = random_nonnull_point(form, rng)
+            p2 = random_nonnull_point(form, rng)
+            p3 = random_nonnull_point(form, rng)
+            a1 = random_nonnull_point(form, rng)
+            a2 = random_nonnull_point(form, rng)
             kind = IsoKind.ROTATION if rng.randrange(2) else IsoKind.REFLECTION
             kind2 = IsoKind.ROTATION if rng.randrange(2) else IsoKind.REFLECTION
-            iso1 = isometry.ProjIsometry(color, kind, p1)
-            iso2 = isometry.ProjIsometry(color, kind2, p2)
+            iso1 = isometry.make_isometry(color, kind, p1)
+            iso2 = isometry.make_isometry(color, kind2, p2)
             before = _colored_fraction(color, a1, a2)
             after = _colored_fraction(color, isometry.apply(iso1, a1), isometry.apply(iso1, a2))
             failure = _preservation_law(color, before, after)
@@ -979,7 +978,7 @@ def _suite_spreadpoly(rec, ctx, rng, trials, colors):
             s = random_element(ctx, rng)
             failure = _recurrence_case(s)
             if failure is None:
-                x, y = random_nonzero(ctx, rng), random_nonzero(ctx, rng)
+                x, y = random_nonzero(rng), random_nonzero(rng)
                 failure = _green_ratio_case(x, y, [1 + t % 8])
             rec.case(failure)
 

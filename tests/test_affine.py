@@ -15,8 +15,8 @@ from quadrance.affine import (
     isometry_classify,
     isometry_compose,
     isometry_invert,
+    quad_triple_pair_fraction,
     quadrance,
-    quadruple_quad_check,
     quadruple_quad_fn,
     solve_quad_triple_pair,
 )
@@ -158,30 +158,36 @@ def test_quadruple_quad_fn_symmetric():
         assert quadruple_quad_fn(*vals) == base
 
 
-def test_quadruple_quad_check_examples():
-    res = quadruple_quad_check(pt(0), pt(1), pt(3), pt(6))
-    assert res.value == 0
-    assert res.q13 == 9
-    assert res.q24 == 25
-    zero = quadruple_quad_check(pt(0), pt(0), pt(0), pt(0))
-    assert zero.value == 0 and zero.q13 is None and zero.q24 is None
-    f13 = [AffinePoint(Fp(v, 13)) for v in (0, 1, 3, 6)]
-    res13 = quadruple_quad_check(*f13)
-    assert res13.value == Fp(0, 13)
-    assert res13.q13 == Fp(9, 13)
-    assert res13.q24 == Fp(12, 13)  # 25 mod 13
+def sides(a1, a2, a3, a4):
+    """The side quadrances q12, q23, q34, q14 of four points."""
+    return quadrance(a1, a2), quadrance(a2, a3), quadrance(a3, a4), quadrance(a1, a4)
+
+
+def test_quadruple_quad_examples():
+    q12, q23, q34, q14 = sides(pt(0), pt(1), pt(3), pt(6))
+    assert quadruple_quad_fn(q12, q23, q34, q14) == 0
+    assert solve_quad_triple_pair(q12, q23, q34, q14) == 9  # q13
+    assert solve_quad_triple_pair(q23, q34, q12, q14) == 25  # q24
+    zero = sides(pt(0), pt(0), pt(0), pt(0))
+    assert quadruple_quad_fn(*zero) == 0
+    with pytest.raises(DegenerateDenominator):  # q13 and q24: all four sides are 0
+        solve_quad_triple_pair(*zero)
+    q12, q23, q34, q14 = sides(*(AffinePoint(Fp(v, 13)) for v in (0, 1, 3, 6)))
+    assert quadruple_quad_fn(q12, q23, q34, q14) == Fp(0, 13)
+    assert solve_quad_triple_pair(q12, q23, q34, q14) == Fp(9, 13)
+    assert solve_quad_triple_pair(q23, q34, q12, q14) == Fp(12, 13)  # 25 mod 13
 
 
 def test_quadruple_quad_on_random_configurations():
     rng = random.Random(42)
     for _ in range(1000):
         pts = [AffinePoint(rand(rng)) for _ in range(4)]
-        res = quadruple_quad_check(*pts)
-        assert res.value == 0
-        if res.q13 is not None:
-            assert res.q13 == quadrance(pts[0], pts[2])
-        if res.q24 is not None:
-            assert res.q24 == quadrance(pts[1], pts[3])
+        q12, q23, q34, q14 = sides(*pts)
+        assert quadruple_quad_fn(q12, q23, q34, q14) == 0
+        if quad_triple_pair_fraction(q12, q23, q34, q14)[1] != 0:
+            assert solve_quad_triple_pair(q12, q23, q34, q14) == quadrance(pts[0], pts[2])
+        if quad_triple_pair_fraction(q23, q34, q12, q14)[1] != 0:
+            assert solve_quad_triple_pair(q23, q34, q12, q14) == quadrance(pts[1], pts[3])
 
 
 def test_rearrangement_identity():

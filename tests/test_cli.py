@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -286,26 +287,37 @@ def test_eval_refuses_an_exponent_beyond_the_digit_limit(capsys):
     assert err.startswith("error: ParseError: ") and len(err.splitlines()) == 1
 
 
+# The point a classification prints, or the matrix in its error message,
+# has more digits than Python's int-string limit.
+OVERSIZED_PCLASSIFY = [
+    'pclassify --color green --matrix "1e4300,0;0,0"',  # singular: the message prints it
+    'pclassify --color blue --matrix "1e-2200,1e2200;-1e2200,1e-2200"',  # [1:10^4400]
+]
+
+
 def test_eval_result_beyond_the_digit_limit_is_a_domain_error(capsys):
     # no exponent: a 2,200-digit literal squares to about 4,400 digits
-    code, out, err = run(capsys, "eval", "quad", "--points", "0", "9" * 2200)
-    assert code == 3
-    assert out == ""
-    assert err.startswith("error: InvalidArgument: ") and len(err.splitlines()) == 1
-    assert "Traceback" not in err
+    for request in ["quad --points 0 " + "9" * 2200] + OVERSIZED_PCLASSIFY:
+        code, out, err = run(capsys, "eval", *shlex.split(request))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: InvalidArgument: ") and len(err.splitlines()) == 1
+        assert "Traceback" not in err
 
 
 def test_batch_goes_on_after_a_literal_beyond_the_digit_limit(tmp_path, capsys):
     f = tmp_path / "big.txt"
     f.write_text("quad --points 1 4\nquad --points 1e5000 2\nquad --points 1e4000 2\n"
-                 "quad --points 2 5\n")
+                 + "".join(line + "\n" for line in OVERSIZED_PCLASSIFY)
+                 + "quad --points 2 5\n")
     code, out, err = run(capsys, "batch", str(f))
     assert code == 3
     lines = out.splitlines()
-    assert len(lines) == 4
-    assert lines[0] == lines[3] == "9"
+    assert len(lines) == 6
+    assert lines[0] == lines[5] == "9"
     assert lines[1].startswith("line 2: error: ParseError: ")
-    assert lines[2].startswith("line 3: error: InvalidArgument: ")
+    for n in (3, 4, 5):
+        assert lines[n - 1].startswith(f"line {n}: error: InvalidArgument: ")
     assert err == ""
 
 

@@ -17,7 +17,6 @@ from quadrance.field import (
     field_sqrt,
     is_prime,
     make_context,
-    sqrt_in_field,
 )
 
 SMALL_ODD_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
@@ -145,10 +144,10 @@ def test_enumerate_elements():
 
 def test_sqrt_rational_examples():
     ctx = make_context("rationals")
-    assert sqrt_in_field(ctx, Fr(9, 4)) == Fr(3, 2)
-    assert sqrt_in_field(ctx, Fr(2)) is None
-    assert sqrt_in_field(ctx, Fr(0)) == 0
-    assert sqrt_in_field(ctx, Fr(-1)) is None
+    assert ctx.sqrt(Fr(9, 4)) == Fr(3, 2)
+    assert ctx.sqrt(Fr(2)) is None
+    assert ctx.sqrt(Fr(0)) == 0
+    assert ctx.sqrt(Fr(-1)) is None
 
 
 def test_sqrt_fp_matches_brute_force():
@@ -156,14 +155,14 @@ def test_sqrt_fp_matches_brute_force():
     roots = [r for r in range(13) if (r * r) % 13 == 3]
     assert roots == [4, 9]
     ctx = make_context("fp:13")
-    assert sqrt_in_field(ctx, Fp(3, 13)) == Fp(4, 13)  # canonical smaller root
+    assert ctx.sqrt(Fp(3, 13)) == Fp(4, 13)  # canonical smaller root
 
 
 def test_sqrt_fp_nonresidue_is_none():
     ctx = make_context("fp:13")
     squares = {(r * r) % 13 for r in range(13)}
     for t in range(13):
-        got = sqrt_in_field(ctx, Fp(t, 13))
+        got = ctx.sqrt(Fp(t, 13))
         if t in squares:
             assert got is not None and got * got == Fp(t, 13)
             if t != 0:

@@ -294,6 +294,13 @@ def test_projective_quadruple_check_random():
             assert res.q24 == p_quadrance(form, pts[1], pts[3])
 
 
+def test_projective_quadruple_check_names_the_null_point():
+    # [1:0] is green-null; the error names the argument, not a p-quadrance's
+    with pytest.raises(NullPoint) as err:
+        projective_quadruple_check(GREEN, pp(1, 1), pp(1, 2), pp(1, 0), pp(2, 1))
+    assert err.value.argument == "a3"
+
+
 def test_spread_rearrangement_identity():
     rng = random.Random(29)
     for _ in range(1000):

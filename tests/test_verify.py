@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -5,7 +6,7 @@ import pytest
 
 from quadrance import isometry, spreadpoly
 from quadrance.chromo import Color, is_null_for
-from quadrance.errors import CharacteristicTwo, InvalidArgument, UnknownSuite
+from quadrance.errors import CharacteristicTwo, InvalidArgument, QuadranceError, UnknownSuite
 from quadrance.field import make_context
 from quadrance.verify import (
     FORM_NAMES,
@@ -513,6 +514,11 @@ def _plus_one(fn):
     return lambda *args: fn(*args) + 1
 
 
+def _swapped_parameter(fn):
+    # [x:y] -> [y:x] is null exactly when [x:y] is, for every colour
+    return lambda color, kind, param: fn(color, kind, isometry.ProjPoint(param.y, param.x))
+
+
 # (module, kernel, how it is broken, suite, fields, the identity reported first).
 # These checks call the kernel instead of re-deriving its formula, so a broken
 # kernel fails them.
@@ -526,6 +532,8 @@ REROUTED_KERNELS = [
     ("chromo", "colored_quadrance_fraction", _numerator_plus_x1x2, "chromo",
      ("fp:7", "rationals"), "reciprocal-sum-proof-identity"),
     ("projective", "form_value", _plus_one, "isometry", ("fp:7",), "fibonacci-identity-blue"),
+    ("isometry", "make_isometry", _swapped_parameter, "isometry", ("fp:7", "rationals"),
+     "multiplication-vs-rotation-composition"),
 ]
 
 
@@ -563,3 +571,117 @@ def test_quadruple_quad_diagonal_is_reported_mod_p(monkeypatch):
         "identity": "quadruple-quad-q13",
         "inputs": {"x1": "0", "x2": "1", "x3": "2", "x4": "0"}, "lhs": "0", "rhs": "1",
     }
+
+
+def _first_alternate_plus_one(fn):
+    def broken(*args):
+        first, *rest = fn(*args)
+        return [first + 1, *rest]
+    return broken
+
+
+def _index_plus_one(fn):
+    return lambda n: fn(n + 1)
+
+
+def _closed_form_plus_one(fn):
+    def broken(x, y, n):
+        value = fn(x, y, n)
+        return dataclasses.replace(value, closed_form=value.closed_form + 1)
+    return broken
+
+
+# (module, kernel, how it is broken, suite).  verify reaches each of these
+# kernels, and broken, each one changes the suite's report over F_7 or Q.
+REPORT_CHANGING_KERNELS = [
+    ("affine", "det4", _plus_one, "triple-quad"),
+    ("affine", "archimedes_forms", _first_alternate_plus_one, "triple-quad"),
+    ("projective", "canonical", lambda fn: lambda values: tuple(v + 1 for v in fn(values)),
+     "isometry"),
+    # [0:1] is null too; other points keep their answer, so random_nonnull_point returns
+    ("projective", "is_null", lambda fn: lambda form, a: fn(form, a) or a.x == 0,
+     "triple-spread"),
+    ("projective", "p_quadrance", _plus_one, "triple-spread"),
+    ("projective", "triple_spread_forms", _first_alternate_plus_one, "triple-spread"),
+    ("chromo", "colored_form",
+     lambda fn: lambda color: fn(Color.RED if color is Color.BLUE else color), "triple-spread"),
+    ("chromo", "perpendicular_point", lambda fn: lambda color, a: a, "chromo"),
+    ("chromo", "is_null_for", lambda fn: lambda color, a: color is not Color.RED and fn(color, a),
+     "chromo"),
+    ("chromo", "colored_quadrance", _plus_one, "chromo"),
+    ("chromo", "reciprocal_sum", _plus_one, "chromo"),
+    ("isometry", "point_identity", lambda fn: lambda color: isometry.ProjPoint(1, 2), "isometry"),
+    ("isometry", "point_power", lambda fn: lambda color, p, n: fn(color, p, n + 1), "isometry"),
+    ("isometry", "blue_sqrt", lambda fn: lambda p: p, "isometry"),
+    ("spreadpoly", "poly_compose",
+     lambda fn: lambda f, g: fn(f, g) + spreadpoly.IntPolynomial([0, 2]), "spreadpoly"),
+    ("spreadpoly", "chebyshev_T", _index_plus_one, "spreadpoly"),
+    ("spreadpoly", "spread_via_chebyshev", _index_plus_one, "spreadpoly"),
+    ("spreadpoly", "divisors", lambda fn: lambda n: fn(n)[:-1], "spreadpoly"),
+    ("spreadpoly", "spread_cyclotomic", lambda fn: lambda k: fn(k) * 2, "spreadpoly"),
+    ("spreadpoly", "spread_at_green_ratio", _closed_form_plus_one, "spreadpoly"),
+]
+
+
+def _report_or_error(suite, field):
+    """The suite's report with elapsed_ms dropped (seed 0, 30 trials, cold
+    spread-cyclotomic cache), or the QuadranceError the run raised."""
+    spreadpoly._phi_cache.clear()
+    try:
+        report = run_suite(suite, make_context(field), trials=30, seed=0).to_dict()
+    except QuadranceError as exc:
+        return exc
+    finally:
+        spreadpoly._phi_cache.clear()
+    del report["elapsed_ms"]
+    return report
+
+
+@pytest.mark.parametrize("module, kernel, breaker, suite", REPORT_CHANGING_KERNELS,
+                         ids=[m[1] for m in REPORT_CHANGING_KERNELS])
+def test_broken_kernel_changes_the_report(monkeypatch, module, kernel, breaker, suite):
+    import importlib
+
+    fields = ("fp:7", "rationals")
+    right = [_report_or_error(suite, field) for field in fields]
+    assert all(isinstance(r, dict) and r["failed"] == 0 for r in right)
+    mod = importlib.import_module(f"quadrance.{module}")
+    monkeypatch.setattr(mod, kernel, breaker(getattr(mod, kernel)))
+    broken = [_report_or_error(suite, field) for field in fields]
+    assert any(isinstance(b, QuadranceError) or b != r for b, r in zip(broken, right))
+
+
+# Public functions of the kernel modules that verify does not reach, and why.
+NOT_REACHED = {
+    "isometry.classify": "CLI only: eval pclassify",
+    "affine.isometry_classify": "CLI only: eval aclassify",
+    "projective.projective_quadruple_check": "CLI only: example paper",
+    "projective.solve_spread_triple_pair": "named as a per-layer metric in BENCHMARK.json",
+    "affine.is_quad_triple": "paper API with its own tests",
+    "projective.is_spread_triple": "paper API with its own tests",
+    "affine.solve_quad_triple_pair": "paper API with its own tests",
+    "affine.isometry_apply": "paper API with its own tests",
+    "affine.isometry_compose": "paper API with its own tests",
+    "affine.isometry_invert": "paper API with its own tests",
+}
+
+
+def test_every_kernel_is_mutation_tested_or_listed_unreached():
+    import importlib
+    import inspect
+
+    public = set()
+    for module in ("affine", "projective", "chromo", "isometry", "spreadpoly"):
+        mod = importlib.import_module(f"quadrance.{module}")
+        public |= {f"{module}.{name}" for name, obj in vars(mod).items()
+                   if inspect.isfunction(obj) and obj.__module__ == mod.__name__
+                   and not name.startswith("_")}
+    mutated = {f"{row[0]}.{row[1]}" for row in RESIDUE_MUTATIONS + RATIONAL_MUTATIONS
+               + TABLE_KERNELS + REROUTED_KERNELS}
+    mutated |= {f"isometry.{row[0]}" for row in VANISHING_MOD_7}
+    report_changing = [f"{row[0]}.{row[1]}" for row in REPORT_CHANGING_KERNELS]
+    places = [mutated, set(report_changing), set(NOT_REACHED)]
+    assert len(report_changing) == len(set(report_changing))
+    for name in sorted(public):
+        assert sum(name in place for place in places) == 1, name
+    assert set().union(*places) == public
