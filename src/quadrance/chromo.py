@@ -7,7 +7,9 @@ computed here from the per-color closed formulas, which stay: the same
 ten rational verify suites (200 trials) about 20% slower, in 6 of 6
 alternating runs (Python 3.11, 2 vCPUs).  Their agreement with the
 general-form projective quadrance is checked in tests/test_chromo.py; the
-verification suites do not check it.
+verification suites do not check it.  colored_quadrance clears rational
+coordinates to integers (field.clear_denominators) before it applies the
+formula.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import enum
 
 from .errors import CoincidentPoints, NullPoint
-from .field import exact_div
+from .field import clear_denominators, exact_div
 from .projective import Form, ProjPoint
 
 
@@ -80,7 +82,13 @@ def colored_quadrance_fraction(color: Color, a1: ProjPoint, a2: ProjPoint):
 
 
 def colored_quadrance(color: Color, a1: ProjPoint, a2: ProjPoint):
-    """The color's p-quadrance, via its closed formula (colored_quadrance_fraction)."""
+    """The color's p-quadrance, via its closed formula (colored_quadrance_fraction)
+    on the cleared points: rational coordinates scaled to ints by one factor."""
+    values = (a1.x, a1.y, a2.x, a2.y)
+    cleared = clear_denominators(values)
+    if cleared is not values:
+        x1, y1, x2, y2 = cleared
+        a1, a2 = ProjPoint(x1, y1), ProjPoint(x2, y2)
     num, den = colored_quadrance_fraction(color, a1, a2)
     if den == 0:
         if is_null_for(color, a1):

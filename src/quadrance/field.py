@@ -369,6 +369,24 @@ def exact_div(a, b):
         raise DivisionByZero("division by zero") from exc
 
 
+def clear_denominators(values):
+    """A proportion's values as ints, when any of them is a Fraction.
+
+    They are scaled by the lcm of their denominators, so [1/2:1/3] becomes
+    [3:2].  Values with no Fraction among them (ints, Fp residues) come
+    back unchanged, and so does a Fraction mixed with a value that is not
+    rational, whose arithmetic raises as before.
+    """
+    for v in values:
+        if type(v) is Fraction:
+            try:
+                scale = math.lcm(*[w.denominator for w in values])
+            except AttributeError:
+                return values
+            return [w.numerator * (scale // w.denominator) for w in values]
+    return values
+
+
 def field_sqrt(x):
     """Canonical square root dispatched on the element's own field."""
     if isinstance(x, Fp):

@@ -4,7 +4,9 @@ Points [x:y] and forms (d:e:f) are proportions: equality is cross-product
 based, never componentwise.  The projective quadrance q of two non-null
 points is (df - e^2)(x1 y2 - x2 y1)^2 over the product of the two form
 values; q = 1 exactly at perpendicularity, and triples/quadruples of
-p-quadrances annihilate the triple and quadruple spread functions.
+p-quadrances annihilate the triple and quadruple spread functions.  The
+scale-invariant kernels (p_quadrance_fraction, is_null) clear rational
+coordinates to integers first (field.clear_denominators) and compute in int.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import Optional
 
 from .affine import archimedes, det4
 from .errors import DegenerateDenominator, DegenerateForm, InvalidArgument, NullPoint
-from .field import decimal_str, exact_div
+from .field import clear_denominators, decimal_str, exact_div
 
 
 def canonical(values) -> tuple:
@@ -111,7 +113,13 @@ def _require_nondegenerate(form: Form):
 
 
 def is_null(form: Form, a: ProjPoint) -> bool:
-    """Whether the form vanishes on the point (scale-invariant)."""
+    """Whether the form vanishes on the point (scale-invariant), evaluated
+    on the cleared form and point."""
+    values = (form.d, form.e, form.f, a.x, a.y)
+    cleared = clear_denominators(values)
+    if cleared is not values:
+        d, e, f, x, y = cleared
+        form, a = Form(d, e, f), ProjPoint(x, y)
     _require_nondegenerate(form)
     return form_value(form, a) == 0
 
@@ -122,21 +130,38 @@ def is_perpendicular(form: Form, a1: ProjPoint, a2: ProjPoint) -> bool:
     return pairing(form, a1, a2) == 0
 
 
+def p_quadrance_fraction(form: Form, a1: ProjPoint, a2: ProjPoint):
+    """The projective quadrance as an uncancelled pair (num, den), no checks.
+
+    num is (df - e^2)(x1 y2 - x2 y1)^2 and den the product of the two form
+    values, both on the cleared form and points: rational coordinates are
+    scaled to ints by one common factor (field.clear_denominators), which
+    leaves num / den unchanged.  den is 0 exactly when a point is null.
+    """
+    values = (form.d, form.e, form.f, a1.x, a1.y, a2.x, a2.y)
+    cleared = clear_denominators(values)
+    if cleared is not values:
+        d, e, f, x1, y1, x2, y2 = cleared
+        form, a1, a2 = Form(d, e, f), ProjPoint(x1, y1), ProjPoint(x2, y2)
+    cross = a1.x * a2.y - a2.x * a1.y
+    return discriminant(form) * cross * cross, form_value(form, a1) * form_value(form, a2)
+
+
 def p_quadrance(form: Form, a1: ProjPoint, a2: ProjPoint):
-    """Projective quadrance of two non-null points.
+    """Projective quadrance of two non-null points (p_quadrance_fraction).
 
     Symmetric, scale-invariant in either point and in the form, zero only
     for equal points, and 1 exactly at perpendicularity.
     """
-    _require_nondegenerate(form)
-    v1 = form_value(form, a1)
-    if v1 == 0:
-        raise NullPoint(f"first point {a1} is null for form {form}", argument="a1")
-    v2 = form_value(form, a2)
-    if v2 == 0:
+    num, den = p_quadrance_fraction(form, a1, a2)
+    # a degenerate form makes num zero, so only then is the form checked
+    if num == 0:
+        _require_nondegenerate(form)
+    if den == 0:
+        if is_null(form, a1):
+            raise NullPoint(f"first point {a1} is null for form {form}", argument="a1")
         raise NullPoint(f"second point {a2} is null for form {form}", argument="a2")
-    cross = a1.x * a2.y - a2.x * a1.y
-    return exact_div(discriminant(form) * cross * cross, v1 * v2)
+    return exact_div(num, den)
 
 
 def triple_spread_fn(a, b, c):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import DivisionByZero, FactorizationFailure, InvalidArgument, NonIntegralResult
 from .field import exact_div
@@ -100,9 +101,21 @@ X = IntPolynomial([0, 1])
 
 
 def poly_eval(poly: IntPolynomial, s):
-    """Exact Horner evaluation of an integer polynomial at a field element."""
+    """Exact Horner evaluation of an integer polynomial at a field element.
+
+    At a rational s = a/b the sum of c_i a^i b^(n-i) is built in integers
+    and divided by b^n once.
+    """
+    coeffs = poly.coeffs
+    if type(s) is Fraction and coeffs:
+        a, b = s.numerator, s.denominator
+        num, den = coeffs[-1], 1
+        for c in coeffs[-2::-1]:
+            den *= b
+            num = num * a + c * den
+        return Fraction(num, den)
     acc = 0 * s
-    for c in reversed(poly.coeffs):
+    for c in reversed(coeffs):
         acc = acc * s + c
     return acc
 
@@ -122,10 +135,21 @@ _cache_lock = threading.Lock()
 
 
 def _three_term(cache: list, n: int, step: IntPolynomial, shift: IntPolynomial):
-    """cache[n] of P_k = step * P_(k-1) - P_(k-2) + shift, extending the cache."""
+    """cache[n] of P_k = step * P_(k-1) - P_(k-2) + shift, extending the cache.
+
+    ``step`` has degree 1, a + b s, and is applied to the coefficient list
+    directly: coefficient i of step * P is a p_i + b p_(i-1).
+    """
+    a, b = step.coeffs
     with _cache_lock:
         while len(cache) <= n:
-            cache.append(step * cache[-1] - cache[-2] + shift)
+            last = cache[-1].coeffs
+            out = [a * c + b * c_low for c, c_low in zip(last + (0,), (0,) + last)]
+            for i, c in enumerate(cache[-2].coeffs):
+                out[i] -= c
+            for i, c in enumerate(shift.coeffs):
+                out[i] += c
+            cache.append(IntPolynomial(out))
         return cache[n]
 
 

@@ -18,7 +18,8 @@ form_value, on plain records so that zero coefficients and vectors count
 too.  Solution fractions are checked cleared of their denominator
 (num == den * q); coloured quadrances before and after an isometry are
 compared cleared (num * den' == num' * den), and points and matrices by
-their cross products.  The isometry sweep runs on the points [1:t] and
+their cross products.  The p-quadrance tables read
+projective.p_quadrance_fraction on int-residue points.  The isometry sweep runs on the points [1:t] and
 [0:1] with int coordinates, and the spreadpoly sweep evaluates the
 recurrence and composition checks on int residues.  Values are lifted to
 Fp only to report a failure.  What needs field division or square roots
@@ -40,7 +41,8 @@ from typing import Callable, Optional
 
 from . import affine, chromo, isometry, projective, spreadpoly
 from .chromo import Color
-from .errors import FactorizationFailure, NotUnitCircle, UnknownSuite
+from .errors import (DivisionByZero, FactorizationFailure, NotUnitCircle, QuadranceError,
+                     UnknownSuite)
 from .field import FieldContext, Fp, exact_div
 from .isometry import IsoKind
 from .projective import Form, ProjPoint
@@ -169,8 +171,13 @@ def _reduce(x, p=None):
 
 
 def _quotient(num, den, p=None):
-    """num / den, as a residue mod p when p is given."""
-    return exact_div(num, den) if p is None else num * pow(den, -1, p) % p
+    """num / den, as a residue mod p when p is given; den = 0 raises
+    DivisionByZero."""
+    if p is None:
+        return exact_div(num, den)
+    if den % p == 0:
+        raise DivisionByZero(f"division by zero in F_{p}")
+    return num * pow(den, -1, p) % p
 
 
 def _solution_mismatch(num, den, want, p=None):
@@ -405,10 +412,13 @@ def _quadrance_table(p: int) -> list:
     return _pair_table(p, range(p), lambda i, j: affine.quadrance(pts[i], pts[j]) % p)
 
 
-def _p_quadrance_table(form, pts, live) -> list:
-    """Residues of the p-quadrances between the ``live`` (non-null) points."""
-    return _pair_table(len(pts), live,
-                       lambda i, j: projective.p_quadrance(form, pts[i], pts[j]).r)
+def _p_quadrance_table(p: int, form, live) -> list:
+    """Residues of the p-quadrances between the ``live`` (non-null) points
+    of _residue_points(p)."""
+    res = _residue_points(p)
+    fraction = projective.p_quadrance_fraction
+    return _pair_table(len(res), live,
+                       lambda i, j: _quotient(*fraction(form, res[i], res[j]), p))
 
 
 def _sweep_quadruple(rec, p: int, qtab, live, name: str, fn, fraction, inputs: Callable):
@@ -592,7 +602,7 @@ def _exhaustive_triple_spread_form(rec, p: int, form, pts):
     """_triple_spread_laws on every non-null ordered triple, from tables of
     the pairwise p-quadrances and perpendicularities."""
     live = _live_indices(rec, [projective.is_null(form, a) for a in pts], 3)
-    qtab = _p_quadrance_table(form, pts, live)
+    qtab = _p_quadrance_table(p, form, live)
     perp = _pair_table(len(pts), live,
                        lambda i, j: projective.is_perpendicular(form, pts[i], pts[j]))
     for i in live:
@@ -651,7 +661,7 @@ def _suite_quadruple_spread(rec, ctx, rng, trials, colors):
         for name in names:
             form = named_form(name)
             live = _live_indices(rec, [projective.is_null(form, a) for a in pts], 4)
-            _sweep_quadruple(rec, ctx.p, _p_quadrance_table(form, pts, live), live,
+            _sweep_quadruple(rec, ctx.p, _p_quadrance_table(ctx.p, form, live), live,
                              "quadruple-spread", projective.quadruple_spread_fn,
                              projective.spread_triple_pair_fraction,
                              lambda i, j, k, m: {"form": form, "a1": pts[i], "a2": pts[j],
@@ -678,34 +688,48 @@ def _chromo_case(a1, a2) -> Optional[dict]:
     rhs = 2 * num
     if lhs != rhs:
         return mismatch("reciprocal-sum-proof-identity", inputs, lhs, rhs)
-    if a1 != a2:
-        total = chromo.reciprocal_sum(a1, a2)
-        if total != 2:
-            return mismatch("reciprocal-sum", inputs, total, 2)
-    perps1 = {c: chromo.perpendicular_point(c, a1) for c in Color}
-    for c, u, v in _CYCLIC_COLORS:
-        val = chromo.colored_quadrance(c, perps1[u], perps1[v])
-        if val != 1:
-            return mismatch(f"cyclic-perpendicularity-{c}", {"a": a1}, val, 1)
-    for c in Color:
-        base = chromo.colored_quadrance(c, a1, a2)
-        for e in Color:
-            b1 = chromo.perpendicular_point(e, a1)
-            b2 = chromo.perpendicular_point(e, a2)
-            moved = chromo.colored_quadrance(c, b1, b2)
-            if moved != base:
-                return mismatch(f"color-invariance-{c}-{e}", inputs, moved, base)
-    for c, u, v in _CYCLIC_COLORS:
-        lhs_q = chromo.colored_quadrance(c, chromo.perpendicular_point(u, a1),
-                                         chromo.perpendicular_point(v, a2))
-        rhs_q = chromo.colored_quadrance(c, chromo.perpendicular_point(v, a1),
-                                         chromo.perpendicular_point(u, a2))
-        if lhs_q != rhs_q:
-            return mismatch(f"cross-symmetry-{c}", inputs, lhs_q, rhs_q)
-    for c in Color:
-        back = chromo.perpendicular_point(c, chromo.perpendicular_point(c, a1))
-        if back != a1:
-            return mismatch(f"perpendicular-involution-{c}", {"a": a1}, back, a1)
+    # The points are non-null in every colour, so a QuadranceError below
+    # comes from a broken kernel: it is the mismatch of the identity checked.
+    identity, where = "reciprocal-sum", inputs
+    try:
+        if a1 != a2:
+            total = chromo.reciprocal_sum(a1, a2)
+            if total != 2:
+                return mismatch(identity, where, total, 2)
+        where = {"a": a1}
+        for c, u, v in _CYCLIC_COLORS:
+            identity = f"cyclic-perpendicularity-{c}"
+            val = chromo.colored_quadrance(c, chromo.perpendicular_point(u, a1),
+                                           chromo.perpendicular_point(v, a1))
+            if val != 1:
+                return mismatch(identity, where, val, 1)
+        where = inputs
+        for c in Color:
+            identity = f"color-invariance-{c}-{Color.BLUE}"  # the first to need base
+            base = chromo.colored_quadrance(c, a1, a2)
+            for e in Color:
+                identity = f"color-invariance-{c}-{e}"
+                b1 = chromo.perpendicular_point(e, a1)
+                b2 = chromo.perpendicular_point(e, a2)
+                moved = chromo.colored_quadrance(c, b1, b2)
+                if moved != base:
+                    return mismatch(identity, where, moved, base)
+        for c, u, v in _CYCLIC_COLORS:
+            identity = f"cross-symmetry-{c}"
+            lhs_q = chromo.colored_quadrance(c, chromo.perpendicular_point(u, a1),
+                                             chromo.perpendicular_point(v, a2))
+            rhs_q = chromo.colored_quadrance(c, chromo.perpendicular_point(v, a1),
+                                             chromo.perpendicular_point(u, a2))
+            if lhs_q != rhs_q:
+                return mismatch(identity, where, lhs_q, rhs_q)
+        where = {"a": a1}
+        for c in Color:
+            identity = f"perpendicular-involution-{c}"
+            back = chromo.perpendicular_point(c, chromo.perpendicular_point(c, a1))
+            if back != a1:
+                return mismatch(identity, where, back, a1)
+    except QuadranceError as exc:
+        return mismatch(identity, where, f"{type(exc).__name__}: {exc}", "no error")
     return None
 
 

@@ -2,11 +2,13 @@ import random
 from fractions import Fraction as Fr
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quadrance.chromo import (
     Color,
     colored_form,
     colored_quadrance,
+    colored_quadrance_fraction,
     is_null_for,
     perpendicular_point,
     reciprocal_sum,
@@ -208,3 +210,74 @@ def test_blue_nulls_exist_iff_p_mod_4_is_1():
         pts.append(ProjPoint(ctx.zero(), one))
         has_null = any(is_null_for(Color.BLUE, a) for a in pts)
         assert has_null == expect
+
+
+# -- colored_quadrance clears rational points; the fraction kernel does not ----
+#
+# Rational coordinates: zero, negative, denominators up to 10^6; a point is
+# often drawn red-null ([x:±x]) or green-null (a zero coordinate).
+
+_rationals = st.builds(Fr, st.integers(-10**6, 10**6) | st.integers(-3, 3),
+                       st.integers(1, 10**6))
+
+
+@st.composite
+def _points(draw):
+    x, y = draw(_rationals), draw(_rationals)
+    shape = draw(st.sampled_from(["free", "free", "red-null", "green-null"]))
+    if shape == "red-null":
+        y = draw(st.sampled_from([x, -x]))
+    elif shape == "green-null":
+        x = Fr(0)
+    if x == 0 and y == 0:
+        y = Fr(1)
+    return ProjPoint(x, y)
+
+
+def _old_fraction(color, a1, a2):
+    """num and den on the stored representatives, in Fraction arithmetic."""
+    cross = a1.x * a2.y - a2.x * a1.y
+    if color is Color.BLUE:
+        return cross * cross, (a1.x ** 2 + a1.y ** 2) * (a2.x ** 2 + a2.y ** 2)
+    if color is Color.RED:
+        return -cross * cross, (a1.x ** 2 - a1.y ** 2) * (a2.x ** 2 - a2.y ** 2)
+    return -cross * cross, 4 * a1.x * a1.y * a2.x * a2.y
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(list(Color)), _points(), _points())
+def test_cleared_colored_quadrance_matches_the_representative_formula(color, a1, a2):
+    num, den = _old_fraction(color, a1, a2)
+    assert colored_quadrance_fraction(color, a1, a2) == (num, den)
+    nulls = [_old_fraction(color, a, a)[1] == 0 for a in (a1, a2)]
+    assert [is_null_for(color, a) for a in (a1, a2)] == nulls
+    if any(nulls):
+        argument, which, a = ("a1", "first", a1) if nulls[0] else ("a2", "second", a2)
+        with pytest.raises(NullPoint) as exc:
+            colored_quadrance(color, a1, a2)
+        assert exc.value.argument == argument
+        assert str(exc.value) == f"{which} point {a} is {color}-null"
+        return
+    q = colored_quadrance(color, a1, a2)
+    assert type(q) is Fr and q == Fr(num) / den
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(list(Color)), st.lists(st.integers(-50, 50), min_size=4, max_size=4),
+       st.sampled_from([7, 13, 10007]))
+def test_colored_quadrance_keeps_int_and_fp_types(color, values, p):
+    x1, y1, x2, y2 = values
+    if not (x1 or y1) or not (x2 or y2) or not (x1 % p or y1 % p) or not (x2 % p or y2 % p):
+        return
+    ints = ProjPoint(x1, y1), ProjPoint(x2, y2)
+    lifted = ProjPoint(Fp(x1, p), Fp(y1, p)), ProjPoint(Fp(x2, p), Fp(y2, p))
+    num, den = _old_fraction(color, *ints)
+    if den % p == 0:
+        with pytest.raises(NullPoint):
+            colored_quadrance(color, *lifted)
+    else:
+        q = colored_quadrance(color, *lifted)
+        assert type(q) is Fp and q == num * pow(den, -1, p)
+    if den != 0:
+        q = colored_quadrance(color, *ints)
+        assert type(q) is Fr and q == Fr(num, den)

@@ -13,6 +13,7 @@ from quadrance.errors import (
 )
 from quadrance.field import (
     Fp,
+    clear_denominators,
     exact_div,
     field_sqrt,
     is_prime,
@@ -255,3 +256,12 @@ def test_contexts_compare_and_cache():
     assert make_context("fp:13") is make_context("fp:13")
     assert make_context("rationals") == make_context("rationals")
     assert make_context("fp:5") != make_context("fp:7")
+
+
+def test_clear_denominators():
+    assert clear_denominators((Fr(1, 2), Fr(1, 3))) == [3, 2]
+    assert clear_denominators((Fr(-3, 4), 0, 5, Fr(1, 6))) == [-9, 0, 60, 2]
+    assert all(type(v) is int for v in clear_denominators((Fr(2), Fr(-5))))
+    # no Fraction, or a Fraction mixed with a residue: the values come back as given
+    for values in ((1, 2, 3), (Fp(1, 7), Fp(3, 7)), (Fr(1, 2), Fp(3, 7))):
+        assert clear_denominators(values) is values

@@ -2,8 +2,9 @@ import random
 from fractions import Fraction as Fr
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from quadrance.errors import DegenerateDenominator, DegenerateForm, NullPoint
+from quadrance.errors import DegenerateDenominator, DegenerateForm, MixedContexts, NullPoint
 from quadrance.field import Fp, make_context
 from quadrance.projective import (
     Form,
@@ -14,6 +15,7 @@ from quadrance.projective import (
     is_perpendicular,
     is_spread_triple,
     p_quadrance,
+    p_quadrance_fraction,
     pairing,
     projective_quadruple_check,
     quadruple_spread_fn,
@@ -316,3 +318,103 @@ def test_pairing_matches_perpendicularity():
     for _ in range(200):
         a1, a2 = rand_nonnull(GENERAL, rng), rand_nonnull(GENERAL, rng)
         assert (pairing(GENERAL, a1, a2) == 0) == is_perpendicular(GENERAL, a1, a2)
+
+
+# -- the cleared kernels against the stored-representative formulas -----------
+#
+# Rational coordinates: zero, negative, denominators up to 10^6.  A drawn
+# form is often made null at the first or second point (f solved for), and
+# sometimes degenerate (f = e^2 / d), so every branch of the kernels runs.
+
+_rationals = st.builds(Fr, st.integers(-10**6, 10**6) | st.integers(-3, 3),
+                       st.integers(1, 10**6))
+_points = st.tuples(_rationals, _rationals).filter(lambda v: v != (0, 0)).map(
+    lambda v: ProjPoint(*v))
+
+
+def _old_value(form, a):
+    return form.d * a.x * a.x + 2 * form.e * a.x * a.y + form.f * a.y * a.y
+
+
+def _old_p_quadrance(form, a1, a2):
+    """The formula on the stored representatives, in Fraction arithmetic."""
+    cross = a1.x * a2.y - a2.x * a1.y
+    return Fr(form.d * form.f - form.e * form.e) * cross * cross / (
+        _old_value(form, a1) * _old_value(form, a2))
+
+
+@st.composite
+def _form_and_points(draw):
+    a1, a2 = draw(_points), draw(_points)
+    d, e = draw(_rationals), draw(_rationals)
+    shape = draw(st.sampled_from(["free", "free", "null-a1", "null-a2", "degenerate"]))
+    f = draw(_rationals)
+    target = {"null-a1": a1, "null-a2": a2}.get(shape)
+    if target is not None and target.y != 0:
+        f = -(d * target.x * target.x + 2 * e * target.x * target.y) / (target.y * target.y)
+    elif shape == "degenerate" and d != 0:
+        f = e * e / d
+    if d == 0 and e == 0 and f == 0:
+        f = Fr(1)
+    return Form(d, e, f), a1, a2
+
+
+@settings(max_examples=300, deadline=None)
+@given(_form_and_points())
+def test_cleared_p_quadrance_matches_the_representative_formula(case):
+    form, a1, a2 = case
+    if form.d * form.f - form.e * form.e == 0:
+        with pytest.raises(DegenerateForm) as exc:
+            p_quadrance(form, a1, a2)
+        assert str(exc.value) == f"form {form} has zero discriminant"
+        with pytest.raises(DegenerateForm):
+            is_null(form, a1)
+        return
+    assert is_null(form, a1) is (_old_value(form, a1) == 0)
+    assert is_null(form, a2) is (_old_value(form, a2) == 0)
+    for argument, a in (("a1", a1), ("a2", a2)):
+        if _old_value(form, a) == 0:
+            which = "first" if argument == "a1" else "second"
+            with pytest.raises(NullPoint) as exc:
+                p_quadrance(form, a1, a2)
+            assert exc.value.argument == argument
+            assert str(exc.value) == f"{which} point {a} is null for form {form}"
+            return
+    q = p_quadrance(form, a1, a2)
+    assert type(q) is Fr
+    assert q == _old_p_quadrance(form, a1, a2)
+    num, den = p_quadrance_fraction(form, a1, a2)
+    assert type(num) is int and type(den) is int and Fr(num, den) == q
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-50, 50), min_size=7, max_size=7), st.sampled_from([7, 13, 10007]))
+def test_p_quadrance_keeps_int_and_fp_types(values, p):
+    d, e, f, x1, y1, x2, y2 = values
+    if (d * f - e * e) % p == 0 or not (x1 % p or y1 % p) or not (x2 % p or y2 % p):
+        return
+    ints = Form(d, e, f), ProjPoint(x1, y1), ProjPoint(x2, y2)
+    lifted = (Form(*(Fp(v, p) for v in (d, e, f))), ProjPoint(Fp(x1, p), Fp(y1, p)),
+              ProjPoint(Fp(x2, p), Fp(y2, p)))
+    if _old_value(*ints[:2]) % p == 0 or _old_value(ints[0], ints[2]) % p == 0:
+        with pytest.raises(NullPoint):
+            p_quadrance(*lifted)
+        return
+    q = p_quadrance(*lifted)
+    assert type(q) is Fp and q == _old_p_quadrance(*ints).numerator * pow(
+        _old_p_quadrance(*ints).denominator, -1, p)
+    q_int = p_quadrance(*ints)
+    assert type(q_int) is Fr and q_int == _old_p_quadrance(*ints)
+
+
+def test_p_quadrance_fraction_examples():
+    # ints are used as given
+    assert p_quadrance_fraction(BLUE, ProjPoint(1, 0), ProjPoint(2, 3)) == (9, 13)
+    # rational points are cleared by one common factor, lcm(2, 3) = 6: the
+    # form (6:0:6) and the points [3:0] and [12:2] give 36 * 6^2 / (54 * 888)
+    assert p_quadrance_fraction(BLUE, pp(Fr(1, 2), 0), pp(2, Fr(1, 3))) == (1296, 47952)
+
+
+def test_p_quadrance_mixing_a_rational_and_a_residue_raises():
+    with pytest.raises(MixedContexts):
+        p_quadrance(BLUE, pp(Fr(1, 2), 1), ProjPoint(Fp(1, 7), Fp(2, 7)))

@@ -267,3 +267,38 @@ def test_exact_division_matches_fraction_oracle(case):
         expected = IntPolynomial([int(q) for q in quot])
         assert expected * den == num
         assert _exact_poly_div(num, den) == expected
+
+
+# -- poly_eval at a rational s = a/b: integer Horner, one division by b^n ------
+
+_rationals = st.builds(Fr, st.integers(-10**6, 10**6) | st.integers(-3, 3),
+                       st.integers(1, 10**6))
+
+
+def _fraction_horner(coeffs, s):
+    acc = Fr(0)
+    for c in reversed(coeffs):
+        acc = acc * s + c
+    return acc
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.lists(st.integers(-10**9, 10**9), max_size=12).map(IntPolynomial),
+                 st.integers(0, 40).map(spread_poly)),
+       _rationals)
+def test_poly_eval_at_a_rational_matches_fraction_horner(poly, s):
+    value = poly_eval(poly, s)
+    assert type(value) is Fr
+    assert value == _fraction_horner(poly.coeffs, s)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-50, 50), max_size=8).map(IntPolynomial), st.integers(-50, 50),
+       st.sampled_from([7, 13, 10007]))
+def test_poly_eval_keeps_int_and_fp_types(poly, s, p):
+    exact = _fraction_horner(poly.coeffs, Fr(s))
+    value = poly_eval(poly, s)
+    assert type(value) is int and value == exact
+    value = poly_eval(poly, Fp(s, p))
+    assert type(value) is Fp and value == Fp(int(exact), p)
+

@@ -591,6 +591,14 @@ def _closed_form_plus_one(fn):
     return broken
 
 
+def _denominator_plus_one(fn):
+    # not homogeneous: the value now depends on the representatives
+    def broken(*args):
+        num, den = fn(*args)
+        return num, den + 1
+    return broken
+
+
 # (module, kernel, how it is broken, suite).  verify reaches each of these
 # kernels, and broken, each one changes the suite's report over F_7 or Q.
 REPORT_CHANGING_KERNELS = [
@@ -602,6 +610,7 @@ REPORT_CHANGING_KERNELS = [
     ("projective", "is_null", lambda fn: lambda form, a: fn(form, a) or a.x == 0,
      "triple-spread"),
     ("projective", "p_quadrance", _plus_one, "triple-spread"),
+    ("projective", "p_quadrance_fraction", _denominator_plus_one, "triple-spread"),
     ("projective", "triple_spread_forms", _first_alternate_plus_one, "triple-spread"),
     ("chromo", "colored_form",
      lambda fn: lambda color: fn(Color.RED if color is Color.BLUE else color), "triple-spread"),
@@ -685,3 +694,54 @@ def test_every_kernel_is_mutation_tested_or_listed_unreached():
     for name in sorted(public):
         assert sum(name in place for place in places) == 1, name
     assert set().union(*places) == public
+
+
+def test_point_rescaling_invariance_sees_a_non_homogeneous_kernel(monkeypatch):
+    # p_quadrance clears rational points to ints; the cleared [1/2:1/3] and
+    # [1:2/3] agree, but the form and the other point are scaled by 6 and by
+    # 3, so a kernel that is not homogeneous gives two values
+    from fractions import Fraction as Fr
+
+    from quadrance import projective
+    from quadrance.projective import Form, ProjPoint
+    from quadrance.verify import _scale_invariance_case
+
+    args = Form(1, 0, 1), ProjPoint(Fr(1, 2), Fr(1, 3)), ProjPoint(Fr(1), Fr(1)), Fr(2)
+    assert _scale_invariance_case(*args) is None
+    monkeypatch.setattr(projective, "p_quadrance_fraction",
+                        _denominator_plus_one(projective.p_quadrance_fraction))
+    assert _scale_invariance_case(*args)["identity"] == "point-rescaling-invariance"
+
+
+CHROMO_BREAKERS = [
+    # 1/(q + 1) divides by zero where q = -1 over F_7: reciprocal_sum raised
+    ("colored_quadrance", _plus_one, {"fp:7": "DivisionByZero"}),
+    # red-null points pass as non-null, and colored_quadrance names them
+    ("is_null_for", lambda fn: lambda color, a: color is not Color.RED and fn(color, a),
+     {"fp:7": "NullPoint", "rationals": "NullPoint"}),
+]
+
+
+@pytest.mark.parametrize("kernel, breaker, raised", CHROMO_BREAKERS,
+                         ids=[m[0] for m in CHROMO_BREAKERS])
+def test_broken_chromo_kernel_is_reported_not_raised(monkeypatch, kernel, breaker, raised):
+    # the chromo points are checked non-null, so an error a kernel raises on
+    # them is the mismatch of the identity checked, with the error as lhs
+    import quadrance.verify as v
+    from quadrance import chromo
+
+    record, seen = v.mismatch, []
+
+    def recording_mismatch(identity, inputs, lhs, rhs):
+        seen.append(str(lhs))
+        return record(identity, inputs, lhs, rhs)
+
+    monkeypatch.setattr(chromo, kernel, breaker(getattr(chromo, kernel)))
+    monkeypatch.setattr(v, "mismatch", recording_mismatch)
+    for field in ("fp:7", "rationals"):
+        seen.clear()
+        report = run_suite("chromo", make_context(field), trials=30, seed=0)
+        assert report.failed > 0, field
+        assert counts_ok(report)
+        if field in raised:
+            assert any(lhs.startswith(f"{raised[field]}: ") for lhs in seen), field
