@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import shlex
 import sys
 from dataclasses import dataclass
@@ -138,8 +139,18 @@ def parse_eval_request(tokens: list[str], default_field: str = "rationals") -> E
     return EvalRequest(what, field, form, color, points, matrix)
 
 
+# a quote, a backslash, or whitespace that str.split cuts at and shlex does not
+_SHELL_SYNTAX = re.compile(r"""['"\\]|[^\S \t\r\n]""")
+
+
 def split_request(line: str) -> list[str]:
-    """The shell-style tokens of one request line."""
+    """The shell-style tokens of one request line.
+
+    A line with no quote, no backslash and no whitespace other than space,
+    tab, CR and LF splits as str.split splits it; shlex.split takes the rest.
+    """
+    if not _SHELL_SYNTAX.search(line):
+        return line.split()
     try:
         return shlex.split(line)
     except ValueError as exc:  # an unbalanced quote or a trailing backslash

@@ -5,6 +5,8 @@ Two element realizations sit behind one interface: ``fractions.Fraction``
 mod an odd prime.  Plain ``int`` operands are accepted everywhere and lift
 into whichever field their neighbours live in, so formulas may be written
 with integer literals.  Characteristic 2 is rejected at construction.
+For fraction-free evaluation over Q, :class:`Scaled` holds a rational as
+n / D**k over a common denominator D (lift_scaled).
 """
 
 from __future__ import annotations
@@ -385,6 +387,110 @@ def clear_denominators(values):
                 return values
             return [w.numerator * (scale // w.denominator) for w in values]
     return values
+
+
+class _Powers(dict):
+    """D**j by exponent j, filled on demand from {0: 1, 1: D}."""
+
+    def __missing__(self, j):
+        value = self[j] = self[1] ** j
+        return value
+
+
+class Scaled:
+    """A rational n / D**k over a common denominator D shared by one case's
+    values (lift_scaled); the integer-coefficient polynomials of the paper
+    then evaluate in ints, with no gcd at any step.
+
+    A product adds the exponents; a sum first scales the numerator with the
+    lower exponent by a power of D.  Plain ints count as k = 0.  Only a
+    quotient, an equality with a Fraction and str go through Fraction.  An
+    operand of any other type (an Fp, a Fraction not lifted) or of another
+    lift raises TypeError, so a wrong value never comes back.
+    """
+
+    __slots__ = ("n", "k", "pw")
+
+    def _int(self, other) -> int:
+        """other as an int operand (exponent 0); anything else raises."""
+        if isinstance(other, int):
+            return other
+        raise TypeError(f"cannot combine {type(other).__name__} with a rational over "
+                        f"the common denominator {self.pw[1]}")
+
+    def _align(self, other):
+        """(self's numerator, other's numerator, k) over the one power D**k."""
+        if type(other) is Scaled and other.pw is self.pw:
+            n, k = other.n, other.k
+        else:
+            n, k = self._int(other), 0
+        j = self.k
+        if j == k:
+            return self.n, n, k
+        if j < k:
+            return self.n * self.pw[k - j], n, k
+        return self.n, n * self.pw[j - k], j
+
+    def __add__(self, other):
+        a, b, k = self._align(other)
+        return _scaled(a + b, k, self.pw)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        a, b, k = self._align(other)
+        return _scaled(a - b, k, self.pw)
+
+    def __rsub__(self, other):
+        a, b, k = self._align(other)
+        return _scaled(b - a, k, self.pw)
+
+    def __mul__(self, other):
+        if type(other) is Scaled and other.pw is self.pw:
+            return _scaled(self.n * other.n, self.k + other.k, self.pw)
+        return _scaled(self.n * self._int(other), self.k, self.pw)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, e: int):
+        if not isinstance(e, int) or e < 0:
+            raise TypeError("a Scaled rational takes only int powers >= 0")
+        return _scaled(self.n ** e, self.k * e, self.pw)
+
+    def __neg__(self):
+        return _scaled(-self.n, self.k, self.pw)
+
+    def __truediv__(self, other):
+        a, b, _ = self._align(other)
+        return Fraction(a, b)
+
+    def __eq__(self, other):
+        if type(other) is Fraction:
+            return self.n * other.denominator == other.numerator * self.pw[self.k]
+        a, b, _ = self._align(other)
+        return a == b
+
+    def __bool__(self):
+        return self.n != 0
+
+    def __str__(self):
+        return str(Fraction(self.n, self.pw[self.k]))
+
+
+def _scaled(n: int, k: int, pw: _Powers) -> Scaled:
+    x = _new_object(Scaled)
+    x.n = n
+    x.k = k
+    x.pw = pw
+    return x
+
+
+def lift_scaled(values) -> list:
+    """Rationals (Fractions or ints) as Scaled values over the lcm D of their
+    denominators: each becomes (its numerator * D / its denominator) / D."""
+    pw = _Powers({0: 1, 1: math.lcm(*[v.denominator for v in values])})
+    d = pw[1]
+    return [_scaled(v.numerator * (d // v.denominator), 1, pw) for v in values]
 
 
 def field_sqrt(x):

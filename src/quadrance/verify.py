@@ -27,6 +27,15 @@ stays on Fp: the chromo suite, blue square roots, the green power bridge
 and the green ratio check.  The free-variable identities (the alternate
 forms, the rearrangement identities, rescaling invariance) are
 random-input checks and run over Q only.
+
+Over Q the same polynomial checks run fraction-free: a case lifts its
+rational inputs once to field.Scaled values over one common denominator
+(field.lift_scaled), and the kernels add and multiply them in ints.  The
+triple-quad, quadruple-quad and _check_identity inputs are lifted, and so
+are the p-quadrances and free variables of the spread suites and the
+spread recurrence's argument.  A Fraction is made only for a quotient or a
+counterexample's str.  The chromo and isometry checks compare stored
+representatives and stay on Fraction.
 """
 
 from __future__ import annotations
@@ -43,7 +52,7 @@ from . import affine, chromo, isometry, projective, spreadpoly
 from .chromo import Color
 from .errors import (DivisionByZero, FactorizationFailure, NotUnitCircle, QuadranceError,
                      UnknownSuite)
-from .field import FieldContext, Fp, exact_div
+from .field import FieldContext, Fp, exact_div, lift_scaled
 from .isometry import IsoKind
 from .projective import Form, ProjPoint
 
@@ -117,6 +126,11 @@ def mismatch(identity: str, inputs: dict, lhs, rhs) -> dict:
         "lhs": str(lhs),
         "rhs": str(rhs),
     }
+
+
+def _raised(identity: str, inputs: dict, exc: QuadranceError) -> dict:
+    """The mismatch of an identity whose kernels raised on valid inputs."""
+    return mismatch(identity, inputs, f"{type(exc).__name__}: {exc}", "no error")
 
 
 # -- sampling and enumeration -------------------------------------------------
@@ -380,8 +394,10 @@ def _check_identity(rec, ctx, rng, trials, identity, names, sides):
         p = ctx.p
         cases = itertools.product(range(p), repeat=len(names))
     for args in cases:
-        lhs, rhs = sides(*args)
-        if p is not None:
+        if p is None:
+            lhs, rhs = sides(*lift_scaled(args))
+        else:
+            lhs, rhs = sides(*args)
             lhs, rhs = lhs % p, rhs % p
         if lhs == rhs:
             rec.case(None)
@@ -412,13 +428,24 @@ def _quadrance_table(p: int) -> list:
     return _pair_table(p, range(p), lambda i, j: affine.quadrance(pts[i], pts[j]) % p)
 
 
-def _p_quadrance_table(p: int, form, live) -> list:
+def _p_quadrance_table(rec, p: int, form, live, identity: str, arity: int) -> Optional[list]:
     """Residues of the p-quadrances between the ``live`` (non-null) points
-    of _residue_points(p)."""
+    of _residue_points(p).
+
+    A zero denominator on live points comes from a broken kernel.  Then
+    every live ``arity``-tuple of the form fails ``identity``, with the
+    error as lhs, and None comes back.
+    """
     res = _residue_points(p)
     fraction = projective.p_quadrance_fraction
-    return _pair_table(len(res), live,
-                       lambda i, j: _quotient(*fraction(form, res[i], res[j]), p))
+    try:
+        return _pair_table(len(res), live,
+                           lambda i, j: _quotient(*fraction(form, res[i], res[j]), p))
+    except DivisionByZero as exc:
+        failure = _raised(identity, {"form": form}, exc)
+        for _ in range(len(live) ** arity):
+            rec.case(failure)
+        return None
 
 
 def _sweep_quadruple(rec, p: int, qtab, live, name: str, fn, fraction, inputs: Callable):
@@ -439,13 +466,14 @@ def _sweep_quadruple(rec, p: int, qtab, live, name: str, fn, fraction, inputs: C
 # -- individual suites --------------------------------------------------------
 
 def _triple_quad_case(t1, t2, t3) -> Optional[dict]:
-    a1, a2, a3 = affine.AffinePoint(t1), affine.AffinePoint(t2), affine.AffinePoint(t3)
+    u1, u2, u3 = lift_scaled((t1, t2, t3))
+    a1, a2, a3 = affine.AffinePoint(u1), affine.AffinePoint(u2), affine.AffinePoint(u3)
     quadrance = affine.quadrance
     failure = _triple_quad_law(quadrance(a2, a3), quadrance(a1, a3), quadrance(a1, a2))
     if failure is not None:
         return _failed(failure, {"x1": t1, "x2": t2, "x3": t3})
-    base = affine.archimedes(t1, t2, t3)
-    for i, alt in enumerate(affine.archimedes_forms(t1, t2, t3)):
+    base = affine.archimedes(u1, u2, u3)
+    for i, alt in enumerate(affine.archimedes_forms(u1, u2, u3)):
         if alt != base:
             return mismatch(f"archimedes-alternate-{i + 1}",
                             {"a": t1, "b": t2, "c": t3}, alt, base)
@@ -470,7 +498,8 @@ def _suite_triple_quad(rec, ctx, rng, trials, colors):
 
 
 def _quadruple_quad_case(t1, t2, t3, t4) -> Optional[dict]:
-    a1, a2, a3, a4 = (affine.AffinePoint(t) for t in (t1, t2, t3, t4))
+    a, b, c, d = lift_scaled((t1, t2, t3, t4))
+    a1, a2, a3, a4 = (affine.AffinePoint(u) for u in (a, b, c, d))
     quadrance = affine.quadrance
     failure = _quadruple_laws("quadruple-quad", affine.quadruple_quad_fn,
                               affine.quad_triple_pair_fraction,
@@ -478,13 +507,12 @@ def _quadruple_quad_case(t1, t2, t3, t4) -> Optional[dict]:
                               quadrance(a1, a4), quadrance(a1, a3), quadrance(a2, a4))
     if failure is not None:
         return _failed(failure, {"x1": t1, "x2": t2, "x3": t3, "x4": t4})
-    a, b, c, d = t1, t2, t3, t4
     lhs = ((a - b) ** 2 - (c - d) ** 2 - 2 * (a + b - c - d) * (a + b)) ** 2 \
         - 16 * a * b * (a + b - c - d) ** 2
     rhs = affine.quadruple_quad_fn(a, b, c, d)
     if lhs != rhs:
         return mismatch("two-quad-triples-rearrangement",
-                        {"a": a, "b": b, "c": c, "d": d}, lhs, rhs)
+                        {"a": t1, "b": t2, "c": t3, "d": t4}, lhs, rhs)
     return None
 
 
@@ -563,17 +591,18 @@ def _suite_fibonacci(rec, ctx, rng, trials, colors):
 
 def _triple_spread_case(form, a1, a2, a3, free) -> Optional[dict]:
     p_quadrance = projective.p_quadrance
-    failure = _triple_spread_laws(p_quadrance(form, a2, a3), p_quadrance(form, a1, a3),
-                                  p_quadrance(form, a1, a2),
+    quadrances = (p_quadrance(form, a2, a3), p_quadrance(form, a1, a3),
+                  p_quadrance(form, a1, a2))
+    failure = _triple_spread_laws(*lift_scaled(quadrances),
                                   projective.is_perpendicular(form, a1, a2))
     if failure is not None:
         return _failed(failure, {"form": form, "a1": a1, "a2": a2, "a3": a3})
-    u, v, w = free
+    u, v, w = lift_scaled(free)
     base = projective.triple_spread_fn(u, v, w)
     for i, alt in enumerate(projective.triple_spread_forms(u, v, w)):
         if alt != base:
             return mismatch(f"triple-spread-alternate-{i + 1}",
-                            {"a": u, "b": v, "c": w}, alt, base)
+                            dict(zip("abc", free)), alt, base)
     return None
 
 
@@ -602,7 +631,9 @@ def _exhaustive_triple_spread_form(rec, p: int, form, pts):
     """_triple_spread_laws on every non-null ordered triple, from tables of
     the pairwise p-quadrances and perpendicularities."""
     live = _live_indices(rec, [projective.is_null(form, a) for a in pts], 3)
-    qtab = _p_quadrance_table(p, form, live)
+    qtab = _p_quadrance_table(rec, p, form, live, "triple-spread-formula", 3)
+    if qtab is None:
+        return
     perp = _pair_table(len(pts), live,
                        lambda i, j: projective.is_perpendicular(form, pts[i], pts[j]))
     for i in live:
@@ -636,21 +667,20 @@ def _suite_triple_spread(rec, ctx, rng, trials, colors):
 
 def _quadruple_spread_case(form, a1, a2, a3, a4, free) -> Optional[dict]:
     p_quadrance = projective.p_quadrance
+    quadrances = (p_quadrance(form, a1, a2), p_quadrance(form, a2, a3),
+                  p_quadrance(form, a3, a4), p_quadrance(form, a1, a4),
+                  p_quadrance(form, a1, a3), p_quadrance(form, a2, a4))
     failure = _quadruple_laws("quadruple-spread", projective.quadruple_spread_fn,
-                              projective.spread_triple_pair_fraction,
-                              p_quadrance(form, a1, a2), p_quadrance(form, a2, a3),
-                              p_quadrance(form, a3, a4), p_quadrance(form, a1, a4),
-                              p_quadrance(form, a1, a3), p_quadrance(form, a2, a4))
+                              projective.spread_triple_pair_fraction, *lift_scaled(quadrances))
     if failure is not None:
         return _failed(failure, {"form": form, "a1": a1, "a2": a2, "a3": a3, "a4": a4})
-    a, b, c, d = free
+    a, b, c, d = lift_scaled(free)
     den = a + b - c - d - 2 * a * b + 2 * c * d
     lhs = ((a - b) ** 2 - (c - d) ** 2 - 2 * den * (a + b - 2 * a * b)) ** 2 \
         - 16 * a * b * (1 - a) * (1 - b) * den ** 2
     rhs = projective.quadruple_spread_fn(a, b, c, d)
     if lhs != rhs:
-        return mismatch("two-spread-triples-rearrangement",
-                        {"a": a, "b": b, "c": c, "d": d}, lhs, rhs)
+        return mismatch("two-spread-triples-rearrangement", dict(zip("abcd", free)), lhs, rhs)
     return None
 
 
@@ -661,11 +691,14 @@ def _suite_quadruple_spread(rec, ctx, rng, trials, colors):
         for name in names:
             form = named_form(name)
             live = _live_indices(rec, [projective.is_null(form, a) for a in pts], 4)
-            _sweep_quadruple(rec, ctx.p, _p_quadrance_table(ctx.p, form, live), live,
-                             "quadruple-spread", projective.quadruple_spread_fn,
-                             projective.spread_triple_pair_fraction,
-                             lambda i, j, k, m: {"form": form, "a1": pts[i], "a2": pts[j],
-                                                 "a3": pts[k], "a4": pts[m]})
+            qtab = _p_quadrance_table(rec, ctx.p, form, live,
+                                      "quadruple-spread-formula", 4)
+            if qtab is not None:
+                _sweep_quadruple(rec, ctx.p, qtab, live, "quadruple-spread",
+                                 projective.quadruple_spread_fn,
+                                 projective.spread_triple_pair_fraction,
+                                 lambda i, j, k, m: {"form": form, "a1": pts[i], "a2": pts[j],
+                                                     "a3": pts[k], "a4": pts[m]})
     else:
         for t in range(trials):
             form = named_form(names[t % len(names)])
@@ -729,7 +762,7 @@ def _chromo_case(a1, a2) -> Optional[dict]:
             if back != a1:
                 return mismatch(identity, where, back, a1)
     except QuadranceError as exc:
-        return mismatch(identity, where, f"{type(exc).__name__}: {exc}", "no error")
+        return _raised(identity, where, exc)
     return None
 
 
@@ -900,7 +933,11 @@ def _suite_isometry(rec, ctx, rng, trials, colors):
             if failure is None and color is Color.BLUE:
                 t_param = random_element(ctx, rng)
                 unit = ProjPoint(1 - t_param * t_param, 2 * t_param)
-                failure = _blue_sqrt_case(unit)
+                try:
+                    failure = _blue_sqrt_case(unit)
+                except QuadranceError as exc:
+                    # over Q, (1 - t^2, 2t) is always on the unit circle
+                    failure = _raised("blue-sqrt-round-trip", {"p": unit}, exc)
             if failure is None and color is Color.GREEN:
                 failure = _green_power_case(p1, 1 + t % 8)
             rec.case(failure)
@@ -949,11 +986,14 @@ def _recurrence_case(s, p: Optional[int] = None) -> Optional[dict]:
 
     With ``p`` the argument is an int residue and values are reduced mod p;
     spread polynomials have integer coefficients, so this is exact over F_p.
+    Over Q, s = a/b is lifted to a Scaled value, so S_n(s) is evaluated in
+    ints over powers of b.
     """
-    prev = spreadpoly.poly_eval(spreadpoly.spread_poly(0), s)
+    x = s if p is not None else lift_scaled((s,))[0]
+    prev = spreadpoly.poly_eval(spreadpoly.spread_poly(0), x)
     for n in range(1, 13):
-        cur = spreadpoly.poly_eval(spreadpoly.spread_poly(n), s)
-        val = projective.triple_spread_fn(prev, s, cur)
+        cur = spreadpoly.poly_eval(spreadpoly.spread_poly(n), x)
+        val = projective.triple_spread_fn(prev, x, cur)
         if p is not None:
             cur, val = cur % p, val % p
         if val != 0:

@@ -7,8 +7,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
-from quadrance.cli import main
+from quadrance.cli import main, split_request
+from quadrance.errors import ParseError
 
 
 def run(capsys, *argv):
@@ -337,3 +339,20 @@ def test_python_dash_m_runs_from_a_checkout(tmp_path):
                           cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert "R(q12, q23, q34, q14) = 0" in proc.stdout
+
+
+# request characters, the four whitespace characters shlex splits at, and
+# the characters that take split_request off its str.split path
+_PLAIN = "quad pquad --points --form 1/2 -3 [4:5] 1:0:1 fp:7 #; \t\r\n"
+_SPECIAL = "'\"\\\x0b\x0c\x1c\x85\xa0\u2003"
+
+
+@given(st.one_of(st.text(alphabet=_PLAIN), st.text(alphabet=_PLAIN + _SPECIAL), st.text()))
+def test_split_request_matches_shlex(line):
+    try:
+        want = shlex.split(line)
+    except ValueError:
+        with pytest.raises(ParseError):
+            split_request(line)
+    else:
+        assert split_request(line) == want

@@ -1,7 +1,9 @@
+import operator
 import random
 from fractions import Fraction as Fr
 
 import pytest
+from hypothesis import given, strategies as st
 
 from quadrance.errors import (
     CharacteristicTwo,
@@ -13,10 +15,12 @@ from quadrance.errors import (
 )
 from quadrance.field import (
     Fp,
+    Scaled,
     clear_denominators,
     exact_div,
     field_sqrt,
     is_prime,
+    lift_scaled,
     make_context,
 )
 
@@ -265,3 +269,50 @@ def test_clear_denominators():
     # no Fraction, or a Fraction mixed with a residue: the values come back as given
     for values in ((1, 2, 3), (Fp(1, 7), Fp(3, 7)), (Fr(1, 2), Fp(3, 7))):
         assert clear_denominators(values) is values
+
+
+_fractions = st.fractions(min_value=-40, max_value=40, max_denominator=60)
+
+
+def test_lift_scaled_puts_values_over_the_lcm_of_their_denominators():
+    lifted = lift_scaled((Fr(1, 2), Fr(-1, 3), 5))
+    assert [(v.n, v.k, v.pw[1]) for v in lifted] == [(3, 1, 6), (-2, 1, 6), (30, 1, 6)]
+    assert [str(v) for v in lifted] == ["1/2", "-1/3", "5"]
+
+
+@given(st.lists(_fractions, min_size=2, max_size=4), st.integers(0, 3), st.integers(0, 3),
+       st.integers(-20, 20), st.integers(0, 4))
+def test_scaled_arithmetic_matches_fraction(values, j, m, c, e):
+    lifted = lift_scaled(values)
+    x, y = lifted[0] ** j, lifted[-1] ** m  # powers k = j and m of the common D
+    fx, fy = values[0] ** j, values[-1] ** m
+    results = [(x + y, fx + fy), (x - y, fx - fy), (x * y, fx * fy), (-x, -fx),
+               (x ** e, fx ** e), (x + c, fx + c), (c + x, c + fx), (x - c, fx - c),
+               (c - x, c - fx), (x * c, fx * c), (c * x, c * fx)]
+    for got, want in results:
+        assert type(got) is Scaled
+        assert got == want and str(got) == str(want)
+        assert (got == c) == (want == c)
+        assert (got == want.numerator) == (want.denominator == 1)
+    assert (x == y) == (fx == fy) and (x != y) == (fx != fy)
+    assert bool(x) == bool(fx)
+    if fy:
+        assert x / y == fx / fy and type(x / y) is Fr
+
+
+_OPERATORS = [operator.add, operator.sub, operator.mul, operator.truediv]
+
+
+@given(_fractions, st.sampled_from(_OPERATORS))
+def test_scaled_refuses_operands_it_cannot_place_over_its_denominator(value, op):
+    (x,), (other_lift,) = lift_scaled([value]), lift_scaled([value])
+    for foreign in (Fp(3, 7), value, other_lift):
+        with pytest.raises(TypeError):
+            op(x, foreign)
+        with pytest.raises(TypeError):
+            op(foreign, x)
+    for foreign in (Fp(3, 7), other_lift):
+        with pytest.raises(TypeError):
+            x == foreign
+        with pytest.raises(TypeError):
+            foreign == x

@@ -745,3 +745,37 @@ def test_broken_chromo_kernel_is_reported_not_raised(monkeypatch, kernel, breake
         assert counts_ok(report)
         if field in raised:
             assert any(lhs.startswith(f"{raised[field]}: ") for lhs in seen), field
+
+
+def test_broken_canonical_fails_the_rational_blue_sqrt_check(monkeypatch):
+    # (1 - t^2, 2t) is on the unit circle over Q, so NotUnitCircle from a
+    # broken canonical is the failure of blue-sqrt-round-trip; it raised before
+    from quadrance import projective
+
+    original = projective.canonical
+    monkeypatch.setattr(projective, "canonical",
+                        lambda values: tuple(v + 1 for v in original(values)))
+    report = run_suite("isometry", make_context("rationals"), trials=30, seed=0)
+    assert report.failed > 0 and counts_ok(report)
+    assert report.counterexample["identity"] == "blue-sqrt-round-trip"
+    assert report.counterexample["lhs"].startswith("NotUnitCircle: ")
+    assert report.counterexample["rhs"] == "no error"
+
+
+@pytest.mark.parametrize("suite, arity", [("triple-spread", 3), ("quadruple-spread", 4)])
+def test_non_homogeneous_p_quadrance_is_reported_over_fp(monkeypatch, suite, arity):
+    # den + 1 vanishes mod 7 on some pair of live points: the table raised
+    # DivisionByZero; now each live tuple of the form fails its formula
+    from quadrance import projective
+
+    right = run_suite(suite, make_context("fp:7"), colors=["blue"])
+    monkeypatch.setattr(projective, "p_quadrance_fraction",
+                        _denominator_plus_one(projective.p_quadrance_fraction))
+    report = run_suite(suite, make_context("fp:7"), colors=["blue"])
+    assert counts_ok(report)
+    assert (report.attempted, report.skipped) == (right.attempted, right.skipped)
+    # blue has no null point over F_7 (7 = 3 mod 4), so all 8 points are live
+    assert report.failed == report.attempted == 8 ** arity
+    assert report.counterexample == {
+        "identity": f"{suite}-formula", "inputs": {"form": "(1:0:1)"},
+        "lhs": "DivisionByZero: division by zero in F_7", "rhs": "no error"}
