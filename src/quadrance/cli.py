@@ -251,25 +251,19 @@ def cmd_verify(args) -> int:
         raise ParseError("the isometry suite covers blue, red, and green only")
     if args.trials < 1:
         raise ParseError("--trials must be positive")
+    fields = [args.field]
     if args.primes:
         try:
-            primes = [int(p) for p in args.primes.split(",") if p.strip()]
+            fields = [f"fp:{int(p)}" for p in args.primes.split(",") if p.strip()]
         except ValueError as exc:
             raise ParseError(f"bad prime list {args.primes!r}") from exc
-        if not primes:
+        if not fields:
             raise ParseError("empty prime list")
-        reports = [
-            verify.run_suite(args.suite, make_context(f"fp:{p}"),
-                             trials=args.trials, seed=args.seed, colors=colors)
-            for p in primes
-        ]
-        print(json.dumps([r.to_dict() for r in reports], indent=2))
-        return EXIT_OK if all(r.failed == 0 for r in reports) else EXIT_VERIFY_FAILED
-    ctx = make_context(args.field)
-    report = verify.run_suite(args.suite, ctx, trials=args.trials,
-                              seed=args.seed, colors=colors)
-    print(json.dumps(report.to_dict(), indent=2))
-    return EXIT_OK if report.failed == 0 else EXIT_VERIFY_FAILED
+    reports = [verify.run_suite(args.suite, make_context(field), trials=args.trials,
+                                seed=args.seed, colors=colors) for field in fields]
+    dicts = [r.to_dict() for r in reports]
+    print(json.dumps(dicts if args.primes else dicts[0], indent=2))
+    return EXIT_OK if all(r.failed == 0 for r in reports) else EXIT_VERIFY_FAILED
 
 
 def cmd_batch(args) -> int:

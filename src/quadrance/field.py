@@ -219,10 +219,30 @@ def modular_sqrt(a: int, p: int):
 
 class FieldContext:
     """Shared interface of the rational and prime-field contexts: zero, one,
-    from_int, parse, format, sqrt and enumerate_elements."""
+    from_int, parse, format, sqrt and enumerate_elements.  Contexts are equal
+    when they have the same type and descriptor.
+
+    parse, format, from_int, _element and enumerate_elements stay on each
+    subclass: perfbench traces only members defined on the two subclasses,
+    and parse and format run on every batch-eval line."""
 
     kind: str
     descriptor: str
+
+    def zero(self):
+        return self.from_int(0)
+
+    def one(self):
+        return self.from_int(1)
+
+    def sqrt(self, t):
+        return field_sqrt(self._element(t))
+
+    def __eq__(self, other):
+        return type(other) is type(self) and other.descriptor == self.descriptor
+
+    def __hash__(self):
+        return hash(self.descriptor)
 
     def __repr__(self):
         return f"<FieldContext {self.descriptor}>"
@@ -233,12 +253,6 @@ class RationalContext(FieldContext):
 
     kind = "rationals"
     descriptor = "rationals"
-
-    def zero(self):
-        return Fraction(0)
-
-    def one(self):
-        return Fraction(1)
 
     def from_int(self, n: int):
         return Fraction(n)
@@ -266,17 +280,8 @@ class RationalContext(FieldContext):
     def format(self, x) -> str:
         return decimal_str(self._element(x))
 
-    def sqrt(self, t):
-        return field_sqrt(self._element(t))
-
     def enumerate_elements(self):
         raise InfiniteField("the rational field cannot be enumerated")
-
-    def __eq__(self, other):
-        return isinstance(other, RationalContext)
-
-    def __hash__(self):
-        return hash("rationals")
 
 
 class PrimeContext(FieldContext):
@@ -293,12 +298,6 @@ class PrimeContext(FieldContext):
             raise NotPrime(f"{p} is not prime")
         self.p = p
         self.descriptor = f"fp:{p}"
-
-    def zero(self):
-        return Fp(0, self.p)
-
-    def one(self):
-        return Fp(1, self.p)
 
     def from_int(self, n: int):
         return Fp(n, self.p)
@@ -321,17 +320,8 @@ class PrimeContext(FieldContext):
     def format(self, x) -> str:
         return str(self._element(x))
 
-    def sqrt(self, t):
-        return field_sqrt(self._element(t))
-
     def enumerate_elements(self):
         return (Fp(i, self.p) for i in range(self.p))
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeContext) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("fp", self.p))
 
 
 _context_cache: dict[str, FieldContext] = {}

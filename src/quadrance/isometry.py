@@ -126,16 +126,11 @@ def compose(iso1: ProjIsometry, iso2: ProjIsometry) -> ProjIsometry:
     r1 = iso1.kind is IsoKind.ROTATION
     r2 = iso2.kind is IsoKind.ROTATION
     kind = IsoKind.ROTATION if r1 == r2 else IsoKind.REFLECTION
+    # blue and red: the parameter depends only on the second factor's kind
     if color is Color.BLUE:
-        if r1 == r2:
-            param = (a * c - b * d, a * d + b * c) if r1 else (a * c + b * d, a * d - b * c)
-        else:
-            param = (a * c + b * d, a * d - b * c) if r1 else (a * c - b * d, a * d + b * c)
+        param = (a * c - b * d, a * d + b * c) if r2 else (a * c + b * d, a * d - b * c)
     elif color is Color.RED:
-        if r1 == r2:
-            param = (a * c + b * d, a * d + b * c) if r1 else (a * c - b * d, a * d - b * c)
-        else:
-            param = (a * c - b * d, a * d - b * c) if r1 else (a * c + b * d, a * d + b * c)
+        param = (a * c + b * d, a * d + b * c) if r2 else (a * c - b * d, a * d - b * c)
     else:
         # green: rho-first gives [ac:bd], sigma-first gives [ad:bc],
         # whatever the second factor's kind

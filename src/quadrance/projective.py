@@ -7,6 +7,9 @@ values; q = 1 exactly at perpendicularity, and triples/quadruples of
 p-quadrances annihilate the triple and quadruple spread functions.  The
 scale-invariant kernels (p_quadrance_fraction, is_null) clear rational
 coordinates to integers first (field.clear_denominators) and compute in int.
+Each clears and rebuilds its own values in line: one helper shared with
+chromo.colored_quadrance made a call 32-47% slower here and 24-34% there
+(timeit, 200 random rational points, Python 3.11, 2 vCPUs).
 """
 
 from __future__ import annotations

@@ -36,6 +36,13 @@ are the p-quadrances and free variables of the spread suites and the
 spread recurrence's argument.  A Fraction is made only for a quotient or a
 counterexample's str.  The chromo and isometry checks compare stored
 representatives and stay on Fraction.
+
+Where the inputs were already checked valid, an error a kernel raises is
+reported as the failure of the identity checked, not raised: a
+FactorizationFailure in spread-cyclotomic-product, a NonIntegralResult in
+spread-via-chebyshev, a QuadranceError in the chromo identities and, over
+Q, in blue-sqrt-round-trip, and a DivisionByZero in the F_p p-quadrance
+tables of the spread formulas.
 """
 
 from __future__ import annotations
@@ -50,8 +57,8 @@ from typing import Callable, Optional
 
 from . import affine, chromo, isometry, projective, spreadpoly
 from .chromo import Color
-from .errors import (DivisionByZero, FactorizationFailure, NotUnitCircle, QuadranceError,
-                     UnknownSuite)
+from .errors import (DivisionByZero, FactorizationFailure, NonIntegralResult, NotUnitCircle,
+                     QuadranceError, UnknownSuite)
 from .field import FieldContext, Fp, exact_div, lift_scaled
 from .isometry import IsoKind
 from .projective import Form, ProjPoint
@@ -379,6 +386,17 @@ def _failed(failure: tuple, inputs: dict, p=None) -> dict:
                     _lift(p, lhs), _lift(p, rhs))
 
 
+def _alternates(name: str, fn, forms, args, shown: dict) -> Optional[dict]:
+    """The first of the alternate ``forms(*args)`` that differs from
+    ``fn(*args)``, as the mismatch ``<name>-alternate-<i>``; ``shown`` names
+    the inputs in the report."""
+    base = fn(*args)
+    for i, alt in enumerate(forms(*args)):
+        if alt != base:
+            return mismatch(f"{name}-alternate-{i + 1}", shown, alt, base)
+    return None
+
+
 # -- drivers and pairwise tables ------------------------------------------------
 
 def _check_identity(rec, ctx, rng, trials, identity, names, sides):
@@ -428,24 +446,27 @@ def _quadrance_table(p: int) -> list:
     return _pair_table(p, range(p), lambda i, j: affine.quadrance(pts[i], pts[j]) % p)
 
 
-def _p_quadrance_table(rec, p: int, form, live, identity: str, arity: int) -> Optional[list]:
-    """Residues of the p-quadrances between the ``live`` (non-null) points
-    of _residue_points(p).
+def _p_quadrance_table(rec, p: int, form, pts, identity: str, arity: int) -> tuple:
+    """(live, table): the indices of the points ``pts`` (proj_points) that
+    are not null for the form, with the ``arity``-tuples that hold a null
+    point skipped, and the residues of the p-quadrances between the live
+    points of _residue_points(p).
 
     A zero denominator on live points comes from a broken kernel.  Then
     every live ``arity``-tuple of the form fails ``identity``, with the
-    error as lhs, and None comes back.
+    error as lhs, and the table is None.
     """
+    live = _live_indices(rec, [projective.is_null(form, a) for a in pts], arity)
     res = _residue_points(p)
     fraction = projective.p_quadrance_fraction
     try:
-        return _pair_table(len(res), live,
-                           lambda i, j: _quotient(*fraction(form, res[i], res[j]), p))
+        return live, _pair_table(len(res), live,
+                                 lambda i, j: _quotient(*fraction(form, res[i], res[j]), p))
     except DivisionByZero as exc:
         failure = _raised(identity, {"form": form}, exc)
         for _ in range(len(live) ** arity):
             rec.case(failure)
-        return None
+        return live, None
 
 
 def _sweep_quadruple(rec, p: int, qtab, live, name: str, fn, fraction, inputs: Callable):
@@ -472,12 +493,8 @@ def _triple_quad_case(t1, t2, t3) -> Optional[dict]:
     failure = _triple_quad_law(quadrance(a2, a3), quadrance(a1, a3), quadrance(a1, a2))
     if failure is not None:
         return _failed(failure, {"x1": t1, "x2": t2, "x3": t3})
-    base = affine.archimedes(u1, u2, u3)
-    for i, alt in enumerate(affine.archimedes_forms(u1, u2, u3)):
-        if alt != base:
-            return mismatch(f"archimedes-alternate-{i + 1}",
-                            {"a": t1, "b": t2, "c": t3}, alt, base)
-    return None
+    return _alternates("archimedes", affine.archimedes, affine.archimedes_forms,
+                       (u1, u2, u3), {"a": t1, "b": t2, "c": t3})
 
 
 def _suite_triple_quad(rec, ctx, rng, trials, colors):
@@ -597,13 +614,8 @@ def _triple_spread_case(form, a1, a2, a3, free) -> Optional[dict]:
                                   projective.is_perpendicular(form, a1, a2))
     if failure is not None:
         return _failed(failure, {"form": form, "a1": a1, "a2": a2, "a3": a3})
-    u, v, w = lift_scaled(free)
-    base = projective.triple_spread_fn(u, v, w)
-    for i, alt in enumerate(projective.triple_spread_forms(u, v, w)):
-        if alt != base:
-            return mismatch(f"triple-spread-alternate-{i + 1}",
-                            dict(zip("abc", free)), alt, base)
-    return None
+    return _alternates("triple-spread", projective.triple_spread_fn,
+                       projective.triple_spread_forms, lift_scaled(free), dict(zip("abc", free)))
 
 
 def _scale_invariance_case(form, a1, a2, lam) -> Optional[dict]:
@@ -630,8 +642,7 @@ def _selected_forms(colors) -> list[str]:
 def _exhaustive_triple_spread_form(rec, p: int, form, pts):
     """_triple_spread_laws on every non-null ordered triple, from tables of
     the pairwise p-quadrances and perpendicularities."""
-    live = _live_indices(rec, [projective.is_null(form, a) for a in pts], 3)
-    qtab = _p_quadrance_table(rec, p, form, live, "triple-spread-formula", 3)
+    live, qtab = _p_quadrance_table(rec, p, form, pts, "triple-spread-formula", 3)
     if qtab is None:
         return
     perp = _pair_table(len(pts), live,
@@ -690,9 +701,7 @@ def _suite_quadruple_spread(rec, ctx, rng, trials, colors):
         pts = proj_points(ctx)
         for name in names:
             form = named_form(name)
-            live = _live_indices(rec, [projective.is_null(form, a) for a in pts], 4)
-            qtab = _p_quadrance_table(rec, ctx.p, form, live,
-                                      "quadruple-spread-formula", 4)
+            live, qtab = _p_quadrance_table(rec, ctx.p, form, pts, "quadruple-spread-formula", 4)
             if qtab is not None:
                 _sweep_quadruple(rec, ctx.p, qtab, live, "quadruple-spread",
                                  projective.quadruple_spread_fn,
@@ -773,13 +782,10 @@ def _all_colors_nonnull(a: ProjPoint) -> bool:
 def _suite_chromo(rec, ctx, rng, trials, colors):
     if rng is None:
         pts = proj_points(ctx)
-        good = [_all_colors_nonnull(a) for a in pts]
-        for i, a1 in enumerate(pts):
-            for j, a2 in enumerate(pts):
-                if not (good[i] and good[j]):
-                    rec.skip("null-point")
-                    continue
-                rec.case(_chromo_case(a1, a2))
+        live = _live_indices(rec, [not _all_colors_nonnull(a) for a in pts], 2)
+        for i in live:
+            for j in live:
+                rec.case(_chromo_case(pts[i], pts[j]))
     else:
         for _ in range(trials):
             pair = []
@@ -887,8 +893,7 @@ def _suite_isometry(rec, ctx, rng, trials, colors):
         pts = proj_points(ctx)
         res = _residue_points(ctx.p)
         for color in wanted:
-            null = [chromo.is_null_for(color, a) for a in pts]
-            live = [i for i, is_null in enumerate(null) if not is_null]
+            live = [i for i, a in enumerate(pts) if not chromo.is_null_for(color, a)]
             isos = {(kind, i): isometry.make_isometry(color, kind, res[i])
                     for kind in IsoKind for i in live}
             _residue_preservation(rec, ctx.p, color, res, live, isos)
@@ -901,12 +906,10 @@ def _suite_isometry(rec, ctx, rng, trials, colors):
                     except NotUnitCircle:
                         rec.skip("not-unit-circle")
             if color is Color.GREEN:
-                for i, a in enumerate(pts):
-                    if null[i]:
-                        rec.skip("null-point", 8)
-                        continue
+                rec.skip("null-point", 8 * (len(pts) - len(live)))
+                for i in live:
                     for power in range(1, 9):
-                        rec.case(_green_power_case(a, power))
+                        rec.case(_green_power_case(pts[i], power))
     else:
         for t in range(trials):
             color = wanted[t % len(wanted)]
@@ -964,7 +967,11 @@ def _spreadpoly_fixed_cases(rec):
             rec.case(None if comp == target
                      else mismatch("spread-composition", {"n": n, "m": m}, comp, target))
     for n in range(1, 17):
-        via = spreadpoly.spread_via_chebyshev(n)
+        try:
+            via = spreadpoly.spread_via_chebyshev(n)
+        except NonIntegralResult as exc:
+            # a wrong T_n need not halve to integers; report it as this case's failure
+            via = f"NonIntegralResult: {exc}"
         rec.case(None if via == spreadpoly.spread_poly(n)
                  else mismatch("spread-via-chebyshev", {"n": n},
                                via, spreadpoly.spread_poly(n)))
@@ -1030,12 +1037,10 @@ def _suite_spreadpoly(rec, ctx, rng, trials, colors):
         # divides, so it stays on Fp.
         for s in range(ctx.p):
             rec.case(_recurrence_case(s, ctx.p) or _composition_eval_case(s, ctx.p))
-        elems = list(ctx.enumerate_elements())
-        for x in elems:
-            for y in elems:
-                if x == 0 or y == 0:
-                    rec.skip("zero-coordinate")
-                    continue
+        nonzero = [x for x in ctx.enumerate_elements() if x != 0]
+        rec.skip("zero-coordinate", ctx.p ** 2 - len(nonzero) ** 2)
+        for x in nonzero:
+            for y in nonzero:
                 rec.case(_green_ratio_case(x, y, range(1, 9)))
     else:
         for t in range(trials):

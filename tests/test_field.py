@@ -15,6 +15,8 @@ from quadrance.errors import (
 )
 from quadrance.field import (
     Fp,
+    PrimeContext,
+    RationalContext,
     Scaled,
     clear_denominators,
     exact_div,
@@ -260,6 +262,22 @@ def test_contexts_compare_and_cache():
     assert make_context("fp:13") is make_context("fp:13")
     assert make_context("rationals") == make_context("rationals")
     assert make_context("fp:5") != make_context("fp:7")
+
+
+def test_fresh_contexts_equal_and_hash_like_the_cached_ones():
+    rationals, f7 = make_context("rationals"), make_context("fp:7")
+    assert RationalContext() == rationals and hash(RationalContext()) == hash(rationals)
+    assert PrimeContext(7) == f7 and hash(PrimeContext(7)) == hash(f7)
+    assert len({RationalContext(), rationals, PrimeContext(7), f7}) == 2
+    assert RationalContext() != PrimeContext(7) and PrimeContext(7) != RationalContext()
+    assert rationals != f7
+    assert PrimeContext(5) != PrimeContext(7)
+    for ctx in (RationalContext(), rationals):
+        for value, want in ((ctx.zero(), 0), (ctx.one(), 1), (ctx.sqrt(Fr(9, 4)), Fr(3, 2))):
+            assert type(value) is Fr and value == want
+    for ctx in (PrimeContext(7), f7):
+        for value, want in ((ctx.zero(), 0), (ctx.one(), 1), (ctx.sqrt(ctx.from_int(2)), 3)):
+            assert type(value) is Fp and value.p == 7 and value.r == want
 
 
 def test_clear_denominators():

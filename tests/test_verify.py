@@ -534,6 +534,11 @@ REROUTED_KERNELS = [
     ("projective", "form_value", _plus_one, "isometry", ("fp:7",), "fibonacci-identity-blue"),
     ("isometry", "make_isometry", _swapped_parameter, "isometry", ("fp:7", "rationals"),
      "multiplication-vs-rotation-composition"),
+    # over F_p doubling keeps every zero of the formula, so nothing fails there
+    ("projective", "quadruple_spread_fn", lambda fn: lambda *args: 2 * fn(*args),
+     "quadruple-spread", ("rationals",), "two-spread-triples-rearrangement"),
+    ("spreadpoly", "spread_poly", lambda fn: lambda n: fn(n) * 2 if n == 5 else fn(n),
+     "spreadpoly", ("fp:7", "rationals"), "spread-degree-leading"),
 ]
 
 
@@ -546,10 +551,74 @@ def test_checks_reach_the_kernels_they_state(monkeypatch, module, kernel, breake
     mod = importlib.import_module(f"quadrance.{module}")
     monkeypatch.setattr(mod, kernel, breaker(getattr(mod, kernel)))
     for field in fields:
+        # keep factors of a broken spread_poly out of the shared cache
+        monkeypatch.setattr(spreadpoly, "_phi_cache", {})
         report = run_suite(suite, make_context(field), trials=50)
         assert report.failed > 0, field
         assert report.counterexample["identity"] == identity, field
         assert counts_ok(report)
+
+
+def _first_failures(suite, fields, colors=None):
+    """The first failing identity of each field's report (seed 0, with 30
+    and with 50 trials), checking that each run fails and its counts add up."""
+    identities = set()
+    for field in fields:
+        for trials in (30, 50):
+            report = run_suite(suite, make_context(field), trials=trials, seed=0, colors=colors)
+            assert report.failed > 0 and counts_ok(report), (field, trials)
+            identities.add(report.counterexample["identity"])
+    return identities
+
+
+def test_form_rescaling_invariance_sees_a_kernel_not_homogeneous_in_the_form(monkeypatch):
+    # blue has d = 1, so only the form scaled by lambda changes the value
+    from quadrance import projective
+
+    original = projective.p_quadrance
+    monkeypatch.setattr(projective, "p_quadrance",
+                        lambda form, a1, a2: original(form, a1, a2) * form.d)
+    assert _first_failures("triple-spread", ("rationals",), ["blue"]) == {
+        "form-rescaling-invariance"}
+
+
+def test_composition_kind_parity_sees_a_flipped_kind(monkeypatch):
+    # a flipped kind alone, or rotation shapes alone, fail the table against
+    # the matrix product first; together the matrices agree and the kind does not
+    compose, matrix_of = isometry.compose, isometry.matrix_of
+
+    def flipped(iso1, iso2):
+        iso = compose(iso1, iso2)
+        kind = (isometry.IsoKind.REFLECTION if iso.kind is isometry.IsoKind.ROTATION
+                else isometry.IsoKind.ROTATION)
+        return isometry.ProjIsometry(iso.color, kind, iso.param)
+
+    monkeypatch.setattr(isometry, "compose", flipped)
+    monkeypatch.setattr(isometry, "matrix_of", lambda iso: matrix_of(
+        isometry.ProjIsometry(iso.color, isometry.IsoKind.ROTATION, iso.param)))
+    assert _first_failures("isometry", ("fp:7", "rationals")) == {"composition-kind-parity"}
+
+
+def test_broken_chebyshev_is_reported_not_raised(monkeypatch):
+    # T_5 with its linear coefficient plus one does not halve to integers:
+    # spread_via_chebyshev(5) raises NonIntegralResult, which the
+    # spread-via-chebyshev case reports against S_5
+    right = spreadpoly.chebyshev_T
+
+    def broken(n):
+        coeffs = list(right(n).coeffs)
+        if n == 5:
+            coeffs[1] += 1
+        return spreadpoly.IntPolynomial(coeffs)
+
+    monkeypatch.setattr(spreadpoly, "chebyshev_T", broken)
+    for field in ("fp:7", "rationals"):
+        report = run_suite("spreadpoly", make_context(field), trials=30, seed=0)
+        assert report.failed == 1 and counts_ok(report), field
+        assert report.counterexample == {
+            "identity": "spread-via-chebyshev", "inputs": {"n": "5"},
+            "lhs": "NonIntegralResult: odd coefficient -1 while halving",
+            "rhs": str(spreadpoly.spread_poly(5))}
 
 
 def _numerator_plus_abc(fn):
