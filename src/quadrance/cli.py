@@ -42,6 +42,14 @@ Field descriptors: rationals (default) or fp:<odd prime>.
 """
 
 
+def _parse_values(ctx: FieldContext, parts, text: str, all_zero: str) -> list:
+    """Each part parsed in order; all zeros is refused with the all_zero message."""
+    values = [ctx.parse(p) for p in parts]
+    if not any(values):  # a parsed Fraction or Fp is falsy exactly when zero
+        raise ParseError(f"{all_zero}: {text!r}")
+    return values
+
+
 def parse_proj_point(ctx: FieldContext, text: str) -> ProjPoint:
     t = text.strip()
     if not (t.startswith("[") and t.endswith("]")):
@@ -49,10 +57,8 @@ def parse_proj_point(ctx: FieldContext, text: str) -> ProjPoint:
     parts = t[1:-1].split(":")
     if len(parts) != 2:
         raise ParseError(f"point literal must have two coordinates, got {text!r}")
-    x, y = (ctx.parse(p) for p in parts)
-    if x == 0 and y == 0:
-        raise ParseError(f"projective point needs a nonzero coordinate: {text!r}")
-    return ProjPoint(x, y)
+    return ProjPoint(*_parse_values(ctx, parts, text,
+                                    "projective point needs a nonzero coordinate"))
 
 
 def parse_form(ctx: FieldContext, text: str) -> Form:
@@ -62,25 +68,22 @@ def parse_form(ctx: FieldContext, text: str) -> Form:
     parts = t.split(":")
     if len(parts) != 3:
         raise ParseError(f"form literal must look like d:e:f, got {text!r}")
-    d, e, f = (ctx.parse(p) for p in parts)
-    if d == 0 and e == 0 and f == 0:
-        raise ParseError(f"form needs a nonzero coefficient: {text!r}")
-    return Form(d, e, f)
+    return Form(*_parse_values(ctx, parts, text, "form needs a nonzero coefficient"))
 
 
 def parse_matrix(ctx: FieldContext, text: str) -> ProjMatrix:
     rows = text.strip().split(";")
     if len(rows) != 2:
         raise ParseError(f"matrix literal must look like a,b;c,d, got {text!r}")
-    entries = []
-    for row in rows:
-        cols = row.split(",")
-        if len(cols) != 2:
-            raise ParseError(f"matrix rows need two entries, got {text!r}")
-        entries.extend(ctx.parse(c) for c in cols)
-    if all(v == 0 for v in entries):
-        raise ParseError(f"matrix needs a nonzero entry: {text!r}")
-    return ProjMatrix(*entries)
+
+    def cells():  # a row's shape is checked when its entries are reached
+        for row in rows:
+            cols = row.split(",")
+            if len(cols) != 2:
+                raise ParseError(f"matrix rows need two entries, got {text!r}")
+            yield from cols
+
+    return ProjMatrix(*_parse_values(ctx, cells(), text, "matrix needs a nonzero entry"))
 
 
 @dataclass
@@ -104,8 +107,7 @@ def parse_eval_request(tokens: list[str], default_field: str = "rationals") -> E
     if what not in _EVAL_KINDS:
         raise ParseError(f"unknown eval request {what!r}; expected one of: "
                          + ", ".join(_EVAL_KINDS))
-    field = default_field
-    form = color = matrix = None
+    valued = {"--field": default_field, "--form": None, "--color": None, "--matrix": None}
     points: list[str] = []
     i = 1
     while i < len(tokens):
@@ -116,20 +118,13 @@ def parse_eval_request(tokens: list[str], default_field: str = "rationals") -> E
                 points.append(tokens[i])
                 i += 1
             continue
-        if flag not in ("--field", "--form", "--color", "--matrix"):
+        if flag not in valued:
             raise ParseError(f"unknown flag {flag!r} in eval request")
         if i + 1 >= len(tokens):
             raise ParseError(f"flag {flag} needs a value")
-        value = tokens[i + 1]
-        if flag == "--field":
-            field = value
-        elif flag == "--form":
-            form = value
-        elif flag == "--color":
-            color = value
-        else:
-            matrix = value
+        valued[flag] = tokens[i + 1]
         i += 2
+    field, form, color, matrix = valued.values()
     if what in ("quad", "pquad", "aclassify") and len(points) != 2:
         raise ParseError(f"{what} needs exactly two --points values")
     if what == "pquad" and (form is None) == (color is None):
@@ -219,28 +214,19 @@ def cmd_example(args) -> int:
         raise ParseError(f"unknown example {args.name!r}; available: paper")
     form = chromo.colored_form(Color.BLUE)
     pts = [ProjPoint(Fraction(x), Fraction(y)) for x, y in WORKED_EXAMPLE_POINTS]
-    got = {
-        "q12": projective.p_quadrance(form, pts[0], pts[1]),
-        "q23": projective.p_quadrance(form, pts[1], pts[2]),
-        "q34": projective.p_quadrance(form, pts[2], pts[3]),
-        "q14": projective.p_quadrance(form, pts[0], pts[3]),
-        "q13": projective.p_quadrance(form, pts[0], pts[2]),
-        "q24": projective.p_quadrance(form, pts[1], pts[3]),
-    }
+    want = WORKED_EXAMPLE_VALUES
+    # "qij" is the p-quadrance of points i and j, counted from 1
+    rows = [(key, projective.p_quadrance(form, pts[int(key[1]) - 1], pts[int(key[2]) - 1]),
+             want[key], f" (expected {want[key]})") for key in want]
     check = projective.projective_quadruple_check(form, *pts)
+    rows += [("R(q12, q23, q34, q14)", check.value, 0, " (expected 0)"),
+             ("q13 fraction", check.q13, want["q13"], ""),
+             ("q24 fraction", check.q24, want["q24"], "")]
     ok = True
-    for key in ("q12", "q23", "q34", "q14", "q13", "q24"):
-        match = got[key] == WORKED_EXAMPLE_VALUES[key]
+    for label, got, expected, note in rows:
+        match = got == expected
         ok = ok and match
-        print(f"{key} = {got[key]}" + ("" if match else f"  MISMATCH (expected {WORKED_EXAMPLE_VALUES[key]})"))
-    r_ok = check.value == 0
-    ok = ok and r_ok
-    print(f"R(q12, q23, q34, q14) = {check.value}" + ("" if r_ok else "  MISMATCH (expected 0)"))
-    f13_ok = check.q13 == WORKED_EXAMPLE_VALUES["q13"]
-    f24_ok = check.q24 == WORKED_EXAMPLE_VALUES["q24"]
-    ok = ok and f13_ok and f24_ok
-    print(f"q13 fraction = {check.q13}" + ("" if f13_ok else "  MISMATCH"))
-    print(f"q24 fraction = {check.q24}" + ("" if f24_ok else "  MISMATCH"))
+        print(f"{label} = {got}" + ("" if match else "  MISMATCH" + note))
     print("worked example: OK" if ok else "worked example: FAILED")
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
 

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 from .chromo import Color, is_null_for
 from .errors import ColorMismatch, InvalidArgument, NotIsometry, NotUnitCircle, NullParameter
 from .field import decimal_str, exact_div, field_sqrt
-from .projective import ProjPoint, canonical
+from .projective import ProjPoint, _Proportion
 
 
-class ProjMatrix:
+class ProjMatrix(_Proportion):
     """A 2x2 projective matrix [[a,b],[c,d]], equal up to common scaling."""
 
     __slots__ = ("a", "b", "c", "d")
@@ -50,19 +50,6 @@ class ProjMatrix:
             self.c * other.a + self.d * other.c,
             self.c * other.b + self.d * other.d,
         )
-
-    def __eq__(self, other):
-        if not isinstance(other, ProjMatrix):
-            return NotImplemented
-        u, v = self.entries(), other.entries()
-        return all(
-            u[i] * v[j] - v[i] * u[j] == 0
-            for i in range(4)
-            for j in range(i + 1, 4)
-        )
-
-    def __hash__(self):
-        return hash(canonical(self.entries()))
 
     def __repr__(self):
         return f"ProjMatrix({self.a!r}, {self.b!r}, {self.c!r}, {self.d!r})"

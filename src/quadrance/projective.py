@@ -1,7 +1,10 @@
 """The projective line with a fixed non-degenerate form.
 
-Points [x:y] and forms (d:e:f) are proportions: equality is cross-product
-based, never componentwise.  The projective quadrance q of two non-null
+Points [x:y], forms (d:e:f) and isometry.ProjMatrix are proportions:
+values up to a common nonzero factor.  Two proportions of one type are
+equal when every 2x2 minor of their values vanishes, never componentwise,
+and both are hashed and shown by canonical(), the values divided by the
+first nonzero one.  The projective quadrance q of two non-null
 points is (df - e^2)(x1 y2 - x2 y1)^2 over the product of the two form
 values; q = 1 exactly at perpendicularity, and triples/quadruples of
 p-quadrances annihilate the triple and quadruple spread functions.  The
@@ -28,13 +31,28 @@ def canonical(values) -> tuple:
     return tuple(exact_div(v, lead) for v in values)
 
 
-class ProjPoint:
-    """A proportion [x:y], not both zero.
+class _Proportion:
+    """Values up to a common nonzero factor, given by ``entries()``."""
 
-    Equality is x1*y2 - x2*y1 == 0; the stored representative is arbitrary.
-    ``canonical()`` rescales so the first nonzero coordinate is 1 (used for
-    display and hashing only).
-    """
+    __slots__ = ()
+
+    def canonical(self):
+        return canonical(self.entries())
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        u, v = self.entries(), other.entries()
+        n = len(u)
+        return all(u[i] * v[j] - v[i] * u[j] == 0 for i in range(n) for j in range(i + 1, n))
+
+    def __hash__(self):
+        return hash(self.canonical())
+
+
+class ProjPoint(_Proportion):
+    """A proportion [x:y], not both zero; the stored representative is
+    arbitrary."""
 
     __slots__ = ("x", "y")
 
@@ -44,16 +62,8 @@ class ProjPoint:
         self.x = x
         self.y = y
 
-    def canonical(self):
-        return canonical((self.x, self.y))
-
-    def __eq__(self, other):
-        if not isinstance(other, ProjPoint):
-            return NotImplemented
-        return self.x * other.y - other.x * self.y == 0
-
-    def __hash__(self):
-        return hash(self.canonical())
+    def entries(self):
+        return (self.x, self.y)
 
     def __str__(self):
         return "[" + ":".join(map(decimal_str, self.canonical())) + "]"
@@ -62,7 +72,7 @@ class ProjPoint:
         return f"ProjPoint({self.x!r}, {self.y!r})"
 
 
-class Form:
+class Form(_Proportion):
     """A proportion (d:e:f), not all zero, for the form d x^2 + 2e xy + f y^2."""
 
     __slots__ = ("d", "e", "f")
@@ -74,18 +84,8 @@ class Form:
         self.e = e
         self.f = f
 
-    def canonical(self):
-        return canonical((self.d, self.e, self.f))
-
-    def __eq__(self, other):
-        if not isinstance(other, Form):
-            return NotImplemented
-        return (self.d * other.e - other.d * self.e == 0
-                and self.d * other.f - other.d * self.f == 0
-                and self.e * other.f - other.e * self.f == 0)
-
-    def __hash__(self):
-        return hash(self.canonical())
+    def entries(self):
+        return (self.d, self.e, self.f)
 
     def __str__(self):
         return "(" + ":".join(map(decimal_str, self.canonical())) + ")"

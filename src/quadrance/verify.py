@@ -57,24 +57,11 @@ from typing import Callable, Optional
 
 from . import affine, chromo, isometry, projective, spreadpoly
 from .chromo import Color
-from .errors import (DivisionByZero, FactorizationFailure, NonIntegralResult, NotUnitCircle,
-                     QuadranceError, UnknownSuite)
+from .errors import (DivisionByZero, FactorizationFailure, InvalidArgument, NonIntegralResult,
+                     NotUnitCircle, QuadranceError, UnknownSuite)
 from .field import FieldContext, Fp, exact_div, lift_scaled
 from .isometry import IsoKind
 from .projective import Form, ProjPoint
-
-SUITE_NAMES = (
-    "triple-quad",
-    "quadruple-quad",
-    "heron",
-    "brahmagupta",
-    "fibonacci",
-    "triple-spread",
-    "quadruple-spread",
-    "chromo",
-    "isometry",
-    "spreadpoly",
-)
 
 FORM_NAMES = ("blue", "red", "green", "general")
 
@@ -281,7 +268,9 @@ def _points_differ(u: ProjPoint, v: ProjPoint, p=None) -> bool:
     With p the coordinates are int residues and the points are compared
     over F_p.  A point that is 0 mod p differs from every point, so its
     case fails, and reporting it raises InvalidArgument as building it over
-    F_p does.
+    F_p does.  The cross product is written out here, not taken from
+    projective's proportion rule: in the isometry sweep's inner loops a
+    generic minor loop took about 10x as long per call.
     """
     if p is None:
         return u != v
@@ -634,9 +623,8 @@ def _scale_invariance_case(form, a1, a2, lam) -> Optional[dict]:
 
 
 def _selected_forms(colors) -> list[str]:
-    if not colors:
-        return list(FORM_NAMES)
-    return [c for c in FORM_NAMES if c in colors]
+    """The FORM_NAMES a run selects: all of them when ``colors`` is empty."""
+    return [c for c in FORM_NAMES if not colors or c in colors]
 
 
 def _exhaustive_triple_spread_form(rec, p: int, form, pts):
@@ -664,7 +652,7 @@ def _suite_triple_spread(rec, ctx, rng, trials, colors):
         for name in names:
             _exhaustive_triple_spread_form(rec, ctx.p, named_form(name), pts)
     else:
-        for t in range(trials):
+        for t in range(trials if names else 0):
             form = named_form(names[t % len(names)])
             a1 = random_nonnull_point(form, rng)
             a2 = random_nonnull_point(form, rng)
@@ -709,7 +697,7 @@ def _suite_quadruple_spread(rec, ctx, rng, trials, colors):
                                  lambda i, j, k, m: {"form": form, "a1": pts[i], "a2": pts[j],
                                                      "a3": pts[k], "a4": pts[m]})
     else:
-        for t in range(trials):
+        for t in range(trials if names else 0):
             form = named_form(names[t % len(names)])
             quad = [random_nonnull_point(form, rng) for _ in range(4)]
             free = tuple(random_element(ctx, rng) for _ in range(4))
@@ -884,7 +872,7 @@ def _residue_multiplication(rec, p: int, color, res, live):
 
 
 def _suite_isometry(rec, ctx, rng, trials, colors):
-    wanted = [c for c in Color if not colors or c.value in colors]
+    wanted = [Color(name) for name in _selected_forms(colors) if name != "general"]
     if rng is None:
         # Preservation, composition and the multiplication laws run the
         # library's kernels on int-residue points and compare mod p; blue
@@ -911,7 +899,7 @@ def _suite_isometry(rec, ctx, rng, trials, colors):
                     for power in range(1, 9):
                         rec.case(_green_power_case(pts[i], power))
     else:
-        for t in range(trials):
+        for t in range(trials if wanted else 0):
             color = wanted[t % len(wanted)]
             form = chromo.colored_form(color)
             p1 = random_nonnull_point(form, rng)
@@ -946,35 +934,27 @@ def _suite_isometry(rec, ctx, rng, trials, colors):
             rec.case(failure)
 
 
-def _spreadpoly_fixed_cases(rec):
+def _spreadpoly_fixed_cases():
+    """(identity, inputs, got, want) of each fixed spread-polynomial case."""
+    spread_poly = spreadpoly.spread_poly
     for n in range(1, 17):
-        poly = spreadpoly.spread_poly(n)
-        lead = poly.leading
-        if poly.degree != n or abs(lead) != 4 ** (n - 1):
-            rec.case(mismatch("spread-degree-leading", {"n": n},
-                              f"deg={poly.degree}, lead={lead}",
-                              f"deg={n}, |lead|=4^{n - 1}"))
-        else:
-            rec.case(None)
-    logistic = spreadpoly.IntPolynomial([0, 4, -4])
-    rec.case(None if spreadpoly.spread_poly(2) == logistic
-             else mismatch("spread-2-logistic", {}, spreadpoly.spread_poly(2), logistic))
+        poly = spread_poly(n)
+        want = f"deg={n}, |lead|=4^{n - 1}"  # got is want exactly when the case holds
+        holds = poly.degree == n and abs(poly.leading) == 4 ** (n - 1)
+        yield ("spread-degree-leading", {"n": n},
+               want if holds else f"deg={poly.degree}, lead={poly.leading}", want)
+    yield "spread-2-logistic", {}, spread_poly(2), spreadpoly.IntPolynomial([0, 4, -4])
     for n in range(1, 7):
         for m in range(1, 7):
-            comp = spreadpoly.poly_compose(spreadpoly.spread_poly(n),
-                                           spreadpoly.spread_poly(m))
-            target = spreadpoly.spread_poly(n * m)
-            rec.case(None if comp == target
-                     else mismatch("spread-composition", {"n": n, "m": m}, comp, target))
+            yield ("spread-composition", {"n": n, "m": m},
+                   spreadpoly.poly_compose(spread_poly(n), spread_poly(m)), spread_poly(n * m))
     for n in range(1, 17):
         try:
             via = spreadpoly.spread_via_chebyshev(n)
         except NonIntegralResult as exc:
             # a wrong T_n need not halve to integers; report it as this case's failure
             via = f"NonIntegralResult: {exc}"
-        rec.case(None if via == spreadpoly.spread_poly(n)
-                 else mismatch("spread-via-chebyshev", {"n": n},
-                               via, spreadpoly.spread_poly(n)))
+        yield "spread-via-chebyshev", {"n": n}, via, spread_poly(n)
     for n in range(1, 13):
         product = spreadpoly.IntPolynomial([1])
         try:
@@ -983,9 +963,7 @@ def _spreadpoly_fixed_cases(rec):
         except FactorizationFailure as exc:
             # a wrong S_k does not factor; report it as this case's failure
             product = f"FactorizationFailure: {exc}"
-        rec.case(None if product == spreadpoly.spread_poly(n)
-                 else mismatch("spread-cyclotomic-product", {"n": n},
-                               product, spreadpoly.spread_poly(n)))
+        yield "spread-cyclotomic-product", {"n": n}, product, spread_poly(n)
 
 
 def _recurrence_case(s, p: Optional[int] = None) -> Optional[dict]:
@@ -1031,7 +1009,8 @@ def _green_ratio_case(x, y, ns) -> Optional[dict]:
 
 
 def _suite_spreadpoly(rec, ctx, rng, trials, colors):
-    _spreadpoly_fixed_cases(rec)
+    for identity, inputs, got, want in _spreadpoly_fixed_cases():
+        rec.case(None if got == want else mismatch(identity, inputs, got, want))
     if rng is None:
         # Recurrence and composition on int residues; the green ratio
         # divides, so it stays on Fp.
@@ -1065,17 +1044,25 @@ _SUITES: dict[str, Callable] = {
     "spreadpoly": _suite_spreadpoly,
 }
 
+SUITE_NAMES = tuple(_SUITES)
+
 
 def run_suite(suite: str, ctx: FieldContext, *, trials: int = 1000,
               seed: int = 0, colors=None) -> Report:
     """Run one suite (or "all") over a field and return its report.
 
     Rational contexts use ``trials`` seeded random cases; prime fields are
-    enumerated exhaustively and ignore ``trials`` and ``seed``.
+    enumerated exhaustively and ignore ``trials`` and ``seed``.  ``colors``
+    narrows the form-based suites to some of FORM_NAMES (all when empty);
+    the isometry suite has no general form, so it runs no case for it alone.
     """
     if suite != "all" and suite not in _SUITES:
         raise UnknownSuite(f"unknown suite {suite!r}; expected one of "
                            f"{', '.join(SUITE_NAMES)} or 'all'")
+    unknown = [c for c in colors or () if c not in FORM_NAMES]
+    if unknown:
+        raise InvalidArgument(f"unknown colors {unknown}; expected some of "
+                              f"{', '.join(FORM_NAMES)}")
     randomized = ctx.kind == "rationals"
     rng = random.Random(seed) if randomized else None
     report = Report(suite, ctx.descriptor, seed=seed if randomized else None)

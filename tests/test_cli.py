@@ -4,6 +4,7 @@ import os
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -147,6 +148,27 @@ def test_example_paper(capsys):
     assert "worked example: OK" in out
 
 
+def test_example_paper_mismatch_output(capsys, monkeypatch):
+    # a wrong expected q13 fails its q-line and the q13 fraction line; the
+    # q-lines name the expected value, the fraction lines do not
+    from quadrance import cli
+
+    monkeypatch.setitem(cli.WORKED_EXAMPLE_VALUES, "q13", Fraction(1, 16))
+    code, out, err = run(capsys, "example", "paper")
+    assert (code, err) == (1, "")
+    assert out == (
+        "q12 = 9/13\n"
+        "q23 = 196/221\n"
+        "q34 = 529/578\n"
+        "q14 = 25/34\n"
+        "q13 = 1/17  MISMATCH (expected 1/16)\n"
+        "q24 = 1/442\n"
+        "R(q12, q23, q34, q14) = 0\n"
+        "q13 fraction = 1/17  MISMATCH\n"
+        "q24 fraction = 1/442\n"
+        "worked example: FAILED\n")
+
+
 def test_example_unknown(capsys):
     code, _, err = run(capsys, "example", "nonsense")
     assert code == 2
@@ -178,6 +200,16 @@ def test_verify_randomized_report_and_determinism(capsys):
     assert r1["seed"] == 42
     r1["elapsed_ms"] = r2["elapsed_ms"] = 0
     assert json.dumps(r1) == json.dumps(r2)
+
+
+@pytest.mark.parametrize("field", ["rationals", "fp:5"])
+def test_verify_all_with_the_general_form_alone(capsys, field):
+    # the isometry suite has no general form: it runs no case, the rest run
+    code, out, err = run(capsys, "verify", "--suite", "all", "--color", "general",
+                         "--field", field, "--trials", "5")
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["failed"] == 0 and report["attempted"] > 0
 
 
 def test_verify_fp2_rejected(capsys):

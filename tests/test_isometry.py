@@ -62,6 +62,25 @@ def test_matrix_equality_up_to_scale():
     assert ProjMatrix(Fr(1), Fr(2), Fr(3), Fr(4)) != ProjMatrix(Fr(1), Fr(2), Fr(3), Fr(5))
 
 
+def test_matrix_hash_and_canonical_agree_across_representatives():
+    m = ProjMatrix(Fr(1, 2), Fr(1), Fr(3, 2), Fr(2))
+    assert m.canonical() == (1, 2, 3, 4)
+    assert ProjMatrix(0, 0, Fr(-2), Fr(4)).canonical() == (0, 0, 1, -2)
+    assert hash(m) == hash(ProjMatrix(1, 2, 3, 4)) == hash(ProjMatrix(-3, -6, -9, -12))
+    # entries that agree only up to scale in some pairs are still different
+    assert ProjMatrix(1, 2, 3, 4) != ProjMatrix(1, 2, 6, 8)
+
+
+def test_matrix_equality_over_fp():
+    def f(v):
+        return Fp(v, 7)
+
+    assert ProjMatrix(f(1), f(2), f(3), f(4)) == ProjMatrix(f(3), f(6), f(9), f(12))
+    assert ProjMatrix(f(1), f(2), f(3), f(4)) == ProjMatrix(f(8), f(9), f(10), f(11))
+    assert ProjMatrix(f(1), f(2), f(3), f(4)) != ProjMatrix(f(1), f(2), f(3), f(5))
+    assert hash(ProjMatrix(f(1), f(2), f(3), f(4))) == hash(ProjMatrix(f(3), f(6), f(9), f(12)))
+
+
 def test_matrix_action_convention():
     m = ProjMatrix(Fr(1), Fr(2), Fr(3), Fr(4))
     assert m.apply(pp(1, 0)) == pp(1, 2)

@@ -71,6 +71,33 @@ def test_form_equality_up_to_scale():
     assert str(Form(2, 0, 2)) == "(1:0:1)"
 
 
+def test_form_hash_agrees_across_representatives():
+    assert hash(Form(Fr(1, 2), Fr(0), Fr(-3, 2))) == hash(Form(1, 0, -3)) == hash(Form(-2, 0, 6))
+    assert Form(0, 2, 0).canonical() == (0, 1, 0)
+
+
+def test_point_never_equals_a_form_or_matrix():
+    from quadrance.isometry import ProjMatrix
+
+    point, form, matrix = pp(1, 0), Form(1, 0, 0), ProjMatrix(1, 0, 0, 0)
+    for a, b in ((point, form), (point, matrix), (form, matrix)):
+        assert a != b and b != a
+        assert not (a == b or b == a)
+    assert ProjPoint(1, 0).__eq__(Form(1, 0, 0)) is NotImplemented
+    assert len({point, form, matrix}) == 3
+
+
+@pytest.mark.parametrize("make", [Fr, lambda v: Fp(v, 7)], ids=["fraction", "fp7"])
+def test_proportion_equality_over_fractions_and_fp(make):
+    # 3 = -4 mod 7 and 2 * 4 = 1 mod 7, so [1:3] = [2:6] = [4:-2] over F_7 only
+    point = ProjPoint(make(1), make(3))
+    assert point == ProjPoint(make(2), make(6))
+    assert (point == ProjPoint(make(4), make(-2))) == (make is not Fr)
+    assert Form(make(1), make(2), make(3)) == Form(make(3), make(6), make(9))
+    assert Form(make(1), make(2), make(3)) != Form(make(1), make(2), make(4))
+    assert hash(Form(make(1), make(2), make(3))) == hash(Form(make(3), make(6), make(9)))
+
+
 def test_discriminant_examples():
     assert discriminant(BLUE) == 1
     assert discriminant(GREEN) == -1

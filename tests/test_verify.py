@@ -32,6 +32,25 @@ def test_every_suite_passes_on_small_prime_field():
         assert report.field == "fp:5"
 
 
+@pytest.mark.parametrize("suite", ["triple-spread", "quadruple-spread", "isometry"])
+def test_samplers_refuse_unknown_colors(suite):
+    # each sampler cycles through its selected forms; an unknown name used
+    # to leave none and end in ZeroDivisionError over Q
+    for field in ("rationals", "fp:5"):
+        with pytest.raises(InvalidArgument):
+            run_suite(suite, make_context(field), trials=5, colors=["bogus"])
+    with pytest.raises(InvalidArgument):
+        run_suite("all", make_context("rationals"), trials=5, colors=["blue", "bogus"])
+
+
+def test_isometry_suite_runs_no_case_for_the_general_form_alone():
+    for field in ("rationals", "fp:5"):
+        report = run_suite("isometry", make_context(field), trials=5, colors=["general"])
+        assert (report.attempted, report.failed, report.counterexample) == (0, 0, None)
+    both = run_suite("all", make_context("rationals"), trials=5, colors=["general"])
+    assert both.failed == 0 and both.attempted > 0 and counts_ok(both)
+
+
 def test_every_suite_passes_on_rationals():
     ctx = make_context("rationals")
     for suite in SUITE_NAMES:
