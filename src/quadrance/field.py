@@ -56,7 +56,8 @@ class Fp:
     """A residue in F_p for an odd prime p, reduced to 0 <= r < p.
 
     Arithmetic mixes freely with ``int``; any other operand (including a
-    residue mod a different prime) raises :class:`MixedContexts`.
+    residue mod a different prime) raises :class:`MixedContexts`.  It hashes
+    as its residue, so it and the int residue it equals are one dict key.
     """
 
     __slots__ = ("r", "p")
@@ -140,7 +141,7 @@ class Fp:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.p, self.r))
+        return hash(self.r)
 
     def __bool__(self):
         return self.r != 0

@@ -28,6 +28,12 @@ and the green ratio check.  The free-variable identities (the alternate
 forms, the rearrangement identities, rescaling invariance) are
 random-input checks and run over Q only.
 
+The quadruple and triple-spread sweeps check each distinct tuple of table
+values once per call: a verdict is a pure function of the values it reads,
+so every point tuple that reads the same values reuses it, and the counts
+and the first counterexample are unchanged.  The memo never outlives the
+call, so a kernel patched between runs is always seen.
+
 Over Q the same polynomial checks run fraction-free: a case lifts its
 rational inputs once to field.Scaled values over one common denominator
 (field.lift_scaled), and the kernels add and multiply them in ints.  The
@@ -96,6 +102,10 @@ class Report:
             self.attempted += count
             self.skipped += count
             self.skip_reasons[reason] = self.skip_reasons.get(reason, 0) + count
+
+    def add_passes(self, count: int):
+        self.attempted += count
+        self.passed += count
 
     def case(self, failure: Optional[dict]):
         self.attempted += 1
@@ -460,7 +470,10 @@ def _p_quadrance_table(rec, p: int, form, pts, identity: str, arity: int) -> tup
 
 def _sweep_quadruple(rec, p: int, qtab, live, name: str, fn, fraction, inputs: Callable):
     """_quadruple_laws on every 4-tuple of ``live`` indices of the residue
-    table ``qtab``; ``inputs(i, j, k, m)`` names a failing tuple."""
+    table ``qtab``; ``inputs(i, j, k, m)`` names a failing tuple.  Each
+    distinct tuple of six table values is checked once per call (see the
+    module docstring)."""
+    verdicts, passed = {}, 0
     for i in live:
         row_i = qtab[i]
         for j in live:
@@ -468,9 +481,18 @@ def _sweep_quadruple(rec, p: int, qtab, live, name: str, fn, fraction, inputs: C
             for k in live:
                 q23, row_k, q13 = row_j[k], qtab[k], row_i[k]
                 for m in live:
-                    failure = _quadruple_laws(name, fn, fraction, q12, q23, row_k[m], row_i[m],
-                                              q13, row_j[m], p)
-                    rec.case(None if failure is None else _failed(failure, inputs(i, j, k, m)))
+                    key = (q12, q23, row_k[m], row_i[m], q13, row_j[m])
+                    try:
+                        failure = verdicts[key]
+                    except KeyError:
+                        failure = verdicts[key] = _quadruple_laws(name, fn, fraction, *key, p)
+                    if failure is None:
+                        passed += 1
+                    else:
+                        rec.add_passes(passed)
+                        passed = 0
+                        rec.case(_failed(failure, inputs(i, j, k, m)))
+    rec.add_passes(passed)
 
 
 # -- individual suites --------------------------------------------------------
@@ -629,20 +651,32 @@ def _selected_forms(colors) -> list[str]:
 
 def _exhaustive_triple_spread_form(rec, p: int, form, pts):
     """_triple_spread_laws on every non-null ordered triple, from tables of
-    the pairwise p-quadrances and perpendicularities."""
+    the pairwise p-quadrances and perpendicularities; each distinct
+    (q1, q2, q3, perp12) is checked once per call, as in _sweep_quadruple."""
     live, qtab = _p_quadrance_table(rec, p, form, pts, "triple-spread-formula", 3)
     if qtab is None:
         return
     perp = _pair_table(len(pts), live,
                        lambda i, j: projective.is_perpendicular(form, pts[i], pts[j]))
+    verdicts, passed = {}, 0
     for i in live:
         row_i, perp_i = qtab[i], perp[i]
         for j in live:
             q3, perp_ij, row_j = row_i[j], perp_i[j], qtab[j]
             for k in live:
-                failure = _triple_spread_laws(row_j[k], row_i[k], q3, perp_ij, p)
-                rec.case(None if failure is None else _failed(
-                    failure, {"form": form, "a1": pts[i], "a2": pts[j], "a3": pts[k]}))
+                key = (row_j[k], row_i[k], q3, perp_ij)
+                try:
+                    failure = verdicts[key]
+                except KeyError:
+                    failure = verdicts[key] = _triple_spread_laws(*key, p)
+                if failure is None:
+                    passed += 1
+                else:
+                    rec.add_passes(passed)
+                    passed = 0
+                    rec.case(_failed(
+                        failure, {"form": form, "a1": pts[i], "a2": pts[j], "a3": pts[k]}))
+    rec.add_passes(passed)
 
 
 def _suite_triple_spread(rec, ctx, rng, trials, colors):

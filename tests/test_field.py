@@ -140,6 +140,15 @@ def test_fp_int_lifting():
     assert -x == Fp(2, 7)
 
 
+def test_fp_hashes_like_the_int_residue_it_equals():
+    from quadrance.projective import ProjPoint
+
+    assert Fp(3, 7) == 3 and hash(Fp(3, 7)) == hash(3)
+    assert {Fp(r, 7) for r in range(7)} == set(range(7))
+    # one point, one entry, whether its coordinates are Fp or int residues
+    assert len({ProjPoint(Fp(2, 7), Fp(6, 7)), ProjPoint(2, 6)}) == 1
+
+
 def test_enumerate_elements():
     ctx5 = make_context("fp:5")
     assert [e.r for e in ctx5.enumerate_elements()] == [0, 1, 2, 3, 4]

@@ -369,6 +369,10 @@ RESIDUE_MUTATIONS = [
     ("spreadpoly", "poly_eval", _plus_s_above_degree_12, "spreadpoly", 7, None, 6,
      {"identity": "spread-composition-eval", "inputs": {"n": "3", "m": "5", "s": "1"},
       "lhs": "1", "rhs": "2"}),
+    ("projective", "triple_spread_fn", _plus_abc, "triple-spread", 7, None, 696,
+     {"identity": "triple-spread-formula",
+      "inputs": {"form": "(1:0:1)", "a1": "[1:0]", "a2": "[1:1]", "a3": "[1:2]"},
+      "lhs": "2", "rhs": "0"}),
 ]
 
 
@@ -387,6 +391,28 @@ def test_residue_sweeps_detect_broken_kernels(monkeypatch, module, kernel, break
     assert report.failed == failed
     assert report.counterexample == counterexample
     assert counts_ok(report)
+
+
+MEMO_SWEEPS = [row for row in RESIDUE_MUTATIONS if row[1] in
+               ("quadruple_spread_fn", "quad_triple_pair_fraction", "triple_spread_fn")]
+
+
+@pytest.mark.parametrize("module, kernel, breaker, suite, p, colors, failed, counterexample",
+                         MEMO_SWEEPS, ids=[m[3] for m in MEMO_SWEEPS])
+def test_sweep_verdicts_last_one_call(monkeypatch, module, kernel, breaker, suite, p, colors,
+                                      failed, counterexample):
+    # the quadruple and triple-spread sweeps remember verdicts per table tuple
+    # within one call only: broken, clean and broken again each see their kernel
+    import importlib
+
+    mod = importlib.import_module(f"quadrance.{module}")
+    original = getattr(mod, kernel)
+    for broken in (True, False, True):
+        monkeypatch.setattr(mod, kernel, breaker(original) if broken else original)
+        report = run_suite(suite, make_context(f"fp:{p}"), colors=colors)
+        assert report.failed == (failed if broken else 0)
+        assert report.counterexample == (counterexample if broken else None)
+        assert counts_ok(report)
 
 
 # (module, kernel, how it is broken, suite, colors), run over Q with seed 0 and
