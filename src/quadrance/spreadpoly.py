@@ -279,17 +279,26 @@ class GreenRatioValue:
     closed_form: object
 
 
+def green_ratio_fractions(x, y, n: int):
+    """The green ratio s = -(y-x)^2/(4xy) and the closed form of S_n(s),
+    -(y^n - x^n)^2 / (4 x^n y^n), as uncancelled pairs
+    ((s_num, s_den), (closed_num, closed_den)), with no checks.  The
+    coefficients are integers, so over F_p the pairs may be computed on int
+    residues and reduced afterwards."""
+    xn, yn = x ** n, y ** n
+    return (-((y - x) ** 2), 4 * x * y), (-((yn - xn) ** 2), 4 * xn * yn)
+
+
 def spread_at_green_ratio(x, y, n: int) -> GreenRatioValue:
     """Evaluate S_n at s = -(y-x)^2/(4xy) both ways.
 
     ``sn_of_s`` is the polynomial evaluation and ``closed_form`` is
-    -(y^n - x^n)^2 / (4 x^n y^n); the two always agree.
+    -(y^n - x^n)^2 / (4 x^n y^n) (green_ratio_fractions); the two always agree.
     """
     if n < 1:
         raise InvalidArgument("index must be positive")
     if x == 0 or y == 0:
         raise DivisionByZero("green ratio needs nonzero x and y")
-    s = exact_div(-((y - x) ** 2), 4 * x * y)
-    sn = poly_eval(spread_poly(n), s)
-    closed = exact_div(-((y ** n - x ** n) ** 2), 4 * x ** n * y ** n)
-    return GreenRatioValue(s, sn, closed)
+    (s_num, s_den), closed = green_ratio_fractions(x, y, n)
+    s = exact_div(s_num, s_den)
+    return GreenRatioValue(s, poly_eval(spread_poly(n), s), exact_div(*closed))

@@ -19,20 +19,26 @@ too.  Solution fractions are checked cleared of their denominator
 (num == den * q); coloured quadrances before and after an isometry are
 compared cleared (num * den' == num' * den), and points and matrices by
 their cross products.  The p-quadrance tables read
-projective.p_quadrance_fraction on int-residue points.  The isometry sweep runs on the points [1:t] and
-[0:1] with int coordinates, and the spreadpoly sweep evaluates the
-recurrence and composition checks on int residues.  Values are lifted to
-Fp only to report a failure.  What needs field division or square roots
-stays on Fp: the chromo suite, blue square roots, the green power bridge
-and the green ratio check.  The free-variable identities (the alternate
-forms, the rearrangement identities, rescaling invariance) are
-random-input checks and run over Q only.
+projective.p_quadrance_fraction on int-residue points.  The isometry sweep
+runs on the points [1:t] and [0:1] with int coordinates, the green power
+bridge included.  The spreadpoly sweep runs on int residues, and the green
+ratio's (num, den) pairs (spreadpoly.green_ratio_fractions) are reduced
+by a modular inverse.  Values are lifted to Fp only to report a failure.
+Two checks stay on Fp.  The chromo suite checks chromo.colored_quadrance
+and reciprocal_sum themselves, so it runs them on the field's points.  The
+blue square roots need field square roots.  The free-variable identities
+(the alternate forms, the rearrangement identities, rescaling invariance)
+are random-input checks and run over Q only.
 
 The quadruple and triple-spread sweeps check each distinct tuple of table
 values once per call: a verdict is a pure function of the values it reads,
 so every point tuple that reads the same values reuses it, and the counts
-and the first counterexample are unchanged.  The memo never outlives the
-call, so a kernel patched between runs is always seen.
+and the first counterexample are unchanged.  The spreadpoly sweep and the
+green power bridge read S_k(r) mod p from one table per call
+(_spread_table), built by spreadpoly.poly_eval: a value is a pure function
+of (S_k, r), and each check reads the same pairs it would evaluate.
+Neither memo nor table outlives the call, so a kernel patched between runs
+is always seen.
 
 Over Q the same polynomial checks run fraction-free: a case lifts its
 rational inputs once to field.Scaled values over one common denominator
@@ -46,9 +52,9 @@ representatives and stay on Fraction.
 Where the inputs were already checked valid, an error a kernel raises is
 reported as the failure of the identity checked, not raised: a
 FactorizationFailure in spread-cyclotomic-product, a NonIntegralResult in
-spread-via-chebyshev, a QuadranceError in the chromo identities and, over
-Q, in blue-sqrt-round-trip, and a DivisionByZero in the F_p p-quadrance
-tables of the spread formulas.
+spread-via-chebyshev, a QuadranceError in the chromo identities and in
+green-power-spread-bridge and, over Q, in blue-sqrt-round-trip, and a
+DivisionByZero in the F_p p-quadrance tables of the spread formulas.
 """
 
 from __future__ import annotations
@@ -608,13 +614,18 @@ def _suite_fibonacci(rec, ctx, rng, trials, colors):
     for form in map(named_form, FORM_NAMES):
         disc = projective.discriminant(form)
         values = [value(form, v) for v in vectors]
+        passed = 0
         for v1, value1 in zip(vectors, values):
             for v2, value2 in zip(vectors, values):
                 lhs, rhs = _fibonacci_sides(form, disc, v1, value1, v2, value2)
                 lhs, rhs = lhs % p, rhs % p
-                rec.case(None if lhs == rhs else mismatch(
-                    "generalized-fibonacci",
-                    dict(zip(names, (form.d, form.e, form.f) + v1 + v2)), lhs, rhs))
+                if lhs == rhs:
+                    passed += 1
+                else:
+                    rec.case(mismatch("generalized-fibonacci",
+                                      dict(zip(names, (form.d, form.e, form.f) + v1 + v2)),
+                                      lhs, rhs))
+        rec.add_passes(passed)
 
 
 def _triple_spread_case(form, a1, a2, a3, free) -> Optional[dict]:
@@ -836,14 +847,27 @@ def _blue_sqrt_case(p: ProjPoint) -> Optional[dict]:
     return None
 
 
-def _green_power_case(p: ProjPoint, n: int) -> Optional[dict]:
+def _green_power_case(a: ProjPoint, n: int, p=None, spread=None) -> Optional[dict]:
+    """The green quadrance from [1:1] to a^n is S_n(s), s the one to ``a``.
+    Over F_p, ``a`` has int-residue coordinates and S_n(s) is read from the
+    _spread_table ``spread``.  ``a`` is non-null, so a QuadranceError is
+    this identity's failure."""
     one_one = isometry.point_identity(Color.GREEN)
-    s = chromo.colored_quadrance(Color.GREEN, one_one, p)
-    pn = isometry.point_power(Color.GREEN, p, n)
-    lhs = chromo.colored_quadrance(Color.GREEN, one_one, pn)
-    rhs = spreadpoly.poly_eval(spreadpoly.spread_poly(n), s)
+    try:
+        if p is None:
+            s = chromo.colored_quadrance(Color.GREEN, one_one, a)
+            pn = isometry.point_power(Color.GREEN, a, n)
+            lhs = chromo.colored_quadrance(Color.GREEN, one_one, pn)
+            rhs = spreadpoly.poly_eval(spreadpoly.spread_poly(n), s)
+        else:
+            s = _quotient(*_colored_fraction(Color.GREEN, one_one, a, p), p)
+            pn = isometry.point_power(Color.GREEN, a, n)
+            lhs = _quotient(*_colored_fraction(Color.GREEN, one_one, pn, p), p)
+            rhs = spread[s][n]
+    except QuadranceError as exc:
+        return _raised("green-power-spread-bridge", {"p": _lift(p, a), "n": n}, exc)
     if lhs != rhs:
-        return mismatch("green-power-spread-bridge", {"p": p, "n": n}, lhs, rhs)
+        return mismatch("green-power-spread-bridge", {"p": _lift(p, a), "n": n}, lhs, rhs)
     return None
 
 
@@ -854,6 +878,7 @@ def _residue_preservation(rec, p: int, color, res, live, isos):
     n = len(res)
     apply = isometry.apply
     before = _pair_table(n, live, lambda i, j: _colored_fraction(color, res[i], res[j], p))
+    passed = 0
     for kind in IsoKind:
         rec.skip("null-parameter", n - len(live))
         for k in live:
@@ -865,9 +890,12 @@ def _residue_preservation(rec, p: int, color, res, live, isos):
                 for j in live:
                     after = _colored_fraction(color, image, images[j], p)
                     failure = _preservation_law(color, before_i[j], after, p)
-                    rec.case(None if failure is None else _failed(
-                        failure, {"kind": kind, "param": iso.param, "a1": res[i], "a2": res[j]},
-                        p))
+                    if failure is None:
+                        passed += 1
+                    else:
+                        rec.case(_failed(failure, {"kind": kind, "param": iso.param,
+                                                   "a1": res[i], "a2": res[j]}, p))
+    rec.add_passes(passed)
 
 
 def _residue_composition(rec, p: int, color, res, live, isos):
@@ -875,13 +903,19 @@ def _residue_composition(rec, p: int, color, res, live, isos):
     product of matrices built once per isometry."""
     n = len(res)
     matrices = {key: isometry.matrix_of(iso) for key, iso in isos.items()}
+    passed = 0
     for kind1 in IsoKind:
         for kind2 in IsoKind:
             rec.skip("null-parameter", n * n - len(live) ** 2)
             for i in live:
                 iso1, m1 = isos[kind1, i], matrices[kind1, i]
                 for j in live:
-                    rec.case(_composition_case(iso1, m1, isos[kind2, j], matrices[kind2, j], p))
+                    failure = _composition_case(iso1, m1, isos[kind2, j], matrices[kind2, j], p)
+                    if failure is None:
+                        passed += 1
+                    else:
+                        rec.case(failure)
+    rec.add_passes(passed)
 
 
 def _residue_multiplication(rec, p: int, color, res, live):
@@ -894,6 +928,7 @@ def _residue_multiplication(rec, p: int, color, res, live):
     unit = {i: _unit_laws(color, res[i], p) for i in live}
     pair = _pair_table(n, live, lambda i, j: _pair_laws(color, res[i], res[j], ab[i][j],
                                                         ab[j][i], unit[i], p))
+    passed = 0
     for i in live:
         p1, ab_i, pair_i = res[i], ab[i], pair[i]
         for j in live:
@@ -901,17 +936,19 @@ def _residue_multiplication(rec, p: int, color, res, live):
             for k in live:
                 failure = (_associativity_law(color, p1, res[k], ab_i[j], ab_j[k], p)
                            or pair_failure)
-                rec.case(None if failure is None else _failed(
-                    failure, {"color": color, "p1": p1, "p2": res[j], "p3": res[k]}, p))
+                if failure is None:
+                    passed += 1
+                else:
+                    rec.case(_failed(
+                        failure, {"color": color, "p1": p1, "p2": res[j], "p3": res[k]}, p))
+    rec.add_passes(passed)
 
 
 def _suite_isometry(rec, ctx, rng, trials, colors):
     wanted = [Color(name) for name in _selected_forms(colors) if name != "general"]
     if rng is None:
-        # Preservation, composition and the multiplication laws run the
-        # library's kernels on int-residue points and compare mod p; blue
-        # square roots and the green power bridge need field division and
-        # square roots, so they stay on Fp points.
+        # Blue square roots need field square roots, so they stay on Fp
+        # points; every other check runs on int-residue points.
         pts = proj_points(ctx)
         res = _residue_points(ctx.p)
         for color in wanted:
@@ -929,9 +966,10 @@ def _suite_isometry(rec, ctx, rng, trials, colors):
                         rec.skip("not-unit-circle")
             if color is Color.GREEN:
                 rec.skip("null-point", 8 * (len(pts) - len(live)))
+                spread = _spread_table(ctx.p, 8)
                 for i in live:
                     for power in range(1, 9):
-                        rec.case(_green_power_case(pts[i], power))
+                        rec.case(_green_power_case(res[i], power, ctx.p, spread))
     else:
         for t in range(trials if wanted else 0):
             color = wanted[t % len(wanted)]
@@ -1000,45 +1038,55 @@ def _spreadpoly_fixed_cases():
         yield "spread-cyclotomic-product", {"n": n}, product, spread_poly(n)
 
 
-def _recurrence_case(s, p: Optional[int] = None) -> Optional[dict]:
+def _spread_table(p: int, top: int) -> list:
+    """spread[r][k] = S_k(r) mod p for the residues r < p and k = 0..top:
+    each spread polynomial is evaluated at each residue once per call."""
+    polys = [spreadpoly.spread_poly(k) for k in range(top + 1)]
+    return [[spreadpoly.poly_eval(poly, r) % p for poly in polys] for r in range(p)]
+
+
+def _recurrence_case(s, x, values, p=None) -> Optional[dict]:
     """S_{n-1}(s), s, S_n(s) annihilate the triple spread function, n = 1..12.
 
-    With ``p`` the argument is an int residue and values are reduced mod p;
-    spread polynomials have integer coefficients, so this is exact over F_p.
-    Over Q, s = a/b is lifted to a Scaled value, so S_n(s) is evaluated in
-    ints over powers of b.
+    ``values[n]`` is S_n(s) for n = 0..12 and ``x`` is s as the kernels take
+    it: over Q a Scaled value, so S_n(s) is evaluated in ints over powers of
+    the denominator; over F_p the residue, with values from _spread_table.
     """
-    x = s if p is not None else lift_scaled((s,))[0]
-    prev = spreadpoly.poly_eval(spreadpoly.spread_poly(0), x)
     for n in range(1, 13):
-        cur = spreadpoly.poly_eval(spreadpoly.spread_poly(n), x)
-        val = projective.triple_spread_fn(prev, x, cur)
+        val = projective.triple_spread_fn(values[n - 1], x, values[n])
         if p is not None:
-            cur, val = cur % p, val % p
+            val %= p
         if val != 0:
             return mismatch("spread-recurrence-triple", {"n": n, "s": s}, val, 0)
-        prev = cur
     return None
 
 
-def _composition_eval_case(s: int, p: int) -> Optional[dict]:
-    """S_n(S_m(s)) = S_nm(s) for n, m = 1..6, at an int residue s mod p."""
-    poly_eval, spread_poly = spreadpoly.poly_eval, spreadpoly.spread_poly
+def _composition_eval_case(s: int, spread: list) -> Optional[dict]:
+    """S_n(S_m(s)) = S_nm(s) for n, m = 1..6, at an int residue s, read
+    from the _spread_table ``spread``."""
+    row = spread[s]
     for n in range(1, 7):
         for m in range(1, 7):
-            lhs = poly_eval(spread_poly(n), poly_eval(spread_poly(m), s) % p) % p
-            rhs = poly_eval(spread_poly(n * m), s) % p
+            lhs, rhs = spread[row[m]][n], row[n * m]
             if lhs != rhs:
                 return mismatch("spread-composition-eval", {"n": n, "m": m, "s": s}, lhs, rhs)
     return None
 
 
-def _green_ratio_case(x, y, ns) -> Optional[dict]:
+def _green_ratio_case(x, y, ns, p=None, spread=None) -> Optional[dict]:
+    """S_n(s) equals its closed form at the green ratio s of x and y, for n
+    in ``ns``.  Over F_p, x and y are nonzero int residues: the pairs of
+    spreadpoly.green_ratio_fractions are reduced mod p and S_n(s) is read
+    from the _spread_table ``spread``."""
     for n in ns:
-        res = spreadpoly.spread_at_green_ratio(x, y, n)
-        if res.sn_of_s != res.closed_form:
-            return mismatch("green-ratio-closed-form", {"x": x, "y": y, "n": n},
-                            res.sn_of_s, res.closed_form)
+        if p is None:
+            res = spreadpoly.spread_at_green_ratio(x, y, n)
+            sn, closed = res.sn_of_s, res.closed_form
+        else:
+            (s_num, s_den), closed = spreadpoly.green_ratio_fractions(x, y, n)
+            sn, closed = spread[_quotient(s_num, s_den, p)][n], _quotient(*closed, p)
+        if sn != closed:
+            return mismatch("green-ratio-closed-form", {"x": x, "y": y, "n": n}, sn, closed)
     return None
 
 
@@ -1046,19 +1094,20 @@ def _suite_spreadpoly(rec, ctx, rng, trials, colors):
     for identity, inputs, got, want in _spreadpoly_fixed_cases():
         rec.case(None if got == want else mismatch(identity, inputs, got, want))
     if rng is None:
-        # Recurrence and composition on int residues; the green ratio
-        # divides, so it stays on Fp.
-        for s in range(ctx.p):
-            rec.case(_recurrence_case(s, ctx.p) or _composition_eval_case(s, ctx.p))
-        nonzero = [x for x in ctx.enumerate_elements() if x != 0]
-        rec.skip("zero-coordinate", ctx.p ** 2 - len(nonzero) ** 2)
-        for x in nonzero:
-            for y in nonzero:
-                rec.case(_green_ratio_case(x, y, range(1, 9)))
+        p = ctx.p
+        spread = _spread_table(p, 36)
+        for s in range(p):
+            rec.case(_recurrence_case(s, s, spread[s], p) or _composition_eval_case(s, spread))
+        rec.skip("zero-coordinate", p ** 2 - (p - 1) ** 2)
+        for x in range(1, p):
+            for y in range(1, p):
+                rec.case(_green_ratio_case(x, y, range(1, 9), p, spread))
     else:
         for t in range(trials):
             s = random_element(ctx, rng)
-            failure = _recurrence_case(s)
+            x = lift_scaled((s,))[0]
+            failure = _recurrence_case(
+                s, x, [spreadpoly.poly_eval(spreadpoly.spread_poly(n), x) for n in range(13)])
             if failure is None:
                 x, y = random_nonzero(rng), random_nonzero(rng)
                 failure = _green_ratio_case(x, y, [1 + t % 8])

@@ -323,6 +323,14 @@ def _plus_s_above_degree_12(fn):
     return lambda poly, s: fn(poly, s) + (s if poly.degree > 12 else 0)
 
 
+def _closed_numerator_plus_denominator(fn):
+    # the closed form of S_n at the green ratio, plus one
+    def broken(x, y, n):
+        s, (num, den) = fn(x, y, n)
+        return s, (num + den, den)
+    return broken
+
+
 # (module, kernel, how it is broken, suite, p, colors, failed, counterexample).
 # The counts and counterexamples are those the sweep over Fp objects gave for
 # the same mutation, so the residue sweep must report them byte for byte.
@@ -373,6 +381,11 @@ RESIDUE_MUTATIONS = [
      {"identity": "triple-spread-formula",
       "inputs": {"form": "(1:0:1)", "a1": "[1:0]", "a2": "[1:1]", "a3": "[1:2]"},
       "lhs": "2", "rhs": "0"}),
+    # the Fp sweep called spread_at_green_ratio, broken as closed_form + 1
+    ("spreadpoly", "green_ratio_fractions", _closed_numerator_plus_denominator, "spreadpoly", 7,
+     None, 36,
+     {"identity": "green-ratio-closed-form", "inputs": {"x": "1", "y": "1", "n": "1"},
+      "lhs": "0", "rhs": "1"}),
 ]
 
 
@@ -394,15 +407,17 @@ def test_residue_sweeps_detect_broken_kernels(monkeypatch, module, kernel, break
 
 
 MEMO_SWEEPS = [row for row in RESIDUE_MUTATIONS if row[1] in
-               ("quadruple_spread_fn", "quad_triple_pair_fraction", "triple_spread_fn")]
+               ("quadruple_spread_fn", "quad_triple_pair_fraction", "triple_spread_fn",
+                "poly_eval")]
 
 
 @pytest.mark.parametrize("module, kernel, breaker, suite, p, colors, failed, counterexample",
                          MEMO_SWEEPS, ids=[m[3] for m in MEMO_SWEEPS])
 def test_sweep_verdicts_last_one_call(monkeypatch, module, kernel, breaker, suite, p, colors,
                                       failed, counterexample):
-    # the quadruple and triple-spread sweeps remember verdicts per table tuple
-    # within one call only: broken, clean and broken again each see their kernel
+    # the quadruple and triple-spread sweeps remember verdicts per table tuple,
+    # and the spreadpoly sweep its spread-polynomial values, within one call
+    # only: broken, clean and broken again each see their kernel
     import importlib
 
     mod = importlib.import_module(f"quadrance.{module}")
@@ -859,6 +874,33 @@ def test_broken_chromo_kernel_is_reported_not_raised(monkeypatch, kernel, breake
         assert counts_ok(report)
         if field in raised:
             assert any(lhs.startswith(f"{raised[field]}: ") for lhs in seen), field
+
+
+def test_green_power_bridge_reads_point_power_on_residues(monkeypatch):
+    # counts and first counterexample of the sweep over Fp points
+    monkeypatch.setattr(isometry, "point_power",
+                        lambda color, p, n, fn=isometry.point_power: fn(color, p, n + 1))
+    report = run_suite("isometry", make_context("fp:7"))
+    assert (report.failed, report.attempted) == (34, 4944)
+    assert report.counterexample == {
+        "identity": "green-power-spread-bridge", "inputs": {"p": "[1:2]", "n": "2"},
+        "lhs": "0", "rhs": "6"}
+
+
+def test_green_null_power_is_reported_not_raised(monkeypatch):
+    # p is non-null, so a green-null p^3 makes colored_quadrance raise
+    # NullPoint on valid inputs: the bridge's mismatch, with the error as lhs
+    def null_cube(color, p, n, fn=isometry.point_power):
+        return isometry.ProjPoint(1, 0) if n == 3 else fn(color, p, n)
+
+    monkeypatch.setattr(isometry, "point_power", null_cube)
+    for field in ("fp:7", "rationals"):
+        report = run_suite("isometry", make_context(field), trials=30, seed=0)
+        assert report.failed > 0 and counts_ok(report), field
+        assert report.counterexample["identity"] == "green-power-spread-bridge"
+        assert report.counterexample["inputs"]["n"] == "3"
+        assert report.counterexample["lhs"] == "NullPoint: second point [1:0] is green-null"
+        assert report.counterexample["rhs"] == "no error"
 
 
 def test_broken_canonical_fails_the_rational_blue_sqrt_check(monkeypatch):
