@@ -83,7 +83,9 @@ def colored_quadrance_fraction(color: Color, a1: ProjPoint, a2: ProjPoint):
 
 def colored_quadrance(color: Color, a1: ProjPoint, a2: ProjPoint):
     """The color's p-quadrance, via its closed formula (colored_quadrance_fraction)
-    on the cleared points: rational coordinates scaled to ints by one factor."""
+    on the cleared points: rational coordinates scaled to ints by one factor.
+    Scaled coordinates (field.lift_scaled) pass through clear_denominators
+    unchanged and stay Scaled until the final exact_div."""
     values = (a1.x, a1.y, a2.x, a2.y)
     cleared = clear_denominators(values)
     if cleared is not values:

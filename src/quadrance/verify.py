@@ -40,14 +40,19 @@ of (S_k, r), and each check reads the same pairs it would evaluate.
 Neither memo nor table outlives the call, so a kernel patched between runs
 is always seen.
 
-Over Q the same polynomial checks run fraction-free: a case lifts its
-rational inputs once to field.Scaled values over one common denominator
+Over Q the same checks run fraction-free: a case lifts its rational
+inputs once to field.Scaled values over one common denominator
 (field.lift_scaled), and the kernels add and multiply them in ints.  The
 triple-quad, quadruple-quad and _check_identity inputs are lifted, and so
-are the p-quadrances and free variables of the spread suites and the
-spread recurrence's argument.  A Fraction is made only for a quotient or a
-counterexample's str.  The chromo and isometry checks compare stored
-representatives and stay on Fraction.
+are the p-quadrances and free variables of the spread suites.  The spread
+recurrence lifts s with S_0(s)..S_12(s) from spreadpoly.poly_eval.  The
+isometry sampler lifts its five points together: the same rationals, so
+its matrices print the same stored entries.  The chromo sampler clears
+each point to ints (field.clear_denominators); its identities print only
+points, shown by canonical(), and p-quadrances, which are ratios.  The one
+exception is the reciprocal-sum proof identity, which prints uncancelled
+values and so runs on the sampled points.  A Fraction is made only for a
+quotient, a counterexample's str and the blue square roots.
 
 Where the inputs were already checked valid, an error a kernel raises is
 reported as the failure of the identity checked, not raised: a
@@ -71,7 +76,7 @@ from . import affine, chromo, isometry, projective, spreadpoly
 from .chromo import Color
 from .errors import (DivisionByZero, FactorizationFailure, InvalidArgument, NonIntegralResult,
                      NotUnitCircle, QuadranceError, UnknownSuite)
-from .field import FieldContext, Fp, exact_div, lift_scaled
+from .field import FieldContext, Fp, clear_denominators, exact_div, lift_scaled
 from .isometry import IsoKind
 from .projective import Form, ProjPoint
 
@@ -753,16 +758,21 @@ _CYCLIC_COLORS = ((Color.BLUE, Color.RED, Color.GREEN), (Color.RED, Color.GREEN,
                   (Color.GREEN, Color.BLUE, Color.RED))
 
 
-def _chromo_case(a1, a2) -> Optional[dict]:
+def _chromo_case(a1, a2, cleared=None) -> Optional[dict]:
     inputs = {"a1": a1, "a2": a2}
     # red and green numerators are -num_blue, so the reciprocal sum is
-    # (den_blue - den_red - den_green) / num_blue, and it is 2
+    # (den_blue - den_red - den_green) / num_blue, and it is 2; a report
+    # prints these uncancelled values, so they are taken on a1, a2 as given
     fraction = chromo.colored_quadrance_fraction
     num, den = fraction(Color.BLUE, a1, a2)
     lhs = den - fraction(Color.RED, a1, a2)[1] - fraction(Color.GREEN, a1, a2)[1]
     rhs = 2 * num
     if lhs != rhs:
         return mismatch("reciprocal-sum-proof-identity", inputs, lhs, rhs)
+    # the rest print only points (canonical) and ratios, so over Q they run
+    # on ``cleared``: the same points with int coordinates
+    if cleared is not None:
+        a1, a2 = cleared
     # The points are non-null in every colour, so a QuadranceError below
     # comes from a broken kernel: it is the mismatch of the identity checked.
     identity, where = "reciprocal-sum", inputs
@@ -821,12 +831,14 @@ def _suite_chromo(rec, ctx, rng, trials, colors):
                 rec.case(_chromo_case(pts[i], pts[j]))
     else:
         for _ in range(trials):
-            pair = []
+            pair, cleared = [], []
             while len(pair) < 2:
                 a = random_point(rng)
-                if _all_colors_nonnull(a):
+                b = ProjPoint(*clear_denominators((a.x, a.y)))
+                if _all_colors_nonnull(b):
                     pair.append(a)
-            rec.case(_chromo_case(*pair))
+                    cleared.append(b)
+            rec.case(_chromo_case(*pair, cleared))
 
 
 def _multiplication_case(color, p1, p2, p3) -> Optional[dict]:
@@ -944,6 +956,14 @@ def _residue_multiplication(rec, p: int, color, res, live):
     rec.add_passes(passed)
 
 
+def _lift_points(points) -> list[ProjPoint]:
+    """Rational points with all their coordinates lifted together to Scaled
+    values over one denominator (field.lift_scaled): the same rationals, so
+    they print the same.  They mix with ints, not with unlifted Fractions."""
+    coords = lift_scaled([v for a in points for v in a.entries()])
+    return [ProjPoint(x, y) for x, y in zip(coords[::2], coords[1::2])]
+
+
 def _suite_isometry(rec, ctx, rng, trials, colors):
     wanted = [Color(name) for name in _selected_forms(colors) if name != "general"]
     if rng is None:
@@ -974,11 +994,7 @@ def _suite_isometry(rec, ctx, rng, trials, colors):
         for t in range(trials if wanted else 0):
             color = wanted[t % len(wanted)]
             form = chromo.colored_form(color)
-            p1 = random_nonnull_point(form, rng)
-            p2 = random_nonnull_point(form, rng)
-            p3 = random_nonnull_point(form, rng)
-            a1 = random_nonnull_point(form, rng)
-            a2 = random_nonnull_point(form, rng)
+            p1, p2, p3, a1, a2 = _lift_points([random_nonnull_point(form, rng) for _ in range(5)])
             kind = IsoKind.ROTATION if rng.randrange(2) else IsoKind.REFLECTION
             kind2 = IsoKind.ROTATION if rng.randrange(2) else IsoKind.REFLECTION
             iso1 = isometry.make_isometry(color, kind, p1)
@@ -1049,8 +1065,8 @@ def _recurrence_case(s, x, values, p=None) -> Optional[dict]:
     """S_{n-1}(s), s, S_n(s) annihilate the triple spread function, n = 1..12.
 
     ``values[n]`` is S_n(s) for n = 0..12 and ``x`` is s as the kernels take
-    it: over Q a Scaled value, so S_n(s) is evaluated in ints over powers of
-    the denominator; over F_p the residue, with values from _spread_table.
+    it: over Q, s and the S_n(s) from spreadpoly.poly_eval lifted together
+    to Scaled values; over F_p the residue, with values from _spread_table.
     """
     for n in range(1, 13):
         val = projective.triple_spread_fn(values[n - 1], x, values[n])
@@ -1105,9 +1121,9 @@ def _suite_spreadpoly(rec, ctx, rng, trials, colors):
     else:
         for t in range(trials):
             s = random_element(ctx, rng)
-            x = lift_scaled((s,))[0]
-            failure = _recurrence_case(
-                s, x, [spreadpoly.poly_eval(spreadpoly.spread_poly(n), x) for n in range(13)])
+            x, *values = lift_scaled(
+                [s] + [spreadpoly.poly_eval(spreadpoly.spread_poly(n), s) for n in range(13)])
+            failure = _recurrence_case(s, x, values)
             if failure is None:
                 x, y = random_nonzero(rng), random_nonzero(rng)
                 failure = _green_ratio_case(x, y, [1 + t % 8])

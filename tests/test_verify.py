@@ -876,6 +876,44 @@ def test_broken_chromo_kernel_is_reported_not_raised(monkeypatch, kernel, breake
             assert any(lhs.startswith(f"{raised[field]}: ") for lhs in seen), field
 
 
+def test_chromo_proof_identity_prints_the_sampled_representatives(monkeypatch):
+    # the proof identity prints uncancelled values, so it must not run on
+    # cleared points: the same case prints lhs 450, rhs 458 with each point
+    # cleared, and lhs 16200, rhs 16248 with the pair cleared together
+    from quadrance import chromo
+
+    monkeypatch.setattr(chromo, "colored_quadrance_fraction",
+                        _numerator_plus_x1x2(chromo.colored_quadrance_fraction))
+    report = run_suite("chromo", make_context("rationals"), trials=30, seed=0)
+    assert (report.attempted, report.failed) == (30, 30)
+    assert report.counterexample == {
+        "identity": "reciprocal-sum-proof-identity", "inputs": {"a1": "[1:3]", "a2": "[1:-3/4]"},
+        "lhs": "25/2", "rhs": "83/6"}
+
+
+def test_lifted_points_are_the_sampled_rationals_and_refuse_unlifted_fractions():
+    import random
+    from fractions import Fraction
+
+    from quadrance.verify import _lift_points, random_point
+
+    rng = random.Random(0)
+    sampled = [random_point(rng) for _ in range(5)]
+    lifted = _lift_points(sampled)
+    for a, b in zip(sampled, lifted):
+        # b == a would multiply a Scaled by a Fraction, which raises
+        assert b.canonical() == a.canonical() and str(b) == str(a)
+        assert b.x == a.x and b.y == a.y
+    # blue_sqrt returns Fraction points; a product with a lifted point must
+    # raise, never give a value
+    unlifted = isometry.ProjPoint(Fraction(3, 5), Fraction(4, 5))
+    point = next(b for b in lifted if not any(is_null_for(c, b) for c in Color))
+    for color in Color:
+        for pair in ((point, unlifted), (unlifted, point)):
+            with pytest.raises(TypeError):
+                isometry.multiply_points(color, *pair)
+
+
 def test_green_power_bridge_reads_point_power_on_residues(monkeypatch):
     # counts and first counterexample of the sweep over Fp points
     monkeypatch.setattr(isometry, "point_power",
