@@ -455,6 +455,10 @@ class Scaled:
         a, b, _ = self._align(other)
         return Fraction(a, b)
 
+    def __rtruediv__(self, other):
+        a, b, _ = self._align(other)
+        return Fraction(b, a)
+
     def __eq__(self, other):
         if type(other) is Fraction:
             return self.n * other.denominator == other.numerator * self.pw[self.k]

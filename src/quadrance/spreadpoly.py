@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DivisionByZero, FactorizationFailure, InvalidArgument, NonIntegralResult
-from .field import exact_div
+from .field import decimal_str, exact_div
 
 
 class IntPolynomial:
@@ -92,7 +92,7 @@ class IntPolynomial:
     def __str__(self):
         if not self.coeffs:
             return "0"
-        return " ".join(str(c) for c in self.coeffs)
+        return " ".join(map(decimal_str, self.coeffs))
 
 
 ZERO = IntPolynomial()

@@ -6,53 +6,38 @@ skipping and counting tuples that are null where non-null inputs are
 required.  Every report satisfies passed + failed + skipped = attempted,
 and identical seeds and arguments reproduce identical results.
 
-Each identity is checked by one function, which both drivers call.  A
-check takes ``p=None`` over Q; the F_p sweep passes int residues 0..p-1
-and the prime p, and the check compares mod p.  This is exact because
-the polynomial identities (triple and quadruple quad and spread
-formulas, Heron, Brahmagupta, generalized Fibonacci) have integer
-coefficients: the library's own kernels run on the residues and each
-side is reduced once.  No check re-derives a kernel: the generalized
+Each identity is checked by one function, which both drivers call, and
+only the drivers pick the representation; a check computes on, and
+prints, what it is given.  The rational sampler lifts each case's
+rationals together to field.Scaled values over one common denominator
+(field.lift_scaled), so the kernels add and multiply them in ints, and a
+Scaled prints exactly as its Fraction.  The F_p sweep passes int residues
+0..p-1 with the prime p, a check compares mod p, and values are lifted to
+Fp only to print a failure.  Both are exact because the identities have
+integer coefficients.  No check re-derives a kernel: the generalized
 Fibonacci identity runs through projective.discriminant, pairing and
 form_value, on plain records so that zero coefficients and vectors count
 too.  Solution fractions are checked cleared of their denominator
 (num == den * q); coloured quadrances before and after an isometry are
 compared cleared (num * den' == num' * den), and points and matrices by
-their cross products.  The p-quadrance tables read
-projective.p_quadrance_fraction on int-residue points.  The isometry sweep
-runs on the points [1:t] and [0:1] with int coordinates, the green power
-bridge included.  The spreadpoly sweep runs on int residues, and the green
-ratio's (num, den) pairs (spreadpoly.green_ratio_fractions) are reduced
-by a modular inverse.  Values are lifted to Fp only to report a failure.
-Two checks stay on Fp.  The chromo suite checks chromo.colored_quadrance
-and reciprocal_sum themselves, so it runs them on the field's points.  The
-blue square roots need field square roots.  The free-variable identities
-(the alternate forms, the rearrangement identities, rescaling invariance)
-are random-input checks and run over Q only.
+their cross products.  The exceptions: the spread cases lift the
+p-quadrances they compute, and the spread recurrence lifts s with
+S_0(s)..S_12(s) from spreadpoly.poly_eval.  The chromo suite checks
+chromo.colored_quadrance and reciprocal_sum themselves, so over F_p it
+runs on Fp points; over Q it clears each point to ints
+(field.clear_denominators), which prints the same through canonical(),
+except for the reciprocal-sum proof identity, which prints uncancelled
+values.  The blue square roots need field square roots.  The
+free-variable identities (the alternate forms, the rearrangement
+identities, rescaling invariance) run over Q only.
 
 The quadruple and triple-spread sweeps check each distinct tuple of table
 values once per call: a verdict is a pure function of the values it reads,
 so every point tuple that reads the same values reuses it, and the counts
-and the first counterexample are unchanged.  The spreadpoly sweep and the
-green power bridge read S_k(r) mod p from one table per call
-(_spread_table), built by spreadpoly.poly_eval: a value is a pure function
-of (S_k, r), and each check reads the same pairs it would evaluate.
-Neither memo nor table outlives the call, so a kernel patched between runs
-is always seen.
-
-Over Q the same checks run fraction-free: a case lifts its rational
-inputs once to field.Scaled values over one common denominator
-(field.lift_scaled), and the kernels add and multiply them in ints.  The
-triple-quad, quadruple-quad and _check_identity inputs are lifted, and so
-are the p-quadrances and free variables of the spread suites.  The spread
-recurrence lifts s with S_0(s)..S_12(s) from spreadpoly.poly_eval.  The
-isometry sampler lifts its five points together: the same rationals, so
-its matrices print the same stored entries.  The chromo sampler clears
-each point to ints (field.clear_denominators); its identities print only
-points, shown by canonical(), and p-quadrances, which are ratios.  The one
-exception is the reciprocal-sum proof identity, which prints uncancelled
-values and so runs on the sampled points.  A Fraction is made only for a
-quotient, a counterexample's str and the blue square roots.
+and the first counterexample are unchanged.  The spreadpoly sweep reads
+S_k(r) mod p from one table per call (_spread_table), built by
+spreadpoly.poly_eval.  Neither memo nor table outlives the call, so a
+kernel patched between runs is always seen.
 
 Where the inputs were already checked valid, an error a kernel raises is
 reported as the failure of the identity checked, not raised: a
@@ -191,8 +176,7 @@ def proj_points(ctx: FieldContext) -> list[ProjPoint]:
 # -- identity checks, shared by the rational and the F_p driver ---------------
 #
 # Each check returns (identity, lhs, rhs) for the first law that fails, in
-# report order, or None.  Over Q it takes field values and p=None; the F_p
-# sweeps pass int residues and the prime p, and values are compared mod p.
+# report order, or None.  It takes p=None over Q and the prime p over F_p.
 
 def _reduce(x, p=None):
     """x itself, or its residue mod p."""
@@ -220,9 +204,7 @@ def _solution_mismatch(num, den, want, p=None):
 
 def _triple_quad_law(q1, q2, q3, p=None) -> Optional[tuple]:
     """Archimedes' function vanishes on the quadrances of three points."""
-    value = affine.archimedes(q1, q2, q3)
-    if p is not None:
-        value %= p
+    value = _reduce(affine.archimedes(q1, q2, q3), p)
     return None if value == 0 else ("triple-quad-formula", value, 0)
 
 
@@ -248,9 +230,7 @@ def _quadruple_laws(name: str, fn, fraction, q12, q23, q34, q14, q13, q24,
                     p=None) -> Optional[tuple]:
     """The six quadrances of four points: ``fn`` of the four sides vanishes,
     and each diagonal equals its solution ``fraction`` where that is defined."""
-    value = fn(q12, q23, q34, q14)
-    if p is not None:
-        value %= p
+    value = _reduce(fn(q12, q23, q34, q14), p)
     if value != 0:
         return (f"{name}-formula", value, 0)
     got = _solution_mismatch(*fraction(q12, q23, q34, q14), q13, p)
@@ -412,25 +392,25 @@ def _alternates(name: str, fn, forms, args, shown: dict) -> Optional[dict]:
 def _check_identity(rec, ctx, rng, trials, identity, names, sides):
     """One case per argument tuple: ``sides(*args)`` must return equal (lhs, rhs).
 
-    Over Q the tuples are ``trials`` random ones.  Over F_p they are every
-    tuple of residues, and both sides are compared, and reported, mod p.
+    Over Q the tuples are ``trials`` random ones, lifted.  Over F_p they are
+    every tuple of residues, and both sides are compared, and reported, mod p.
     """
     if rng is not None:
         p = None
-        cases = (tuple(random_element(ctx, rng) for _ in names) for _ in range(trials))
+        cases = (lift_scaled([random_element(ctx, rng) for _ in names]) for _ in range(trials))
     else:
         p = ctx.p
         cases = itertools.product(range(p), repeat=len(names))
+    passed = 0
     for args in cases:
-        if p is None:
-            lhs, rhs = sides(*lift_scaled(args))
-        else:
-            lhs, rhs = sides(*args)
+        lhs, rhs = sides(*args)
+        if p is not None:
             lhs, rhs = lhs % p, rhs % p
         if lhs == rhs:
-            rec.case(None)
+            passed += 1
         else:
             rec.case(mismatch(identity, dict(zip(names, args)), lhs, rhs))
+    rec.add_passes(passed)
 
 
 def _live_indices(rec, null: list, arity: int) -> list:
@@ -500,23 +480,20 @@ def _sweep_quadruple(rec, p: int, qtab, live, name: str, fn, fraction, inputs: C
                     if failure is None:
                         passed += 1
                     else:
-                        rec.add_passes(passed)
-                        passed = 0
                         rec.case(_failed(failure, inputs(i, j, k, m)))
     rec.add_passes(passed)
 
 
 # -- individual suites --------------------------------------------------------
 
-def _triple_quad_case(t1, t2, t3) -> Optional[dict]:
-    u1, u2, u3 = lift_scaled((t1, t2, t3))
-    a1, a2, a3 = affine.AffinePoint(u1), affine.AffinePoint(u2), affine.AffinePoint(u3)
+def _triple_quad_case(x1, x2, x3) -> Optional[dict]:
+    a1, a2, a3 = affine.AffinePoint(x1), affine.AffinePoint(x2), affine.AffinePoint(x3)
     quadrance = affine.quadrance
     failure = _triple_quad_law(quadrance(a2, a3), quadrance(a1, a3), quadrance(a1, a2))
     if failure is not None:
-        return _failed(failure, {"x1": t1, "x2": t2, "x3": t3})
+        return _failed(failure, {"x1": x1, "x2": x2, "x3": x3})
     return _alternates("archimedes", affine.archimedes, affine.archimedes_forms,
-                       (u1, u2, u3), {"a": t1, "b": t2, "c": t3})
+                       (x1, x2, x3), {"a": x1, "b": x2, "c": x3})
 
 
 def _suite_triple_quad(rec, ctx, rng, trials, colors):
@@ -533,11 +510,10 @@ def _suite_triple_quad(rec, ctx, rng, trials, colors):
                              else _failed(failure, {"x1": i, "x2": j, "x3": k}))
     else:
         for _ in range(trials):
-            rec.case(_triple_quad_case(*(random_element(ctx, rng) for _ in range(3))))
+            rec.case(_triple_quad_case(*lift_scaled([random_element(ctx, rng) for _ in range(3)])))
 
 
-def _quadruple_quad_case(t1, t2, t3, t4) -> Optional[dict]:
-    a, b, c, d = lift_scaled((t1, t2, t3, t4))
+def _quadruple_quad_case(a, b, c, d) -> Optional[dict]:
     a1, a2, a3, a4 = (affine.AffinePoint(u) for u in (a, b, c, d))
     quadrance = affine.quadrance
     failure = _quadruple_laws("quadruple-quad", affine.quadruple_quad_fn,
@@ -545,13 +521,13 @@ def _quadruple_quad_case(t1, t2, t3, t4) -> Optional[dict]:
                               quadrance(a1, a2), quadrance(a2, a3), quadrance(a3, a4),
                               quadrance(a1, a4), quadrance(a1, a3), quadrance(a2, a4))
     if failure is not None:
-        return _failed(failure, {"x1": t1, "x2": t2, "x3": t3, "x4": t4})
+        return _failed(failure, {"x1": a, "x2": b, "x3": c, "x4": d})
     lhs = ((a - b) ** 2 - (c - d) ** 2 - 2 * (a + b - c - d) * (a + b)) ** 2 \
         - 16 * a * b * (a + b - c - d) ** 2
     rhs = affine.quadruple_quad_fn(a, b, c, d)
     if lhs != rhs:
         return mismatch("two-quad-triples-rearrangement",
-                        {"a": t1, "b": t2, "c": t3, "d": t4}, lhs, rhs)
+                        {"a": a, "b": b, "c": c, "d": d}, lhs, rhs)
     return None
 
 
@@ -563,7 +539,8 @@ def _suite_quadruple_quad(rec, ctx, rng, trials, colors):
                          lambda i, j, k, m: {"x1": i, "x2": j, "x3": k, "x4": m})
     else:
         for _ in range(trials):
-            rec.case(_quadruple_quad_case(*(random_element(ctx, rng) for _ in range(4))))
+            rec.case(_quadruple_quad_case(
+                *lift_scaled([random_element(ctx, rng) for _ in range(4)])))
 
 
 def _heron_sides(d1, d2, d3):
@@ -642,7 +619,7 @@ def _triple_spread_case(form, a1, a2, a3, free) -> Optional[dict]:
     if failure is not None:
         return _failed(failure, {"form": form, "a1": a1, "a2": a2, "a3": a3})
     return _alternates("triple-spread", projective.triple_spread_fn,
-                       projective.triple_spread_forms, lift_scaled(free), dict(zip("abc", free)))
+                       projective.triple_spread_forms, free, dict(zip("abc", free)))
 
 
 def _scale_invariance_case(form, a1, a2, lam) -> Optional[dict]:
@@ -688,8 +665,6 @@ def _exhaustive_triple_spread_form(rec, p: int, form, pts):
                 if failure is None:
                     passed += 1
                 else:
-                    rec.add_passes(passed)
-                    passed = 0
                     rec.case(_failed(
                         failure, {"form": form, "a1": pts[i], "a2": pts[j], "a3": pts[k]}))
     rec.add_passes(passed)
@@ -707,7 +682,7 @@ def _suite_triple_spread(rec, ctx, rng, trials, colors):
             a1 = random_nonnull_point(form, rng)
             a2 = random_nonnull_point(form, rng)
             a3 = random_nonnull_point(form, rng)
-            free = tuple(random_element(ctx, rng) for _ in range(3))
+            free = lift_scaled([random_element(ctx, rng) for _ in range(3)])
             failure = _triple_spread_case(form, a1, a2, a3, free)
             if failure is None:
                 failure = _scale_invariance_case(form, a1, a2, random_nonzero(rng))
@@ -723,7 +698,7 @@ def _quadruple_spread_case(form, a1, a2, a3, a4, free) -> Optional[dict]:
                               projective.spread_triple_pair_fraction, *lift_scaled(quadrances))
     if failure is not None:
         return _failed(failure, {"form": form, "a1": a1, "a2": a2, "a3": a3, "a4": a4})
-    a, b, c, d = lift_scaled(free)
+    a, b, c, d = free
     den = a + b - c - d - 2 * a * b + 2 * c * d
     lhs = ((a - b) ** 2 - (c - d) ** 2 - 2 * den * (a + b - 2 * a * b)) ** 2 \
         - 16 * a * b * (1 - a) * (1 - b) * den ** 2
@@ -750,7 +725,7 @@ def _suite_quadruple_spread(rec, ctx, rng, trials, colors):
         for t in range(trials if names else 0):
             form = named_form(names[t % len(names)])
             quad = [random_nonnull_point(form, rng) for _ in range(4)]
-            free = tuple(random_element(ctx, rng) for _ in range(4))
+            free = lift_scaled([random_element(ctx, rng) for _ in range(4)])
             rec.case(_quadruple_spread_case(form, *quad, free))
 
 
@@ -859,23 +834,15 @@ def _blue_sqrt_case(p: ProjPoint) -> Optional[dict]:
     return None
 
 
-def _green_power_case(a: ProjPoint, n: int, p=None, spread=None) -> Optional[dict]:
+def _green_power_case(a: ProjPoint, n: int, p=None) -> Optional[dict]:
     """The green quadrance from [1:1] to a^n is S_n(s), s the one to ``a``.
-    Over F_p, ``a`` has int-residue coordinates and S_n(s) is read from the
-    _spread_table ``spread``.  ``a`` is non-null, so a QuadranceError is
-    this identity's failure."""
+    ``a`` is non-null, so a QuadranceError is this identity's failure."""
     one_one = isometry.point_identity(Color.GREEN)
     try:
-        if p is None:
-            s = chromo.colored_quadrance(Color.GREEN, one_one, a)
-            pn = isometry.point_power(Color.GREEN, a, n)
-            lhs = chromo.colored_quadrance(Color.GREEN, one_one, pn)
-            rhs = spreadpoly.poly_eval(spreadpoly.spread_poly(n), s)
-        else:
-            s = _quotient(*_colored_fraction(Color.GREEN, one_one, a, p), p)
-            pn = isometry.point_power(Color.GREEN, a, n)
-            lhs = _quotient(*_colored_fraction(Color.GREEN, one_one, pn, p), p)
-            rhs = spread[s][n]
+        s = _quotient(*_colored_fraction(Color.GREEN, one_one, a, p), p)
+        pn = isometry.point_power(Color.GREEN, a, n)
+        lhs = _quotient(*_colored_fraction(Color.GREEN, one_one, pn, p), p)
+        rhs = _reduce(spreadpoly.poly_eval(spreadpoly.spread_poly(n), s), p)
     except QuadranceError as exc:
         return _raised("green-power-spread-bridge", {"p": _lift(p, a), "n": n}, exc)
     if lhs != rhs:
@@ -986,10 +953,9 @@ def _suite_isometry(rec, ctx, rng, trials, colors):
                         rec.skip("not-unit-circle")
             if color is Color.GREEN:
                 rec.skip("null-point", 8 * (len(pts) - len(live)))
-                spread = _spread_table(ctx.p, 8)
                 for i in live:
                     for power in range(1, 9):
-                        rec.case(_green_power_case(res[i], power, ctx.p, spread))
+                        rec.case(_green_power_case(res[i], power, ctx.p))
     else:
         for t in range(trials if wanted else 0):
             color = wanted[t % len(wanted)]
@@ -1061,17 +1027,11 @@ def _spread_table(p: int, top: int) -> list:
     return [[spreadpoly.poly_eval(poly, r) % p for poly in polys] for r in range(p)]
 
 
-def _recurrence_case(s, x, values, p=None) -> Optional[dict]:
-    """S_{n-1}(s), s, S_n(s) annihilate the triple spread function, n = 1..12.
-
-    ``values[n]`` is S_n(s) for n = 0..12 and ``x`` is s as the kernels take
-    it: over Q, s and the S_n(s) from spreadpoly.poly_eval lifted together
-    to Scaled values; over F_p the residue, with values from _spread_table.
-    """
+def _recurrence_case(s, values, p=None) -> Optional[dict]:
+    """S_{n-1}(s), s, S_n(s) annihilate the triple spread function, n = 1..12;
+    ``values[n]`` is S_n(s) for n = 0..12."""
     for n in range(1, 13):
-        val = projective.triple_spread_fn(values[n - 1], x, values[n])
-        if p is not None:
-            val %= p
+        val = _reduce(projective.triple_spread_fn(values[n - 1], s, values[n]), p)
         if val != 0:
             return mismatch("spread-recurrence-triple", {"n": n, "s": s}, val, 0)
     return None
@@ -1113,7 +1073,7 @@ def _suite_spreadpoly(rec, ctx, rng, trials, colors):
         p = ctx.p
         spread = _spread_table(p, 36)
         for s in range(p):
-            rec.case(_recurrence_case(s, s, spread[s], p) or _composition_eval_case(s, spread))
+            rec.case(_recurrence_case(s, spread[s], p) or _composition_eval_case(s, spread))
         rec.skip("zero-coordinate", p ** 2 - (p - 1) ** 2)
         for x in range(1, p):
             for y in range(1, p):
@@ -1121,9 +1081,9 @@ def _suite_spreadpoly(rec, ctx, rng, trials, colors):
     else:
         for t in range(trials):
             s = random_element(ctx, rng)
-            x, *values = lift_scaled(
+            s, *values = lift_scaled(
                 [s] + [spreadpoly.poly_eval(spreadpoly.spread_poly(n), s) for n in range(13)])
-            failure = _recurrence_case(s, x, values)
+            failure = _recurrence_case(s, values)
             if failure is None:
                 x, y = random_nonzero(rng), random_nonzero(rng)
                 failure = _green_ratio_case(x, y, [1 + t % 8])

@@ -127,6 +127,28 @@ def test_spreadpoly_factor(capsys):
     assert product == spread_poly(6)
 
 
+@pytest.mark.parametrize("kernel, argv", [("spread_poly", ["--n", "1"]),
+                                           ("spread_cyclotomic", ["--n", "2", "--factor"])],
+                         ids=["rows", "factor-rows"])
+def test_spreadpoly_coefficient_past_the_int_string_limit_exits_3(capsys, monkeypatch, kernel,
+                                                                 argv):
+    # 10**700 has more digits than the lowered limit: the S_n and phi_k rows
+    # print it through field.decimal_str, which refuses it as InvalidArgument
+    from quadrance import spreadpoly
+
+    monkeypatch.setattr(spreadpoly, kernel, lambda n: spreadpoly.IntPolynomial([1, 10 ** 700]))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run(capsys, "spreadpoly", *argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 3
+    assert err.startswith("error: InvalidArgument: cannot print the value: ")
+    assert len(err.splitlines()) == 1
+    assert out.count("\n") == (3 if kernel == "spread_cyclotomic" else 0)
+
+
 def test_spreadpoly_factor_360_output_is_pinned(capsys):
     # the digest pins every coefficient of S_0..S_360 and of phi_d for d | 360
     code, out, _ = run(capsys, "spreadpoly", "--n", "360", "--factor")

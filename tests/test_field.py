@@ -325,6 +325,24 @@ def test_scaled_arithmetic_matches_fraction(values, j, m, c, e):
     assert bool(x) == bool(fx)
     if fy:
         assert x / y == fx / fy and type(x / y) is Fr
+    if fx:
+        assert c / x == c / fx and type(c / x) is Fr
+
+
+def test_int_entries_beside_lifted_ones_print_and_hash():
+    # canonical() divides by the first nonzero entry: an int over a Scaled here
+    from quadrance.isometry import ProjMatrix
+    from quadrance.projective import ProjPoint
+
+    half = Fr(1, 2)
+    (y, zero) = lift_scaled([half, 0])
+    assert exact_div(1, y) == 2 and type(exact_div(1, y)) is Fr
+    with pytest.raises(DivisionByZero):
+        exact_div(1, zero)
+    assert str(ProjPoint(0, y)) == str(ProjPoint(0, half)) == "[0:1]"
+    assert str(ProjPoint(y, 3)) == str(ProjPoint(half, 3))
+    assert hash(ProjMatrix(y, 0, 0, y)) == hash(ProjMatrix(half, 0, 0, half))
+    assert hash(ProjMatrix(0, y, 1, 0)) == hash(ProjMatrix(0, half, 1, 0))
 
 
 _OPERATORS = [operator.add, operator.sub, operator.mul, operator.truediv]

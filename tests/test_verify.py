@@ -271,6 +271,10 @@ def _plus_abc(fn):
     return lambda *args: fn(*args) + args[0] * args[1] * args[2]
 
 
+def _plus_one(fn):
+    return lambda *args: fn(*args) + 1
+
+
 def _numerator_plus_ac(fn):
     def broken(a, b, c, d):
         num, den = fn(a, b, c, d)
@@ -386,11 +390,22 @@ RESIDUE_MUTATIONS = [
      None, 36,
      {"identity": "green-ratio-closed-form", "inputs": {"x": "1", "y": "1", "n": "1"},
       "lhs": "0", "rhs": "1"}),
+    ("spreadpoly", "spread_poly", _s7_linear_plus_one, "isometry", 7, ["green"], 5,
+     {"identity": "green-power-spread-bridge", "inputs": {"p": "[1:2]", "n": "7"},
+      "lhs": "6", "rhs": "5"}),
 ]
 
 
+def _row_ids(rows):
+    """Each row's kernel as its test id; a kernel met again under another
+    suite is also named by that suite."""
+    first_suite = {}
+    return [row[1] if first_suite.setdefault(row[1], row[3]) == row[3] else f"{row[1]}-{row[3]}"
+            for row in rows]
+
+
 @pytest.mark.parametrize("module, kernel, breaker, suite, p, colors, failed, counterexample",
-                         RESIDUE_MUTATIONS, ids=[m[1] for m in RESIDUE_MUTATIONS])
+                         RESIDUE_MUTATIONS, ids=_row_ids(RESIDUE_MUTATIONS))
 def test_residue_sweeps_detect_broken_kernels(monkeypatch, module, kernel, breaker, suite, p,
                                               colors, failed, counterexample):
     import importlib
@@ -445,6 +460,10 @@ RATIONAL_MUTATIONS = [
     ("isometry", "multiply_points", _times_inverse, "isometry", ["green"]),
     ("isometry", "matrix_of", _transposed, "isometry", None),
     ("isometry", "point_inverse", _self_inverse, "isometry", None),
+    ("affine", "heron_product", _plus_abc, "heron", None),
+    ("affine", "brahmagupta_product", _plus_abc, "brahmagupta", None),
+    ("projective", "pairing", _plus_one, "fibonacci", None),
+    ("spreadpoly", "spread_poly", _s7_linear_plus_one, "isometry", ["green"]),
 ]
 
 RATIONAL_MUTATION_GOLDEN = (Path(__file__).with_name("data")
@@ -568,10 +587,6 @@ def test_wrong_small_spread_poly_is_reported_not_raised(monkeypatch):
                            if identity == "spread-cyclotomic-product"
                            and lhs.startswith("FactorizationFailure")]
         assert factor_failures == [4, 6, 8, 10, 12]
-
-
-def _plus_one(fn):
-    return lambda *args: fn(*args) + 1
 
 
 def _swapped_parameter(fn):
