@@ -180,6 +180,11 @@ def execute_eval_request(req: EvalRequest) -> str:
     return f"{iso.kind}:{iso.color}:{iso.param}"
 
 
+def _exit_code(exc: QuadranceError) -> int:
+    """EXIT_USAGE for a ParseError, EXIT_DOMAIN for any other domain error."""
+    return EXIT_USAGE if isinstance(exc, ParseError) else EXIT_DOMAIN
+
+
 # -- subcommand drivers -------------------------------------------------------
 
 def cmd_eval(args) -> int:
@@ -269,12 +274,9 @@ def cmd_batch(args) -> int:
         try:
             request = parse_eval_request(split_request(stripped), default_field=args.field)
             print(execute_eval_request(request))
-        except ParseError as exc:
-            print(f"line {lineno}: error: ParseError: {exc}")
-            worst = max(worst, EXIT_USAGE)
         except QuadranceError as exc:
             print(f"line {lineno}: error: {type(exc).__name__}: {exc}")
-            worst = max(worst, EXIT_DOMAIN)
+            worst = max(worst, _exit_code(exc))
     return worst
 
 
@@ -332,12 +334,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: ParseError: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except QuadranceError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+        return _exit_code(exc)
 
 
 if __name__ == "__main__":

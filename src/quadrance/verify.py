@@ -6,6 +6,15 @@ skipping and counting tuples that are null where non-null inputs are
 required.  Every report satisfies passed + failed + skipped = attempted,
 and identical seeds and arguments reproduce identical results.
 
+Every rational point is drawn by random_point, which redraws until the
+suite's null test keeps it, and the F_p sweep skips the points the same
+test rejects.  That test is the one the suite's kernels apply:
+projective.is_null for the two spread suites, chromo.is_null_for for the
+isometry suite (make_isometry checks it), and chromo.is_null_for in every
+colour, on the point cleared to ints, for the chromo suite.  So the
+kernels accept every point either driver keeps, and a broken kernel is
+reported as a failed check, not raised on a point the sampler kept.
+
 Each identity is checked by one function, which both drivers call, and
 only the drivers pick the representation; a check computes on, and
 prints, what it is given.  The rational sampler lifts each case's
@@ -31,8 +40,8 @@ values.  The blue square roots need field square roots.  The
 free-variable identities (the alternate forms, the rearrangement
 identities, rescaling invariance) run over Q only.
 
-The quadruple and triple-spread sweeps check each distinct tuple of table
-values once per call: a verdict is a pure function of the values it reads,
+The triple and quadruple sweeps check each distinct tuple of table values
+once per call: a verdict is a pure function of the values it reads,
 so every point tuple that reads the same values reuses it, and the counts
 and the first counterexample are unchanged.  The spreadpoly sweep reads
 S_k(r) mod p from one table per call (_spread_table), built by
@@ -148,18 +157,25 @@ def random_nonzero(rng):
             return x
 
 
-def random_point(rng) -> ProjPoint:
+def random_point(rng, keep: Callable = lambda a: True) -> ProjPoint:
+    """A random projective point that ``keep`` accepts: the null test of
+    the suite's kernels, which its F_p sweep applies too."""
     while True:
         x, y = random_element(None, rng), random_element(None, rng)
         if x != 0 or y != 0:
-            return ProjPoint(x, y)
+            a = ProjPoint(x, y)
+            if keep(a):
+                return a
 
 
-def random_nonnull_point(form: Form, rng) -> ProjPoint:
-    while True:
-        a = random_point(rng)
-        if not projective.is_null(form, a):
-            return a
+def _random_lifted(rng, k: int) -> list:
+    """k random rationals, lifted together (field.lift_scaled)."""
+    return lift_scaled([random_element(None, rng) for _ in range(k)])
+
+
+def _cycled(items, trials: int):
+    """``trials`` items, cycling through ``items``; none when it is empty."""
+    return itertools.islice(itertools.cycle(items), trials)
 
 
 def _residue_points(p: int) -> list[ProjPoint]:
@@ -195,11 +211,9 @@ def _quotient(num, den, p=None):
 
 def _solution_mismatch(num, den, want, p=None):
     """num/den where it differs from ``want``; None when equal or den = 0."""
-    if p is None:
-        settled = den == 0 or num == den * want
-    else:
-        settled = den % p == 0 or (num - den * want) % p == 0
-    return None if settled else _quotient(num, den, p)
+    if _reduce(den, p) == 0 or _reduce(num, p) == _reduce(den * want, p):
+        return None
+    return _quotient(num, den, p)
 
 
 def _triple_quad_law(q1, q2, q3, p=None) -> Optional[tuple]:
@@ -212,13 +226,10 @@ def _triple_spread_laws(q1, q2, q3, perp12: bool, p=None) -> Optional[tuple]:
     """The p-quadrances of three points annihilate the triple spread
     function and its proof-step identity, and the first two points are
     perpendicular (``perp12``) exactly when q3 = 1."""
-    value = projective.triple_spread_fn(q1, q2, q3)
-    lhs = (q1 + q2 - q3) ** 2
-    rhs = 4 * q1 * q2 * (1 - q3)
-    if p is not None:
-        value, lhs, rhs = value % p, lhs % p, rhs % p
+    value = _reduce(projective.triple_spread_fn(q1, q2, q3), p)
     if value != 0:
         return ("triple-spread-formula", value, 0)
+    lhs, rhs = _reduce((q1 + q2 - q3) ** 2, p), _reduce(4 * q1 * q2 * (1 - q3), p)
     if lhs != rhs:
         return ("triple-spread-proof-identity", lhs, rhs)
     if perp12 != (q3 == 1):
@@ -397,7 +408,7 @@ def _check_identity(rec, ctx, rng, trials, identity, names, sides):
     """
     if rng is not None:
         p = None
-        cases = (lift_scaled([random_element(ctx, rng) for _ in names]) for _ in range(trials))
+        cases = (_random_lifted(rng, len(names)) for _ in range(trials))
     else:
         p = ctx.p
         cases = itertools.product(range(p), repeat=len(names))
@@ -484,6 +495,32 @@ def _sweep_quadruple(rec, p: int, qtab, live, name: str, fn, fraction, inputs: C
     rec.add_passes(passed)
 
 
+def _sweep_triple(rec, p: int, qtab, live, laws: Callable, inputs: Callable, perp=None):
+    """``laws(q1, q2, q3, p)`` on every triple (i, j, k) of ``live`` indices
+    of the residue table ``qtab``, where q1, q2, q3 are its entries (j, k),
+    (i, k), (i, j); given the table ``perp``, ``laws(q1, q2, q3, perp12, p)``
+    with perp12 its entry (i, j).  ``inputs(i, j, k)`` names a failing
+    triple.  Each distinct tuple of table values is checked once per call,
+    as in _sweep_quadruple."""
+    verdicts, passed = {}, 0
+    for i in live:
+        row_i = qtab[i]
+        for j in live:
+            row_j = qtab[j]
+            last = (row_i[j],) if perp is None else (row_i[j], perp[i][j])
+            for k in live:
+                key = (row_j[k], row_i[k]) + last
+                try:
+                    failure = verdicts[key]
+                except KeyError:
+                    failure = verdicts[key] = laws(*key, p)
+                if failure is None:
+                    passed += 1
+                else:
+                    rec.case(_failed(failure, inputs(i, j, k)))
+    rec.add_passes(passed)
+
+
 # -- individual suites --------------------------------------------------------
 
 def _triple_quad_case(x1, x2, x3) -> Optional[dict]:
@@ -499,18 +536,11 @@ def _triple_quad_case(x1, x2, x3) -> Optional[dict]:
 def _suite_triple_quad(rec, ctx, rng, trials, colors):
     if rng is None:
         p = ctx.p
-        qtab = _quadrance_table(p)
-        for i in range(p):
-            row_i = qtab[i]
-            for j in range(p):
-                q3, row_j = row_i[j], qtab[j]
-                for k in range(p):
-                    failure = _triple_quad_law(row_j[k], row_i[k], q3, p)
-                    rec.case(None if failure is None
-                             else _failed(failure, {"x1": i, "x2": j, "x3": k}))
+        _sweep_triple(rec, p, _quadrance_table(p), range(p), _triple_quad_law,
+                      lambda i, j, k: {"x1": i, "x2": j, "x3": k})
     else:
         for _ in range(trials):
-            rec.case(_triple_quad_case(*lift_scaled([random_element(ctx, rng) for _ in range(3)])))
+            rec.case(_triple_quad_case(*_random_lifted(rng, 3)))
 
 
 def _quadruple_quad_case(a, b, c, d) -> Optional[dict]:
@@ -539,8 +569,7 @@ def _suite_quadruple_quad(rec, ctx, rng, trials, colors):
                          lambda i, j, k, m: {"x1": i, "x2": j, "x3": k, "x4": m})
     else:
         for _ in range(trials):
-            rec.case(_quadruple_quad_case(
-                *lift_scaled([random_element(ctx, rng) for _ in range(4)])))
+            rec.case(_quadruple_quad_case(*_random_lifted(rng, 4)))
 
 
 def _heron_sides(d1, d2, d3):
@@ -642,48 +671,23 @@ def _selected_forms(colors) -> list[str]:
     return [c for c in FORM_NAMES if not colors or c in colors]
 
 
-def _exhaustive_triple_spread_form(rec, p: int, form, pts):
-    """_triple_spread_laws on every non-null ordered triple, from tables of
-    the pairwise p-quadrances and perpendicularities; each distinct
-    (q1, q2, q3, perp12) is checked once per call, as in _sweep_quadruple."""
-    live, qtab = _p_quadrance_table(rec, p, form, pts, "triple-spread-formula", 3)
-    if qtab is None:
-        return
-    perp = _pair_table(len(pts), live,
-                       lambda i, j: projective.is_perpendicular(form, pts[i], pts[j]))
-    verdicts, passed = {}, 0
-    for i in live:
-        row_i, perp_i = qtab[i], perp[i]
-        for j in live:
-            q3, perp_ij, row_j = row_i[j], perp_i[j], qtab[j]
-            for k in live:
-                key = (row_j[k], row_i[k], q3, perp_ij)
-                try:
-                    failure = verdicts[key]
-                except KeyError:
-                    failure = verdicts[key] = _triple_spread_laws(*key, p)
-                if failure is None:
-                    passed += 1
-                else:
-                    rec.case(_failed(
-                        failure, {"form": form, "a1": pts[i], "a2": pts[j], "a3": pts[k]}))
-    rec.add_passes(passed)
-
-
 def _suite_triple_spread(rec, ctx, rng, trials, colors):
-    names = _selected_forms(colors)
+    forms = [named_form(name) for name in _selected_forms(colors)]
     if rng is None:
-        pts = proj_points(ctx)
-        for name in names:
-            _exhaustive_triple_spread_form(rec, ctx.p, named_form(name), pts)
+        p, pts = ctx.p, proj_points(ctx)
+        for form in forms:
+            live, qtab = _p_quadrance_table(rec, p, form, pts, "triple-spread-formula", 3)
+            if qtab is not None:
+                perp = _pair_table(len(pts), live,
+                                   lambda i, j: projective.is_perpendicular(form, pts[i], pts[j]))
+                _sweep_triple(rec, p, qtab, live, _triple_spread_laws,
+                              lambda i, j, k: {"form": form, "a1": pts[i], "a2": pts[j],
+                                               "a3": pts[k]}, perp)
     else:
-        for t in range(trials if names else 0):
-            form = named_form(names[t % len(names)])
-            a1 = random_nonnull_point(form, rng)
-            a2 = random_nonnull_point(form, rng)
-            a3 = random_nonnull_point(form, rng)
-            free = lift_scaled([random_element(ctx, rng) for _ in range(3)])
-            failure = _triple_spread_case(form, a1, a2, a3, free)
+        for form in _cycled(forms, trials):
+            a1, a2, a3 = (random_point(rng, lambda a: not projective.is_null(form, a))
+                          for _ in range(3))
+            failure = _triple_spread_case(form, a1, a2, a3, _random_lifted(rng, 3))
             if failure is None:
                 failure = _scale_invariance_case(form, a1, a2, random_nonzero(rng))
             rec.case(failure)
@@ -709,11 +713,10 @@ def _quadruple_spread_case(form, a1, a2, a3, a4, free) -> Optional[dict]:
 
 
 def _suite_quadruple_spread(rec, ctx, rng, trials, colors):
-    names = _selected_forms(colors)
+    forms = [named_form(name) for name in _selected_forms(colors)]
     if rng is None:
         pts = proj_points(ctx)
-        for name in names:
-            form = named_form(name)
+        for form in forms:
             live, qtab = _p_quadrance_table(rec, ctx.p, form, pts, "quadruple-spread-formula", 4)
             if qtab is not None:
                 _sweep_quadruple(rec, ctx.p, qtab, live, "quadruple-spread",
@@ -722,11 +725,9 @@ def _suite_quadruple_spread(rec, ctx, rng, trials, colors):
                                  lambda i, j, k, m: {"form": form, "a1": pts[i], "a2": pts[j],
                                                      "a3": pts[k], "a4": pts[m]})
     else:
-        for t in range(trials if names else 0):
-            form = named_form(names[t % len(names)])
-            quad = [random_nonnull_point(form, rng) for _ in range(4)]
-            free = lift_scaled([random_element(ctx, rng) for _ in range(4)])
-            rec.case(_quadruple_spread_case(form, *quad, free))
+        for form in _cycled(forms, trials):
+            quad = [random_point(rng, lambda a: not projective.is_null(form, a)) for _ in range(4)]
+            rec.case(_quadruple_spread_case(form, *quad, _random_lifted(rng, 4)))
 
 
 _CYCLIC_COLORS = ((Color.BLUE, Color.RED, Color.GREEN), (Color.RED, Color.GREEN, Color.BLUE),
@@ -805,15 +806,13 @@ def _suite_chromo(rec, ctx, rng, trials, colors):
             for j in live:
                 rec.case(_chromo_case(pts[i], pts[j]))
     else:
+        def cleared(a):
+            return ProjPoint(*clear_denominators((a.x, a.y)))
+
         for _ in range(trials):
-            pair, cleared = [], []
-            while len(pair) < 2:
-                a = random_point(rng)
-                b = ProjPoint(*clear_denominators((a.x, a.y)))
-                if _all_colors_nonnull(b):
-                    pair.append(a)
-                    cleared.append(b)
-            rec.case(_chromo_case(*pair, cleared))
+            pair = [random_point(rng, lambda a: _all_colors_nonnull(cleared(a)))
+                    for _ in range(2)]
+            rec.case(_chromo_case(*pair, [cleared(a) for a in pair]))
 
 
 def _multiplication_case(color, p1, p2, p3) -> Optional[dict]:
@@ -957,10 +956,9 @@ def _suite_isometry(rec, ctx, rng, trials, colors):
                     for power in range(1, 9):
                         rec.case(_green_power_case(res[i], power, ctx.p))
     else:
-        for t in range(trials if wanted else 0):
-            color = wanted[t % len(wanted)]
-            form = chromo.colored_form(color)
-            p1, p2, p3, a1, a2 = _lift_points([random_nonnull_point(form, rng) for _ in range(5)])
+        for t, color in enumerate(_cycled(wanted, trials)):
+            p1, p2, p3, a1, a2 = _lift_points(
+                [random_point(rng, lambda a: not chromo.is_null_for(color, a)) for _ in range(5)])
             kind = IsoKind.ROTATION if rng.randrange(2) else IsoKind.REFLECTION
             kind2 = IsoKind.ROTATION if rng.randrange(2) else IsoKind.REFLECTION
             iso1 = isometry.make_isometry(color, kind, p1)

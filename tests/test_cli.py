@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import shlex
@@ -8,7 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from quadrance.cli import main, split_request
 from quadrance.errors import ParseError
@@ -410,3 +412,66 @@ def test_split_request_matches_shlex(line):
             split_request(line)
     else:
         assert split_request(line) == want
+
+
+def run_quietly(*argv):
+    """main(argv) with its stdout and stderr captured: (code, out, err).
+    Hypothesis runs many examples per test, and capsys captures per test."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+# literals of every kind a request takes, right and wrong: a refused field,
+# an exponent past the digit limit, all-zero points, forms and matrices
+_REQUEST_WORDS = (
+    "--field", "--form", "--color", "--points", "--matrix",
+    "rationals", "fp:7", "fp:13", "fp:2", "fp:9", "fp:x", "blue", "red", "green", "purple",
+    "0", "1", "-3", "1/2", "0/5", "1/0", "2.5", "1e-3", "1e5000", "x",
+    "[1:0]", "[2:3]", "[1/2:1/3]", "[0:0]", "[1:2:3]", "1:0:1", "(1:2:3)", "0:0:0",
+    "1,2;-2,1", "3,0;0,5", "1,1;1,1", "0,0;0,0", "1,2", "",
+)
+_TOKENS = st.one_of(st.sampled_from(_REQUEST_WORDS), st.text(max_size=6))
+_KINDS = st.sampled_from(("quad", "pquad", "aclassify", "pclassify", "bogus"))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_KINDS, st.lists(_TOKENS, max_size=8))
+def test_eval_prints_one_line_or_one_error(kind, tokens):
+    code, out, err = run_quietly("eval", kind, *tokens)
+    assert code in (0, 2, 3)
+    if code == 0:
+        assert (out.count("\n"), out.endswith("\n"), err) == (1, True, "")
+    else:
+        assert (out, err.count("\n"), err.endswith("\n")) == ("", 1, True)
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
+# tokens as a request line may write them: bare, quoted, escaped or unbalanced
+_LINE_TOKENS = st.one_of(
+    _TOKENS,
+    _TOKENS.map(lambda t: '"' + t + '"'),
+    _TOKENS.map(lambda t: "'" + t + "'"),
+    _TOKENS.map(lambda t: t + "\\"),
+    st.sampled_from(('"', "'", "\\", '"1 2', "1\\ 2")),
+)
+# no line break inside a line: the batch file splits at \n and \r
+_REQUEST_LINES = st.one_of(
+    st.builds(lambda kind, tokens: " ".join([kind, *tokens]), _KINDS,
+              st.lists(_LINE_TOKENS, max_size=8)),
+    st.text(max_size=12),
+).filter(lambda line: "\r" not in line and "\n" not in line)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(st.lists(_REQUEST_LINES, max_size=6), st.sampled_from(("rationals", "fp:7")))
+def test_batch_prints_one_line_per_request(tmp_path_factory, lines, field):
+    requests = tmp_path_factory.getbasetemp() / "fuzzed-requests.txt"
+    requests.write_bytes("".join(line + "\n" for line in lines).encode("utf-8"))
+    code, out, err = run_quietly("batch", str(requests), "--field", field)
+    assert code in (0, 2, 3)
+    assert err == ""
+    assert out.count("\n") == sum(1 for line in lines if line.strip())
+    assert out == "" or out.endswith("\n")
+    assert "Traceback" not in out

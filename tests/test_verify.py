@@ -393,6 +393,9 @@ RESIDUE_MUTATIONS = [
     ("spreadpoly", "spread_poly", _s7_linear_plus_one, "isometry", 7, ["green"], 5,
      {"identity": "green-power-spread-bridge", "inputs": {"p": "[1:2]", "n": "7"},
       "lhs": "6", "rhs": "5"}),
+    ("affine", "archimedes", _plus_abc, "triple-quad", 7, None, 210,
+     {"identity": "triple-quad-formula", "inputs": {"x1": "0", "x2": "1", "x3": "2"},
+      "lhs": "4", "rhs": "0"}),
 ]
 
 
@@ -423,14 +426,14 @@ def test_residue_sweeps_detect_broken_kernels(monkeypatch, module, kernel, break
 
 MEMO_SWEEPS = [row for row in RESIDUE_MUTATIONS if row[1] in
                ("quadruple_spread_fn", "quad_triple_pair_fraction", "triple_spread_fn",
-                "poly_eval")]
+                "poly_eval", "archimedes")]
 
 
 @pytest.mark.parametrize("module, kernel, breaker, suite, p, colors, failed, counterexample",
                          MEMO_SWEEPS, ids=[m[3] for m in MEMO_SWEEPS])
 def test_sweep_verdicts_last_one_call(monkeypatch, module, kernel, breaker, suite, p, colors,
                                       failed, counterexample):
-    # the quadruple and triple-spread sweeps remember verdicts per table tuple,
+    # the triple and quadruple sweeps remember verdicts per table tuple,
     # and the spreadpoly sweep its spread-polynomial values, within one call
     # only: broken, clean and broken again each see their kernel
     import importlib
@@ -464,6 +467,9 @@ RATIONAL_MUTATIONS = [
     ("affine", "brahmagupta_product", _plus_abc, "brahmagupta", None),
     ("projective", "pairing", _plus_one, "fibonacci", None),
     ("spreadpoly", "spread_poly", _s7_linear_plus_one, "isometry", ["green"]),
+    # the sampler draws isometry parameters with the null test make_isometry
+    # applies, so a form_value that calls a null point non-null is reported
+    ("projective", "form_value", _plus_one, "isometry", None),
 ]
 
 RATIONAL_MUTATION_GOLDEN = (Path(__file__).with_name("data")
@@ -750,7 +756,7 @@ REPORT_CHANGING_KERNELS = [
     ("affine", "archimedes_forms", _first_alternate_plus_one, "triple-quad"),
     ("projective", "canonical", lambda fn: lambda values: tuple(v + 1 for v in fn(values)),
      "isometry"),
-    # [0:1] is null too; other points keep their answer, so random_nonnull_point returns
+    # [0:1] is null too; other points keep their answer, so random_point returns
     ("projective", "is_null", lambda fn: lambda form, a: fn(form, a) or a.x == 0,
      "triple-spread"),
     ("projective", "p_quadrance", _plus_one, "triple-spread"),
