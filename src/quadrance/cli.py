@@ -280,8 +280,18 @@ def cmd_batch(args) -> int:
     return worst
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors are one ``error: ParseError: ...``
+    line on stderr, like every other usage error; it still exits with
+    SystemExit(EXIT_USAGE).  Its subcommand parsers are of this class too."""
+
+    def error(self, message):
+        print(f"error: ParseError: {message}", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="quadrance",
         description="Exact one-dimensional metrical geometry toolkit.",
     )

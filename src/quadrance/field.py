@@ -394,10 +394,13 @@ class Scaled:
     then evaluate in ints, with no gcd at any step.
 
     A product adds the exponents; a sum first scales the numerator with the
-    lower exponent by a power of D.  Plain ints count as k = 0.  Only a
-    quotient, an equality with a Fraction and str go through Fraction.  An
-    operand of any other type (an Fp, a Fraction not lifted) or of another
-    lift raises TypeError, so a wrong value never comes back.
+    lower exponent by a power of D.  Plain ints count as k = 0.  Two values
+    of the same lift (and, for + and -, the same exponent) take a direct
+    path: the result is built in place, with no _align or _scaled call.
+    Every other operand goes through _align.  Only a quotient, an equality
+    with a Fraction and str go through Fraction.  An operand of any other
+    type (an Fp, a Fraction not lifted) or of another lift raises
+    TypeError, so a wrong value never comes back.
     """
 
     __slots__ = ("n", "k", "pw")
@@ -423,12 +426,20 @@ class Scaled:
         return self.n, n * self.pw[j - k], j
 
     def __add__(self, other):
+        if type(other) is Scaled and other.pw is self.pw and other.k == self.k:
+            x = _new_object(Scaled)
+            x.n, x.k, x.pw = self.n + other.n, self.k, self.pw
+            return x
         a, b, k = self._align(other)
         return _scaled(a + b, k, self.pw)
 
     __radd__ = __add__
 
     def __sub__(self, other):
+        if type(other) is Scaled and other.pw is self.pw and other.k == self.k:
+            x = _new_object(Scaled)
+            x.n, x.k, x.pw = self.n - other.n, self.k, self.pw
+            return x
         a, b, k = self._align(other)
         return _scaled(a - b, k, self.pw)
 
@@ -438,7 +449,9 @@ class Scaled:
 
     def __mul__(self, other):
         if type(other) is Scaled and other.pw is self.pw:
-            return _scaled(self.n * other.n, self.k + other.k, self.pw)
+            x = _new_object(Scaled)
+            x.n, x.k, x.pw = self.n * other.n, self.k + other.k, self.pw
+            return x
         return _scaled(self.n * self._int(other), self.k, self.pw)
 
     __rmul__ = __mul__

@@ -13,7 +13,9 @@ projective.is_null for the two spread suites, chromo.is_null_for for the
 isometry suite (make_isometry checks it), and chromo.is_null_for in every
 colour, on the point cleared to ints, for the chromo suite.  So the
 kernels accept every point either driver keeps, and a broken kernel is
-reported as a failed check, not raised on a point the sampler kept.
+reported as a failed check, not raised on a point the sampler kept.  A
+null test that rejects 1,000 draws in a row (a broken one) makes
+random_point raise NullPoint instead of drawing forever.
 
 Each identity is checked by one function, which both drivers call, and
 only the drivers pick the representation; a check computes on, and
@@ -27,16 +29,17 @@ integer coefficients.  No check re-derives a kernel: the generalized
 Fibonacci identity runs through projective.discriminant, pairing and
 form_value, on plain records so that zero coefficients and vectors count
 too.  Solution fractions are checked cleared of their denominator
-(num == den * q); coloured quadrances before and after an isometry are
-compared cleared (num * den' == num' * den), and points and matrices by
-their cross products.  The exceptions: the spread cases lift the
-p-quadrances they compute, and the spread recurrence lifts s with
-S_0(s)..S_12(s) from spreadpoly.poly_eval.  The chromo suite checks
-chromo.colored_quadrance and reciprocal_sum themselves, so over F_p it
-runs on Fp points; over Q it clears each point to ints
-(field.clear_denominators), which prints the same through canonical(),
-except for the reciprocal-sum proof identity, which prints uncancelled
-values.  The blue square roots need field square roots.  The
+(num == den * q); coloured quadrances, in the isometry and the chromo
+suites, are compared cleared (num * den' == num' * den), and points and
+matrices by their cross products.  The exceptions: the spread cases lift
+the p-quadrances they compute, and the spread recurrence lifts s with
+S_0(s)..S_12(s) from spreadpoly.poly_eval.  The chromo suite runs on
+int-residue points over F_p and, over Q, on each point cleared to ints
+(field.clear_denominators), which prints the same through canonical();
+only its reciprocal-sum proof identity runs on the sampled points, as it
+prints uncancelled values.  It reaches the wrappers colored_quadrance and
+reciprocal_sum through one reciprocal_sum call per case, on Fp points
+over F_p.  The blue square roots need field square roots.  The
 free-variable identities (the alternate forms, the rearrangement
 identities, rescaling invariance) run over Q only.
 
@@ -69,7 +72,7 @@ from typing import Callable, Optional
 from . import affine, chromo, isometry, projective, spreadpoly
 from .chromo import Color
 from .errors import (DivisionByZero, FactorizationFailure, InvalidArgument, NonIntegralResult,
-                     NotUnitCircle, QuadranceError, UnknownSuite)
+                     NotUnitCircle, NullPoint, QuadranceError, UnknownSuite)
 from .field import FieldContext, Fp, clear_denominators, exact_div, lift_scaled
 from .isometry import IsoKind
 from .projective import Form, ProjPoint
@@ -137,17 +140,24 @@ def mismatch(identity: str, inputs: dict, lhs, rhs) -> dict:
     }
 
 
-def _raised(identity: str, inputs: dict, exc: QuadranceError) -> dict:
-    """The mismatch of an identity whose kernels raised on valid inputs."""
-    return mismatch(identity, inputs, f"{type(exc).__name__}: {exc}", "no error")
+def _raised(identity: str, inputs: dict, exc: QuadranceError, p=None) -> dict:
+    """The mismatch of an identity whose kernels raised on valid inputs;
+    with p, int-residue points among the inputs are lifted to F_p."""
+    return _failed((identity, f"{type(exc).__name__}: {exc}", "no error"), inputs, p)
 
 
 # -- sampling and enumeration -------------------------------------------------
 
+# _SMALL_RATIONALS[n + 12][d - 1] is Fraction(n, d), built once
+_SMALL_RATIONALS = [[Fraction(n, d) for d in range(1, 13)] for n in range(-12, 13)]
+
+
 def random_element(ctx: Optional[FieldContext], rng: random.Random):
-    """A small random rational; only the rational driver samples, so ``ctx``
-    is ignored.  It stays because perfbench's field probes pass one."""
-    return Fraction(rng.randint(-12, 12), rng.randint(1, 12))
+    """A small random rational, Fraction(rng.randint(-12, 12), rng.randint(1, 12)),
+    read from a table with the same two draws.  Only the rational driver
+    samples, so ``ctx`` is ignored; it stays because perfbench's field
+    probes pass one."""
+    return _SMALL_RATIONALS[rng.randint(-12, 12) + 12][rng.randint(1, 12) - 1]
 
 
 def random_nonzero(rng):
@@ -157,15 +167,23 @@ def random_nonzero(rng):
             return x
 
 
+# consecutive draws random_point rejects before it gives up; the real null
+# tests never come near it
+_MAX_REDRAWS = 1000
+
+
 def random_point(rng, keep: Callable = lambda a: True) -> ProjPoint:
     """A random projective point that ``keep`` accepts: the null test of
-    the suite's kernels, which its F_p sweep applies too."""
-    while True:
+    the suite's kernels, which its F_p sweep applies too.  After
+    _MAX_REDRAWS rejected draws in a row it raises NullPoint."""
+    for _ in range(_MAX_REDRAWS):
         x, y = random_element(None, rng), random_element(None, rng)
         if x != 0 or y != 0:
             a = ProjPoint(x, y)
             if keep(a):
                 return a
+    raise NullPoint(f"the suite's null test rejected every draw "
+                    f"({_MAX_REDRAWS} random points in a row)")
 
 
 def _random_lifted(rng, k: int) -> list:
@@ -264,14 +282,20 @@ def _colored_fraction(color, a1, a2, p=None) -> tuple:
     return num, den
 
 
+def _fraction_mismatch(identity: str, got: tuple, want: tuple, p=None) -> Optional[tuple]:
+    """None when the (num, den) pairs ``got`` and ``want`` are equal cleared
+    of denominators (num * den' == num' * den); else (identity, got, want)
+    as quotients, for the report."""
+    (num, den), (num0, den0) = got, want
+    if _reduce(num * den0 - num0 * den, p) == 0:
+        return None
+    return (identity, _quotient(num, den, p), _quotient(num0, den0, p))
+
+
 def _preservation_law(color, before: tuple, after: tuple, p=None) -> Optional[tuple]:
     """An isometry keeps the color's quadrance of two points; ``before`` and
-    ``after`` are _colored_fraction pairs, compared cleared of denominators."""
-    (num0, den0), (num, den) = before, after
-    diff = num * den0 - num0 * den
-    if (diff if p is None else diff % p) == 0:
-        return None
-    return (f"isometry-preservation-{color}", _quotient(num, den, p), _quotient(num0, den0, p))
+    ``after`` are _colored_fraction pairs."""
+    return _fraction_mismatch(f"isometry-preservation-{color}", after, before, p)
 
 
 def _points_differ(u: ProjPoint, v: ProjPoint, p=None) -> bool:
@@ -730,67 +754,78 @@ def _suite_quadruple_spread(rec, ctx, rng, trials, colors):
             rec.case(_quadruple_spread_case(form, *quad, _random_lifted(rng, 4)))
 
 
-_CYCLIC_COLORS = ((Color.BLUE, Color.RED, Color.GREEN), (Color.RED, Color.GREEN, Color.BLUE),
-                  (Color.GREEN, Color.BLUE, Color.RED))
+# The chromo laws by colour, with their identity names formatted once: a
+# case checks 19 of them.  _CYCLIC_LAWS: (c, u, v), u and v the colours
+# after c, with the cyclic-perpendicularity and cross-symmetry names of c.
+_CYCLIC_LAWS = tuple((c, u, v, f"cyclic-perpendicularity-{c}", f"cross-symmetry-{c}")
+                     for c, u, v in ((Color.BLUE, Color.RED, Color.GREEN),
+                                     (Color.RED, Color.GREEN, Color.BLUE),
+                                     (Color.GREEN, Color.BLUE, Color.RED)))
+_INVARIANCE_LAWS = tuple((c, tuple((e, f"color-invariance-{c}-{e}") for e in Color))
+                         for c in Color)
+_INVOLUTION_LAWS = tuple((c, f"perpendicular-involution-{c}") for c in Color)
 
 
-def _chromo_case(a1, a2, cleared=None) -> Optional[dict]:
+def _chromo_case(a1, a2, cleared=None, p=None) -> Optional[dict]:
+    """The chromogeometry laws for two points non-null in every colour.
+
+    The proof identity runs on a1, a2 as given.  Every later identity
+    compares _colored_fraction pairs cleared of denominators, on ``cleared``
+    over Q (the same points with int coordinates) and on the int-residue
+    points a1, a2 over F_p; the wrappers colored_quadrance and
+    reciprocal_sum are reached through one reciprocal_sum call.
+    """
     inputs = {"a1": a1, "a2": a2}
     # red and green numerators are -num_blue, so the reciprocal sum is
     # (den_blue - den_red - den_green) / num_blue, and it is 2; a report
     # prints these uncancelled values, so they are taken on a1, a2 as given
     fraction = chromo.colored_quadrance_fraction
     num, den = fraction(Color.BLUE, a1, a2)
-    lhs = den - fraction(Color.RED, a1, a2)[1] - fraction(Color.GREEN, a1, a2)[1]
-    rhs = 2 * num
+    lhs = _reduce(den - fraction(Color.RED, a1, a2)[1] - fraction(Color.GREEN, a1, a2)[1], p)
+    rhs = _reduce(2 * num, p)
     if lhs != rhs:
-        return mismatch("reciprocal-sum-proof-identity", inputs, lhs, rhs)
+        return _failed(("reciprocal-sum-proof-identity", lhs, rhs), inputs, p)
     # the rest print only points (canonical) and ratios, so over Q they run
-    # on ``cleared``: the same points with int coordinates
+    # on ``cleared``
     if cleared is not None:
         a1, a2 = cleared
+    perp = chromo.perpendicular_point
     # The points are non-null in every colour, so a QuadranceError below
     # comes from a broken kernel: it is the mismatch of the identity checked.
     identity, where = "reciprocal-sum", inputs
     try:
-        if a1 != a2:
-            total = chromo.reciprocal_sum(a1, a2)
+        if _points_differ(a1, a2, p):
+            total = chromo.reciprocal_sum(_lift(p, a1), _lift(p, a2))
             if total != 2:
-                return mismatch(identity, where, total, 2)
+                return _failed((identity, total, 2), where, p)
         where = {"a": a1}
-        for c, u, v in _CYCLIC_COLORS:
-            identity = f"cyclic-perpendicularity-{c}"
-            val = chromo.colored_quadrance(c, chromo.perpendicular_point(u, a1),
-                                           chromo.perpendicular_point(v, a1))
-            if val != 1:
-                return mismatch(identity, where, val, 1)
+        for c, u, v, identity, _ in _CYCLIC_LAWS:
+            failure = _fraction_mismatch(
+                identity, _colored_fraction(c, perp(u, a1), perp(v, a1), p), (1, 1), p)
+            if failure is not None:
+                return _failed(failure, where, p)
         where = inputs
-        for c in Color:
-            identity = f"color-invariance-{c}-{Color.BLUE}"  # the first to need base
-            base = chromo.colored_quadrance(c, a1, a2)
-            for e in Color:
-                identity = f"color-invariance-{c}-{e}"
-                b1 = chromo.perpendicular_point(e, a1)
-                b2 = chromo.perpendicular_point(e, a2)
-                moved = chromo.colored_quadrance(c, b1, b2)
-                if moved != base:
-                    return mismatch(identity, where, moved, base)
-        for c, u, v in _CYCLIC_COLORS:
-            identity = f"cross-symmetry-{c}"
-            lhs_q = chromo.colored_quadrance(c, chromo.perpendicular_point(u, a1),
-                                             chromo.perpendicular_point(v, a2))
-            rhs_q = chromo.colored_quadrance(c, chromo.perpendicular_point(v, a1),
-                                             chromo.perpendicular_point(u, a2))
-            if lhs_q != rhs_q:
-                return mismatch(identity, where, lhs_q, rhs_q)
+        for c, laws in _INVARIANCE_LAWS:
+            identity = laws[0][1]  # the first to need base
+            base = _colored_fraction(c, a1, a2, p)
+            for e, identity in laws:
+                failure = _fraction_mismatch(
+                    identity, _colored_fraction(c, perp(e, a1), perp(e, a2), p), base, p)
+                if failure is not None:
+                    return _failed(failure, where, p)
+        for c, u, v, _, identity in _CYCLIC_LAWS:
+            failure = _fraction_mismatch(
+                identity, _colored_fraction(c, perp(u, a1), perp(v, a2), p),
+                _colored_fraction(c, perp(v, a1), perp(u, a2), p), p)
+            if failure is not None:
+                return _failed(failure, where, p)
         where = {"a": a1}
-        for c in Color:
-            identity = f"perpendicular-involution-{c}"
-            back = chromo.perpendicular_point(c, chromo.perpendicular_point(c, a1))
-            if back != a1:
-                return mismatch(identity, where, back, a1)
+        for c, identity in _INVOLUTION_LAWS:
+            back = perp(c, perp(c, a1))
+            if _points_differ(back, a1, p):
+                return _failed((identity, back, a1), where, p)
     except QuadranceError as exc:
-        return _raised(identity, where, exc)
+        return _raised(identity, where, exc, p)
     return None
 
 
@@ -800,19 +835,26 @@ def _all_colors_nonnull(a: ProjPoint) -> bool:
 
 def _suite_chromo(rec, ctx, rng, trials, colors):
     if rng is None:
-        pts = proj_points(ctx)
-        live = _live_indices(rec, [not _all_colors_nonnull(a) for a in pts], 2)
+        p = ctx.p
+        res = _residue_points(p)
+        live = _live_indices(rec, [not _all_colors_nonnull(a) for a in proj_points(ctx)], 2)
         for i in live:
             for j in live:
-                rec.case(_chromo_case(pts[i], pts[j]))
+                rec.case(_chromo_case(res[i], res[j], p=p))
     else:
-        def cleared(a):
-            return ProjPoint(*clear_denominators((a.x, a.y)))
+        cleared = []  # the case's kept points, cleared to ints by keep
+
+        def keep(a):
+            c = ProjPoint(*clear_denominators((a.x, a.y)))
+            if _all_colors_nonnull(c):
+                cleared.append(c)
+                return True
+            return False
 
         for _ in range(trials):
-            pair = [random_point(rng, lambda a: _all_colors_nonnull(cleared(a)))
-                    for _ in range(2)]
-            rec.case(_chromo_case(*pair, [cleared(a) for a in pair]))
+            cleared.clear()
+            pair = [random_point(rng, keep) for _ in range(2)]
+            rec.case(_chromo_case(*pair, cleared))
 
 
 def _multiplication_case(color, p1, p2, p3) -> Optional[dict]:
@@ -843,9 +885,9 @@ def _green_power_case(a: ProjPoint, n: int, p=None) -> Optional[dict]:
         lhs = _quotient(*_colored_fraction(Color.GREEN, one_one, pn, p), p)
         rhs = _reduce(spreadpoly.poly_eval(spreadpoly.spread_poly(n), s), p)
     except QuadranceError as exc:
-        return _raised("green-power-spread-bridge", {"p": _lift(p, a), "n": n}, exc)
+        return _raised("green-power-spread-bridge", {"p": a, "n": n}, exc, p)
     if lhs != rhs:
-        return mismatch("green-power-spread-bridge", {"p": _lift(p, a), "n": n}, lhs, rhs)
+        return _failed(("green-power-spread-bridge", lhs, rhs), {"p": a, "n": n}, p)
     return None
 
 

@@ -419,7 +419,10 @@ def run_quietly(*argv):
     Hypothesis runs many examples per test, and capsys captures per test."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(list(argv))
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
     return code, out.getvalue(), err.getvalue()
 
 
@@ -436,9 +439,17 @@ _TOKENS = st.one_of(st.sampled_from(_REQUEST_WORDS), st.text(max_size=6))
 _KINDS = st.sampled_from(("quad", "pquad", "aclassify", "pclassify", "bogus"))
 
 
+def _asks_for_help(word):
+    """Whether argparse reads ``word`` as -h or --help (or a prefix of it),
+    which prints the multi-line help on purpose."""
+    return word == "-h" or (len(word) > 2 and "--help".startswith(word))
+
+
 @settings(derandomize=True, deadline=None, max_examples=300)
-@given(_KINDS, st.lists(_TOKENS, max_size=8))
+@given(st.one_of(_KINDS, _TOKENS.filter(lambda w: not _asks_for_help(w))),
+       st.lists(_TOKENS, max_size=8))
 def test_eval_prints_one_line_or_one_error(kind, tokens):
+    # the first word may be a flag too: argparse's own usage errors are one line
     code, out, err = run_quietly("eval", kind, *tokens)
     assert code in (0, 2, 3)
     if code == 0:
@@ -446,6 +457,19 @@ def test_eval_prints_one_line_or_one_error(kind, tokens):
     else:
         assert (out, err.count("\n"), err.endswith("\n")) == ("", 1, True)
         assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--field", "fp:7", "quad", "--points", "1", "2"],
+    ["verify"],
+    ["verify", "--suite", "nonsense"],
+    ["spreadpoly", "--n", "x"],
+    [],
+], ids=["flag-before-kind", "no-suite", "unknown-suite", "bad-int", "no-command"])
+def test_argparse_usage_errors_are_one_line(argv):
+    code, out, err = run_quietly(*argv)
+    assert (code, out, err.count("\n")) == (2, "", 1)
+    assert err.startswith("error: ParseError: ") and "usage:" not in err
 
 
 # tokens as a request line may write them: bare, quoted, escaped or unbalanced

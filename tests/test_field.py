@@ -329,6 +329,35 @@ def test_scaled_arithmetic_matches_fraction(values, j, m, c, e):
         assert c / x == c / fx and type(c / x) is Fr
 
 
+@given(st.lists(_fractions, min_size=1, max_size=4), st.lists(st.integers(0, 2), min_size=4,
+                                                               max_size=4),
+       st.integers(-20, 20))
+def test_same_lift_path_matches_fraction(values, exponents, c):
+    # values of one lift, raised to exponents that are often equal: + and -
+    # take the direct path exactly when the exponents agree, * always does
+    lifted = lift_scaled(values)
+    pairs = [(x ** k, v ** k) for x, v, k in zip(lifted, values, exponents)]
+    pairs.append((lifted[0] ** exponents[0] * c, values[0] ** exponents[0] * c))
+    for x, fx in pairs:
+        for y, fy in pairs:
+            for got, want in ((x + y, fx + fy), (x - y, fx - fy), (x * y, fx * fy),
+                              (x * y - y * x, 0), (x * y + x, fx * fy + fx)):
+                assert type(got) is Scaled and got.pw is lifted[0].pw
+                assert got == want and str(got) == str(want)
+            assert (x == y) == (fx == fy)
+    # the direct path checks the lift, not only the exponent: another lift
+    # of the same values, and an unlifted Fraction, still raise
+    (x,), (other,) = lift_scaled([values[0]]), lift_scaled([values[0]])
+    assert (x.k, x.n) == (other.k, other.n)
+    for op in (operator.add, operator.sub, operator.mul, operator.eq):
+        for foreign in (other, Fp(3, 7)):
+            with pytest.raises(TypeError):
+                op(x, foreign)
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(TypeError):
+            op(x, values[0])
+
+
 def test_int_entries_beside_lifted_ones_print_and_hash():
     # canonical() divides by the first nonzero entry: an int over a Scaled here
     from quadrance.isometry import ProjMatrix

@@ -912,6 +912,98 @@ def test_chromo_proof_identity_prints_the_sampled_representatives(monkeypatch):
         "lhs": "25/2", "rhs": "83/6"}
 
 
+def _returns_argument(fn):
+    return lambda color, a: a
+
+
+CHROMO_MUTATION_GOLDEN = (Path(__file__).with_name("data")
+                          / "verify_chromo_mutations_golden.json")
+
+# (kernel, how it is broken).  The golden file holds the chromo reports under
+# each, over F_7 and over Q (seed 0, 30 trials), as the suite gave them when
+# it compared colored_quadrance values, on Fp points over F_p.
+CHROMO_MUTATIONS = [
+    ("colored_quadrance_fraction", _denominator_plus_one),
+    ("colored_quadrance_fraction", _numerator_plus_x1x2),
+    ("perpendicular_point", _returns_argument),
+]
+
+
+@pytest.mark.parametrize("field", ("fp:7", "rationals"))
+@pytest.mark.parametrize("kernel, breaker", CHROMO_MUTATIONS,
+                         ids=[f"{k}{b.__name__}" for k, b in CHROMO_MUTATIONS])
+def test_chromo_reports_under_broken_kernels_match_golden(monkeypatch, kernel, breaker, field):
+    from quadrance import chromo
+
+    golden = json.loads(CHROMO_MUTATION_GOLDEN.read_text(encoding="utf-8"))
+    want = golden[f"{kernel} {breaker.__name__} {field}"]
+    monkeypatch.setattr(chromo, kernel, breaker(getattr(chromo, kernel)))
+    got = run_suite("chromo", make_context(field), trials=30, seed=0).to_dict()
+    del got["elapsed_ms"]
+    assert got["failed"] > 0
+    assert json.dumps(got) == json.dumps(want)
+
+
+def test_chromo_sweep_builds_few_fp_objects(monkeypatch):
+    # the chromo sweep runs on int residues: Fp is left in its null filter
+    # and in one reciprocal_sum call per case (on Fp points it built 5,706)
+    from quadrance import field
+
+    built = [0]
+    make, init = field._fp, field.Fp.__init__
+
+    def counting_fp(r, p):
+        built[0] += 1
+        return make(r, p)
+
+    def counting_init(self, r, p):
+        built[0] += 1
+        init(self, r, p)
+
+    monkeypatch.setattr(field, "_fp", counting_fp)
+    monkeypatch.setattr(field.Fp, "__init__", counting_init)
+    report = run_suite("chromo", make_context("fp:7"))
+    assert (report.passed, report.failed) == (16, 0)
+    assert 0 < built[0] <= 1000
+
+
+def test_random_element_reads_the_two_draws_from_a_table():
+    import random
+    from fractions import Fraction
+
+    from quadrance.verify import random_element
+
+    for seed in range(10):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for _ in range(300):
+            got = random_element(None, rng)
+            want = Fraction(ref.randint(-12, 12), ref.randint(1, 12))
+            assert type(got) is Fraction
+            assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+        assert rng.getstate() == ref.getstate()
+
+
+def test_random_point_gives_up_on_a_null_test_that_rejects_every_draw(monkeypatch):
+    # is_null + 1 calls every point null: the sampler redrew forever; now it
+    # raises one NullPoint, and the CLI exits 3 with one line
+    import contextlib
+    import io
+
+    from quadrance import projective
+    from quadrance.cli import main
+    from quadrance.errors import NullPoint
+
+    monkeypatch.setattr(projective, "is_null", _plus_one(projective.is_null))
+    with pytest.raises(NullPoint, match="rejected every draw"):
+        run_suite("triple-spread", make_context("rationals"), trials=30, seed=0)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["verify", "--suite", "triple-spread", "--trials", "30"])
+    assert code == 3
+    assert err.getvalue().count("\n") == 1
+    assert err.getvalue().startswith("error: NullPoint: the suite's null test rejected")
+
+
 def test_lifted_points_are_the_sampled_rationals_and_refuse_unlifted_fractions():
     import random
     from fractions import Fraction
