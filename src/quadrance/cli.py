@@ -33,12 +33,13 @@ EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 
 EVAL_GRAMMAR = """\
-eval requests:
+eval requests, the kind first and its flags after it:
   quad      --points X1 X2 [--field F]
   pquad     (--form D:E:F | --color C) --points [X:Y] [X:Y] [--field F]
   aclassify --points IMAGE0 IMAGE1 [--field F]      -> t:<shift> | r:<shift>
   pclassify --color C --matrix A,B;C,D [--field F]  -> rho:C:[a:b] | sigma:C:[a:b]
 Field descriptors: rationals (default) or fp:<odd prime>.
+A flag before the kind (eval --field fp:7 quad ...) is a usage error.
 """
 
 

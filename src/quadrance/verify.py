@@ -6,16 +6,19 @@ skipping and counting tuples that are null where non-null inputs are
 required.  Every report satisfies passed + failed + skipped = attempted,
 and identical seeds and arguments reproduce identical results.
 
-Every rational point is drawn by random_point, which redraws until the
-suite's null test keeps it, and the F_p sweep skips the points the same
+Every rational point comes from random_point, which clears each draw to
+ints once (field.clear_denominators) and redraws until the suite's null
+test keeps that cleared point; the F_p sweep skips the points the same
 test rejects.  That test is the one the suite's kernels apply:
-projective.is_null for the two spread suites, chromo.is_null_for for the
-isometry suite (make_isometry checks it), and chromo.is_null_for in every
-colour, on the point cleared to ints, for the chromo suite.  So the
+projective.is_null for the two spread suites, and chromo.is_null_for for
+the isometry suite (make_isometry checks it) and, in every colour, for
+the chromo suite.  Nullity depends only on the proportion [x:y], so the
 kernels accept every point either driver keeps, and a broken kernel is
-reported as a failed check, not raised on a point the sampler kept.  A
-null test that rejects 1,000 draws in a row (a broken one) makes
-random_point raise NullPoint instead of drawing forever.
+reported as a failed check, not raised on a point the sampler kept.
+random_point returns the drawn point with the cleared one, and each suite
+takes the one it computes on.  A null test that rejects 1,000 draws in a
+row (a broken one) makes random_point raise NullPoint instead of drawing
+forever.
 
 Each identity is checked by one function, which both drivers call, and
 only the drivers pick the representation; a check computes on, and
@@ -34,14 +37,13 @@ suites, are compared cleared (num * den' == num' * den), and points and
 matrices by their cross products.  The exceptions: the spread cases lift
 the p-quadrances they compute, and the spread recurrence lifts s with
 S_0(s)..S_12(s) from spreadpoly.poly_eval.  The chromo suite runs on
-int-residue points over F_p and, over Q, on each point cleared to ints
-(field.clear_denominators), which prints the same through canonical();
-only its reciprocal-sum proof identity runs on the sampled points, as it
-prints uncancelled values.  It reaches the wrappers colored_quadrance and
-reciprocal_sum through one reciprocal_sum call per case, on Fp points
-over F_p.  The blue square roots need field square roots.  The
-free-variable identities (the alternate forms, the rearrangement
-identities, rescaling invariance) run over Q only.
+int-residue points over F_p and on the cleared points over Q, which print
+the same through canonical(); only its reciprocal-sum proof identity runs
+on the drawn points, as it prints uncancelled values.  It reaches the
+wrappers colored_quadrance and reciprocal_sum through one reciprocal_sum
+call per case, on Fp points over F_p.  The blue square roots need field
+square roots.  The free-variable identities (the alternate forms, the
+rearrangement identities, rescaling invariance) run over Q only.
 
 The triple and quadruple sweeps check each distinct tuple of table values
 once per call: a verdict is a pure function of the values it reads,
@@ -155,8 +157,8 @@ _SMALL_RATIONALS = [[Fraction(n, d) for d in range(1, 13)] for n in range(-12, 1
 def random_element(ctx: Optional[FieldContext], rng: random.Random):
     """A small random rational, Fraction(rng.randint(-12, 12), rng.randint(1, 12)),
     read from a table with the same two draws.  Only the rational driver
-    samples, so ``ctx`` is ignored; it stays because perfbench's field
-    probes pass one."""
+    samples, and its callers pass ``ctx=None``; the parameter stays only for
+    perfbench's field probes, which pass a context."""
     return _SMALL_RATIONALS[rng.randint(-12, 12) + 12][rng.randint(1, 12) - 1]
 
 
@@ -172,16 +174,17 @@ def random_nonzero(rng):
 _MAX_REDRAWS = 1000
 
 
-def random_point(rng, keep: Callable = lambda a: True) -> ProjPoint:
-    """A random projective point that ``keep`` accepts: the null test of
+def random_point(rng, keep: Callable = lambda a: True) -> tuple[ProjPoint, ProjPoint]:
+    """(drawn, cleared): a random projective point, as drawn and cleared to
+    ints, whose cleared form ``keep`` accepts.  ``keep`` is the null test of
     the suite's kernels, which its F_p sweep applies too.  After
     _MAX_REDRAWS rejected draws in a row it raises NullPoint."""
     for _ in range(_MAX_REDRAWS):
         x, y = random_element(None, rng), random_element(None, rng)
         if x != 0 or y != 0:
-            a = ProjPoint(x, y)
-            if keep(a):
-                return a
+            cleared = ProjPoint(*clear_denominators((x, y)))
+            if keep(cleared):
+                return ProjPoint(x, y), cleared
     raise NullPoint(f"the suite's null test rejected every draw "
                     f"({_MAX_REDRAWS} random points in a row)")
 
@@ -709,7 +712,7 @@ def _suite_triple_spread(rec, ctx, rng, trials, colors):
                                                "a3": pts[k]}, perp)
     else:
         for form in _cycled(forms, trials):
-            a1, a2, a3 = (random_point(rng, lambda a: not projective.is_null(form, a))
+            a1, a2, a3 = (random_point(rng, lambda a: not projective.is_null(form, a))[0]
                           for _ in range(3))
             failure = _triple_spread_case(form, a1, a2, a3, _random_lifted(rng, 3))
             if failure is None:
@@ -750,7 +753,8 @@ def _suite_quadruple_spread(rec, ctx, rng, trials, colors):
                                                      "a3": pts[k], "a4": pts[m]})
     else:
         for form in _cycled(forms, trials):
-            quad = [random_point(rng, lambda a: not projective.is_null(form, a)) for _ in range(4)]
+            quad = [random_point(rng, lambda a: not projective.is_null(form, a))[0]
+                    for _ in range(4)]
             rec.case(_quadruple_spread_case(form, *quad, _random_lifted(rng, 4)))
 
 
@@ -766,29 +770,29 @@ _INVARIANCE_LAWS = tuple((c, tuple((e, f"color-invariance-{c}-{e}") for e in Col
 _INVOLUTION_LAWS = tuple((c, f"perpendicular-involution-{c}") for c in Color)
 
 
-def _chromo_case(a1, a2, cleared=None, p=None) -> Optional[dict]:
+def _chromo_case(drawn, cleared, p=None) -> Optional[dict]:
     """The chromogeometry laws for two points non-null in every colour.
 
-    The proof identity runs on a1, a2 as given.  Every later identity
-    compares _colored_fraction pairs cleared of denominators, on ``cleared``
-    over Q (the same points with int coordinates) and on the int-residue
-    points a1, a2 over F_p; the wrappers colored_quadrance and
-    reciprocal_sum are reached through one reciprocal_sum call.
+    The proof identity runs on the ``drawn`` pair.  Every later identity
+    compares _colored_fraction pairs cleared of denominators, on the
+    ``cleared`` pair: the same points with int coordinates over Q, and the
+    int-residue points (both pairs) over F_p.  The wrappers
+    colored_quadrance and reciprocal_sum are reached through one
+    reciprocal_sum call.
     """
+    a1, a2 = drawn
     inputs = {"a1": a1, "a2": a2}
     # red and green numerators are -num_blue, so the reciprocal sum is
     # (den_blue - den_red - den_green) / num_blue, and it is 2; a report
-    # prints these uncancelled values, so they are taken on a1, a2 as given
+    # prints these uncancelled values, so they are taken on the drawn pair
     fraction = chromo.colored_quadrance_fraction
     num, den = fraction(Color.BLUE, a1, a2)
     lhs = _reduce(den - fraction(Color.RED, a1, a2)[1] - fraction(Color.GREEN, a1, a2)[1], p)
     rhs = _reduce(2 * num, p)
     if lhs != rhs:
         return _failed(("reciprocal-sum-proof-identity", lhs, rhs), inputs, p)
-    # the rest print only points (canonical) and ratios, so over Q they run
-    # on ``cleared``
-    if cleared is not None:
-        a1, a2 = cleared
+    # the rest print only points (canonical) and ratios
+    a1, a2 = cleared
     perp = chromo.perpendicular_point
     # The points are non-null in every colour, so a QuadranceError below
     # comes from a broken kernel: it is the mismatch of the identity checked.
@@ -840,21 +844,12 @@ def _suite_chromo(rec, ctx, rng, trials, colors):
         live = _live_indices(rec, [not _all_colors_nonnull(a) for a in proj_points(ctx)], 2)
         for i in live:
             for j in live:
-                rec.case(_chromo_case(res[i], res[j], p=p))
+                pair = res[i], res[j]
+                rec.case(_chromo_case(pair, pair, p))
     else:
-        cleared = []  # the case's kept points, cleared to ints by keep
-
-        def keep(a):
-            c = ProjPoint(*clear_denominators((a.x, a.y)))
-            if _all_colors_nonnull(c):
-                cleared.append(c)
-                return True
-            return False
-
         for _ in range(trials):
-            cleared.clear()
-            pair = [random_point(rng, keep) for _ in range(2)]
-            rec.case(_chromo_case(*pair, cleared))
+            drawn, cleared = zip(*(random_point(rng, _all_colors_nonnull) for _ in range(2)))
+            rec.case(_chromo_case(drawn, cleared))
 
 
 def _multiplication_case(color, p1, p2, p3) -> Optional[dict]:
@@ -1000,7 +995,8 @@ def _suite_isometry(rec, ctx, rng, trials, colors):
     else:
         for t, color in enumerate(_cycled(wanted, trials)):
             p1, p2, p3, a1, a2 = _lift_points(
-                [random_point(rng, lambda a: not chromo.is_null_for(color, a)) for _ in range(5)])
+                [random_point(rng, lambda a: not chromo.is_null_for(color, a))[0]
+                 for _ in range(5)])
             kind = IsoKind.ROTATION if rng.randrange(2) else IsoKind.REFLECTION
             kind2 = IsoKind.ROTATION if rng.randrange(2) else IsoKind.REFLECTION
             iso1 = isometry.make_isometry(color, kind, p1)
@@ -1016,7 +1012,7 @@ def _suite_isometry(rec, ctx, rng, trials, colors):
             if failure is None:
                 failure = _multiplication_case(color, p1, p2, p3)
             if failure is None and color is Color.BLUE:
-                t_param = random_element(ctx, rng)
+                t_param = random_element(None, rng)
                 unit = ProjPoint(1 - t_param * t_param, 2 * t_param)
                 try:
                     failure = _blue_sqrt_case(unit)
@@ -1120,7 +1116,7 @@ def _suite_spreadpoly(rec, ctx, rng, trials, colors):
                 rec.case(_green_ratio_case(x, y, range(1, 9), p, spread))
     else:
         for t in range(trials):
-            s = random_element(ctx, rng)
+            s = random_element(None, rng)
             s, *values = lift_scaled(
                 [s] + [spreadpoly.poly_eval(spreadpoly.spread_poly(n), s) for n in range(13)])
             failure = _recurrence_case(s, values)

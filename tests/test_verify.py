@@ -749,6 +749,11 @@ def _denominator_plus_one(fn):
     return broken
 
 
+def _misses_red_null(fn):
+    # red-null points pass as non-null
+    return lambda color, a: color is not Color.RED and fn(color, a)
+
+
 # (module, kernel, how it is broken, suite).  verify reaches each of these
 # kernels, and broken, each one changes the suite's report over F_7 or Q.
 REPORT_CHANGING_KERNELS = [
@@ -765,8 +770,7 @@ REPORT_CHANGING_KERNELS = [
     ("chromo", "colored_form",
      lambda fn: lambda color: fn(Color.RED if color is Color.BLUE else color), "triple-spread"),
     ("chromo", "perpendicular_point", lambda fn: lambda color, a: a, "chromo"),
-    ("chromo", "is_null_for", lambda fn: lambda color, a: color is not Color.RED and fn(color, a),
-     "chromo"),
+    ("chromo", "is_null_for", _misses_red_null, "chromo"),
     ("chromo", "colored_quadrance", _plus_one, "chromo"),
     ("chromo", "reciprocal_sum", _plus_one, "chromo"),
     ("isometry", "point_identity", lambda fn: lambda color: isometry.ProjPoint(1, 2), "isometry"),
@@ -867,8 +871,7 @@ CHROMO_BREAKERS = [
     # 1/(q + 1) divides by zero where q = -1 over F_7: reciprocal_sum raised
     ("colored_quadrance", _plus_one, {"fp:7": "DivisionByZero"}),
     # red-null points pass as non-null, and colored_quadrance names them
-    ("is_null_for", lambda fn: lambda color, a: color is not Color.RED and fn(color, a),
-     {"fp:7": "NullPoint", "rationals": "NullPoint"}),
+    ("is_null_for", _misses_red_null, {"fp:7": "NullPoint", "rationals": "NullPoint"}),
 ]
 
 
@@ -1004,6 +1007,67 @@ def test_random_point_gives_up_on_a_null_test_that_rejects_every_draw(monkeypatc
     assert err.getvalue().startswith("error: NullPoint: the suite's null test rejected")
 
 
+def test_random_point_tests_each_draw_once_cleared():
+    # random_point clears each nonzero draw once, hands that point to keep,
+    # and returns it with the drawn point; the random stream is the one of
+    # a loop of random_element pairs with the same rejections
+    import random
+    from fractions import Fraction
+
+    from quadrance.verify import random_point
+
+    for seed in range(10):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for trial in range(30):
+            seen = []
+
+            def keep(a):
+                seen.append(a)
+                return len(seen) % 3 == 0 or trial % 2 == 0
+
+            drawn, cleared = random_point(rng, keep)
+            draws = []
+            while len(draws) < len(seen):
+                x, y = (Fraction(ref.randint(-12, 12), ref.randint(1, 12)) for _ in range(2))
+                if x != 0 or y != 0:
+                    draws.append(isometry.ProjPoint(x, y))
+            assert all(type(v) is int for a in seen for v in (a.x, a.y))
+            assert [a.canonical() for a in seen] == [a.canonical() for a in draws]
+            assert cleared is seen[-1]
+            assert (drawn.x, drawn.y) == (draws[-1].x, draws[-1].y)
+            assert type(drawn.x) is Fraction and drawn == cleared
+        assert rng.getstate() == ref.getstate()
+
+
+DRAW_RULE_GOLDEN = Path(__file__).with_name("data") / "verify_draw_rule_golden.json"
+
+# (module, kernel, how it is broken, suite), run over Q with seeds 0 and 42
+# and 30 trials.  The golden file holds the reports as they were when the
+# spread samplers tested their null test on the drawn point, so a change of
+# the representative a null test or a check runs on shows up here.
+DRAW_RULE_MUTATIONS = [
+    ("projective", "form_value", _plus_one, "triple-spread"),
+    ("projective", "form_value", _plus_one, "quadruple-spread"),
+    ("chromo", "is_null_for", _misses_red_null, "chromo"),
+]
+
+
+@pytest.mark.parametrize("seed", (0, 42))
+@pytest.mark.parametrize("module, kernel, breaker, suite", DRAW_RULE_MUTATIONS,
+                         ids=[f"{m[1]}-{m[3]}" for m in DRAW_RULE_MUTATIONS])
+def test_reports_under_broken_null_tests_match_golden(monkeypatch, module, kernel, breaker,
+                                                      suite, seed):
+    import importlib
+
+    golden = json.loads(DRAW_RULE_GOLDEN.read_text(encoding="utf-8"))
+    want = golden[f"{kernel} {breaker.__name__} {suite} {seed}"]
+    mod = importlib.import_module(f"quadrance.{module}")
+    monkeypatch.setattr(mod, kernel, breaker(getattr(mod, kernel)))
+    got = run_suite(suite, make_context("rationals"), trials=30, seed=seed).to_dict()
+    del got["elapsed_ms"]
+    assert json.dumps(got) == json.dumps(want)
+
+
 def test_lifted_points_are_the_sampled_rationals_and_refuse_unlifted_fractions():
     import random
     from fractions import Fraction
@@ -1011,7 +1075,7 @@ def test_lifted_points_are_the_sampled_rationals_and_refuse_unlifted_fractions()
     from quadrance.verify import _lift_points, random_point
 
     rng = random.Random(0)
-    sampled = [random_point(rng) for _ in range(5)]
+    sampled = [random_point(rng)[0] for _ in range(5)]
     lifted = _lift_points(sampled)
     for a, b in zip(sampled, lifted):
         # b == a would multiply a Scaled by a Fraction, which raises
