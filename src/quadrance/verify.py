@@ -7,18 +7,15 @@ required.  Every report satisfies passed + failed + skipped = attempted,
 and identical seeds and arguments reproduce identical results.
 
 Every rational point comes from random_point, which clears each draw to
-ints once (field.clear_denominators) and redraws until the suite's null
-test keeps that cleared point; the F_p sweep skips the points the same
-test rejects.  That test is the one the suite's kernels apply:
+ints once (field.clear_denominators), redraws until the suite's null test
+keeps that cleared point, and returns it with the drawn point, so that
+each suite takes the one it computes on; a null test that rejects 1,000
+draws in a row (a broken one) makes it raise NullPoint.  The F_p sweep
+skips the points the same test rejects.  That test is the kernels' own:
 projective.is_null for the two spread suites, and chromo.is_null_for for
 the isometry suite (make_isometry checks it) and, in every colour, for
 the chromo suite.  Nullity depends only on the proportion [x:y], so the
-kernels accept every point either driver keeps, and a broken kernel is
-reported as a failed check, not raised on a point the sampler kept.
-random_point returns the drawn point with the cleared one, and each suite
-takes the one it computes on.  A null test that rejects 1,000 draws in a
-row (a broken one) makes random_point raise NullPoint instead of drawing
-forever.
+kernels accept every point either driver keeps.
 
 Each identity is checked by one function, which both drivers call, and
 only the drivers pick the representation; a check computes on, and
@@ -50,15 +47,19 @@ once per call: a verdict is a pure function of the values it reads,
 so every point tuple that reads the same values reuses it, and the counts
 and the first counterexample are unchanged.  The spreadpoly sweep reads
 S_k(r) mod p from one table per call (_spread_table), built by
-spreadpoly.poly_eval.  Neither memo nor table outlives the call, so a
-kernel patched between runs is always seen.
+spreadpoly.poly_eval.  The isometry sweep builds each colour's rotations
+and reflections once per call, and every law of the colour reads them.
+Nothing outlives the call, so a kernel patched between runs is always seen.
 
 Where the inputs were already checked valid, an error a kernel raises is
 reported as the failure of the identity checked, not raised: a
 FactorizationFailure in spread-cyclotomic-product, a NonIntegralResult in
-spread-via-chebyshev, a QuadranceError in the chromo identities and in
-green-power-spread-bridge and, over Q, in blue-sqrt-round-trip, and a
-DivisionByZero in the F_p p-quadrance tables of the spread formulas.
+spread-via-chebyshev, a QuadranceError in the chromo identities, in
+green-power-spread-bridge and in each law of a rational isometry trial,
+and a DivisionByZero in the F_p p-quadrance tables of the spread formulas.
+In the isometry sweep a NullParameter or NullPoint (a kernel's null test
+rejecting a point the filter kept) is one failure for the colour swept;
+other errors raise, as an InvalidArgument for a point that is 0 mod p.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ from typing import Callable, Optional
 from . import affine, chromo, isometry, projective, spreadpoly
 from .chromo import Color
 from .errors import (DivisionByZero, FactorizationFailure, InvalidArgument, NonIntegralResult,
-                     NotUnitCircle, NullPoint, QuadranceError, UnknownSuite)
+                     NotUnitCircle, NullParameter, NullPoint, QuadranceError, UnknownSuite)
 from .field import FieldContext, Fp, clear_denominators, exact_div, lift_scaled
 from .isometry import IsoKind
 from .projective import Form, ProjPoint
@@ -295,12 +296,6 @@ def _fraction_mismatch(identity: str, got: tuple, want: tuple, p=None) -> Option
     return (identity, _quotient(num, den, p), _quotient(num0, den0, p))
 
 
-def _preservation_law(color, before: tuple, after: tuple, p=None) -> Optional[tuple]:
-    """An isometry keeps the color's quadrance of two points; ``before`` and
-    ``after`` are _colored_fraction pairs."""
-    return _fraction_mismatch(f"isometry-preservation-{color}", after, before, p)
-
-
 def _points_differ(u: ProjPoint, v: ProjPoint, p=None) -> bool:
     """u != v as projective points.
 
@@ -380,16 +375,15 @@ def _unit_laws(color, a, p=None) -> Optional[tuple]:
     return None
 
 
-def _pair_laws(color, p1, p2, ab, ba, unit_failure, p=None) -> Optional[tuple]:
-    """The multiplication laws after associativity, in report order:
-    p1*p2 = p2*p1 (``ab``, ``ba``), the unit laws of p1 (``unit_failure``
-    from _unit_laws), and p1*p2 = the parameter of rotation p1 then p2."""
+def _pair_laws(rot1, rot2, ab, ba, unit_failure, p=None) -> Optional[tuple]:
+    """The multiplication laws after associativity, in report order, for the
+    rotations by p1 and p2: p1*p2 = p2*p1 (``ab``, ``ba``), the unit laws of
+    p1 (``unit_failure`` from _unit_laws), and p1*p2 = rot1 then rot2."""
     if _points_differ(ab, ba, p):
         return ("multiplication-commutativity", ab, ba)
     if unit_failure is not None:
         return unit_failure
-    rot = isometry.compose(isometry.make_isometry(color, IsoKind.ROTATION, p1),
-                           isometry.make_isometry(color, IsoKind.ROTATION, p2))
+    rot = isometry.compose(rot1, rot2)
     if _points_differ(rot.param, ab, p):
         return ("multiplication-vs-rotation-composition", rot.param, ab)
     return None
@@ -852,16 +846,6 @@ def _suite_chromo(rec, ctx, rng, trials, colors):
             rec.case(_chromo_case(drawn, cleared))
 
 
-def _multiplication_case(color, p1, p2, p3) -> Optional[dict]:
-    multiply = isometry.multiply_points
-    ab = multiply(color, p1, p2)
-    failure = (_associativity_law(color, p1, p3, ab, multiply(color, p2, p3))
-               or _pair_laws(color, p1, p2, ab, multiply(color, p2, p1), _unit_laws(color, p1)))
-    if failure is None:
-        return None
-    return _failed(failure, {"color": color, "p1": p1, "p2": p2, "p3": p3})
-
-
 def _blue_sqrt_case(p: ProjPoint) -> Optional[dict]:
     root = isometry.blue_sqrt(p)
     square = isometry.multiply_points(Color.BLUE, root, root)
@@ -886,54 +870,51 @@ def _green_power_case(a: ProjPoint, n: int, p=None) -> Optional[dict]:
     return None
 
 
-def _residue_preservation(rec, p: int, color, res, live, isos):
-    """Every isometry of the color (``isos``, keyed by kind and parameter
-    index) on every pair of live points: the quadrances before (one table)
-    and after (images once per isometry)."""
-    n = len(res)
-    apply = isometry.apply
+def _residue_preservation(rec, p: int, identity: str, color, res, live, isos):
+    """The law ``identity`` for every isometry of the color (``isos``, kind
+    by kind, in parameter order) on every pair of live points: quadrances
+    before (one table) and after (images once per isometry)."""
+    n, m = len(res), len(live)
+    # per kind, a null parameter skips as one case and a live one its null pairs
+    rec.skip("null-parameter", 2 * (n - m))
+    rec.skip("null-point", 2 * m * (n * n - m * m))
     before = _pair_table(n, live, lambda i, j: _colored_fraction(color, res[i], res[j], p))
     passed = 0
-    for kind in IsoKind:
-        rec.skip("null-parameter", n - len(live))
-        for k in live:
-            rec.skip("null-point", n * n - len(live) ** 2)
-            iso = isos[kind, k]
-            images = [apply(iso, a) for a in res]
-            for i in live:
-                image, before_i = images[i], before[i]
-                for j in live:
-                    after = _colored_fraction(color, image, images[j], p)
-                    failure = _preservation_law(color, before_i[j], after, p)
-                    if failure is None:
-                        passed += 1
-                    else:
-                        rec.case(_failed(failure, {"kind": kind, "param": iso.param,
-                                                   "a1": res[i], "a2": res[j]}, p))
+    for iso in isos.values():
+        images = [isometry.apply(iso, a) for a in res]
+        for i in live:
+            image, before_i = images[i], before[i]
+            for j in live:
+                after = _colored_fraction(color, image, images[j], p)
+                failure = _fraction_mismatch(identity, after, before_i[j], p)
+                if failure is None:
+                    passed += 1
+                else:
+                    rec.case(_failed(failure, {"kind": iso.kind, "param": iso.param,
+                                               "a1": res[i], "a2": res[j]}, p))
     rec.add_passes(passed)
 
 
-def _residue_composition(rec, p: int, color, res, live, isos):
+def _residue_composition(rec, p: int, res, live, isos):
     """Every composition table entry of two live parameters, against the
     product of matrices built once per isometry."""
-    n = len(res)
-    matrices = {key: isometry.matrix_of(iso) for key, iso in isos.items()}
+    # each of the 4 kind pairs skips the parameter pairs with a null entry
+    rec.skip("null-parameter", 4 * (len(res) ** 2 - len(live) ** 2))
+    by_kind = [[(iso, isometry.matrix_of(iso)) for iso in isos.values() if iso.kind is kind]
+               for kind in IsoKind]
     passed = 0
-    for kind1 in IsoKind:
-        for kind2 in IsoKind:
-            rec.skip("null-parameter", n * n - len(live) ** 2)
-            for i in live:
-                iso1, m1 = isos[kind1, i], matrices[kind1, i]
-                for j in live:
-                    failure = _composition_case(iso1, m1, isos[kind2, j], matrices[kind2, j], p)
-                    if failure is None:
-                        passed += 1
-                    else:
-                        rec.case(failure)
+    for first, second in itertools.product(by_kind, repeat=2):
+        for iso1, m1 in first:
+            for iso2, m2 in second:
+                failure = _composition_case(iso1, m1, iso2, m2, p)
+                if failure is None:
+                    passed += 1
+                else:
+                    rec.case(failure)
     rec.add_passes(passed)
 
 
-def _residue_multiplication(rec, p: int, color, res, live):
+def _residue_multiplication(rec, p: int, color, res, live, isos):
     """The multiplication laws on every live triple.  The products p1*p2 and
     the laws that involve only p1 and p2 are evaluated once per pair, so a
     triple costs the two associativity products and table lookups."""
@@ -941,8 +922,8 @@ def _residue_multiplication(rec, p: int, color, res, live):
     rec.skip("null-parameter", n ** 3 - len(live) ** 3)
     ab = _pair_table(n, live, lambda i, j: isometry.multiply_points(color, res[i], res[j]))
     unit = {i: _unit_laws(color, res[i], p) for i in live}
-    pair = _pair_table(n, live, lambda i, j: _pair_laws(color, res[i], res[j], ab[i][j],
-                                                        ab[j][i], unit[i], p))
+    pair = _pair_table(n, live, lambda i, j: _pair_laws(
+        isos[IsoKind.ROTATION, i], isos[IsoKind.ROTATION, j], ab[i][j], ab[j][i], unit[i], p))
     passed = 0
     for i in live:
         p1, ab_i, pair_i = res[i], ab[i], pair[i]
@@ -967,21 +948,68 @@ def _lift_points(points) -> list[ProjPoint]:
     return [ProjPoint(x, y) for x, y in zip(coords[::2], coords[1::2])]
 
 
+def _isometry_trial(rng, color, power: int) -> Optional[dict]:
+    """One rational trial of the isometry laws, in report order.  Its points
+    pass make_isometry's null test, so a QuadranceError is the failure of
+    the laws being checked, named after the first of them."""
+    p1, p2, p3, a1, a2 = _lift_points(
+        [random_point(rng, lambda a: not chromo.is_null_for(color, a))[0] for _ in range(5)])
+    kind1, kind2 = (IsoKind.ROTATION if rng.randrange(2) else IsoKind.REFLECTION for _ in range(2))
+    identity = f"isometry-preservation-{color}"
+    where = {"kind": kind1, "param": p1, "a1": a1, "a2": a2}
+    try:
+        iso1 = isometry.make_isometry(color, kind1, p1)
+        before = _colored_fraction(color, a1, a2)
+        after = _colored_fraction(color, isometry.apply(iso1, a1), isometry.apply(iso1, a2))
+        failure = _fraction_mismatch(identity, after, before)
+        if failure is not None:
+            return _failed(failure, where)
+        identity = "composition-table-vs-matrix"
+        where = {"color": color, "kind1": kind1, "p1": p1, "kind2": kind2, "p2": p2}
+        iso2 = isometry.make_isometry(color, kind2, p2)
+        failure = _composition_case(iso1, isometry.matrix_of(iso1), iso2, isometry.matrix_of(iso2))
+        if failure is not None:
+            return failure
+        identity = "multiplication-associativity"
+        where = {"color": color, "p1": p1, "p2": p2, "p3": p3}
+        multiply = isometry.multiply_points
+        ab = multiply(color, p1, p2)
+        rotations = (isometry.make_isometry(color, IsoKind.ROTATION, q) for q in (p1, p2))
+        failure = (_associativity_law(color, p1, p3, ab, multiply(color, p2, p3))
+                   or _pair_laws(*rotations, ab, multiply(color, p2, p1), _unit_laws(color, p1)))
+        if failure is not None:
+            return _failed(failure, where)
+        if color is Color.BLUE:
+            # over Q, (1 - t^2, 2t) is always on the unit circle
+            t = random_element(None, rng)
+            identity, where = "blue-sqrt-round-trip", {"p": ProjPoint(1 - t * t, 2 * t)}
+            return _blue_sqrt_case(where["p"])
+    except QuadranceError as exc:
+        return _raised(identity, where, exc)
+    return _green_power_case(p1, power) if color is Color.GREEN else None
+
+
 def _suite_isometry(rec, ctx, rng, trials, colors):
     wanted = [Color(name) for name in _selected_forms(colors) if name != "general"]
-    if rng is None:
-        # Blue square roots need field square roots, so they stay on Fp
-        # points; every other check runs on int-residue points.
-        pts = proj_points(ctx)
-        res = _residue_points(ctx.p)
-        for color in wanted:
-            live = [i for i, a in enumerate(pts) if not chromo.is_null_for(color, a)]
+    if rng is not None:
+        for t, color in enumerate(_cycled(wanted, trials)):
+            rec.case(_isometry_trial(rng, color, 1 + t % 8))
+        return
+    p, pts = ctx.p, proj_points(ctx)
+    res = _residue_points(p)
+    for color in wanted:
+        live = [i for i, a in enumerate(pts) if not chromo.is_null_for(color, a)]
+        identity = f"isometry-preservation-{color}"
+        try:
             isos = {(kind, i): isometry.make_isometry(color, kind, res[i])
                     for kind in IsoKind for i in live}
-            _residue_preservation(rec, ctx.p, color, res, live, isos)
-            _residue_composition(rec, ctx.p, color, res, live, isos)
-            _residue_multiplication(rec, ctx.p, color, res, live)
+            _residue_preservation(rec, p, identity, color, res, live, isos)
+            identity = "composition-table-vs-matrix"
+            _residue_composition(rec, p, res, live, isos)
+            identity = "multiplication-associativity"
+            _residue_multiplication(rec, p, color, res, live, isos)
             if color is Color.BLUE:
+                identity = "blue-sqrt-round-trip"
                 for a in pts:
                     try:
                         rec.case(_blue_sqrt_case(a))
@@ -989,39 +1017,10 @@ def _suite_isometry(rec, ctx, rng, trials, colors):
                         rec.skip("not-unit-circle")
             if color is Color.GREEN:
                 rec.skip("null-point", 8 * (len(pts) - len(live)))
-                for i in live:
-                    for power in range(1, 9):
-                        rec.case(_green_power_case(res[i], power, ctx.p))
-    else:
-        for t, color in enumerate(_cycled(wanted, trials)):
-            p1, p2, p3, a1, a2 = _lift_points(
-                [random_point(rng, lambda a: not chromo.is_null_for(color, a))[0]
-                 for _ in range(5)])
-            kind = IsoKind.ROTATION if rng.randrange(2) else IsoKind.REFLECTION
-            kind2 = IsoKind.ROTATION if rng.randrange(2) else IsoKind.REFLECTION
-            iso1 = isometry.make_isometry(color, kind, p1)
-            iso2 = isometry.make_isometry(color, kind2, p2)
-            before = _colored_fraction(color, a1, a2)
-            after = _colored_fraction(color, isometry.apply(iso1, a1), isometry.apply(iso1, a2))
-            failure = _preservation_law(color, before, after)
-            if failure is not None:
-                failure = _failed(failure, {"kind": kind, "param": p1, "a1": a1, "a2": a2})
-            else:
-                failure = _composition_case(iso1, isometry.matrix_of(iso1),
-                                            iso2, isometry.matrix_of(iso2))
-            if failure is None:
-                failure = _multiplication_case(color, p1, p2, p3)
-            if failure is None and color is Color.BLUE:
-                t_param = random_element(None, rng)
-                unit = ProjPoint(1 - t_param * t_param, 2 * t_param)
-                try:
-                    failure = _blue_sqrt_case(unit)
-                except QuadranceError as exc:
-                    # over Q, (1 - t^2, 2t) is always on the unit circle
-                    failure = _raised("blue-sqrt-round-trip", {"p": unit}, exc)
-            if failure is None and color is Color.GREEN:
-                failure = _green_power_case(p1, 1 + t % 8)
-            rec.case(failure)
+                for i, power in itertools.product(live, range(1, 9)):
+                    rec.case(_green_power_case(res[i], power, p))
+        except (NullParameter, NullPoint) as exc:
+            rec.case(_raised(identity, {"color": color}, exc))
 
 
 def _spreadpoly_fixed_cases():

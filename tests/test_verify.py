@@ -231,6 +231,29 @@ def test_isometry_suite_counts_f5():
     assert report.attempted == expected
 
 
+@pytest.mark.parametrize("color", list(Color), ids=str)
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_isometry_counts_follow_from_p(p, color):
+    # n points, m of them non-null for the colour: every colour has two null
+    # points, except blue when -1 is not a square mod p
+    n = p + 1
+    m = n if color is Color.BLUE and p % 4 == 3 else n - 2
+    # preservation 2(n-m) + 2m n^2, composition 4n^2, multiplication n^3
+    attempted = 2 * (n - m) + 2 * m * n * n + 4 * n * n + n ** 3
+    skips = {"null-parameter": 2 * (n - m) + 4 * (n * n - m * m) + (n ** 3 - m ** 3),
+             "null-point": 2 * m * (n * n - m * m)}
+    if color is Color.BLUE:  # one square root case per point
+        attempted += n
+        skips["not-unit-circle"] = (p + 1) // 2 if p % 4 == 3 else (p + 3) // 2
+    if color is Color.GREEN:  # the power bridge for n = 1..8 at each point
+        attempted += 8 * n
+        skips["null-point"] += 8 * (n - m)
+    report = run_suite("isometry", make_context(f"fp:{p}"), colors=[str(color)])
+    assert (report.attempted, report.failed) == (attempted, 0)
+    assert report.skip_reasons == {reason: k for reason, k in skips.items() if k}
+    assert report.passed == attempted - sum(skips.values())
+
+
 GOLDEN = Path(__file__).with_name("data") / "verify_fp_golden.json"
 
 
@@ -900,6 +923,62 @@ def test_broken_chromo_kernel_is_reported_not_raised(monkeypatch, kernel, breake
             assert any(lhs.startswith(f"{raised[field]}: ") for lhs in seen), field
 
 
+def _right_only_on(points):
+    # the right perpendicular at ``points``, and the point itself elsewhere
+    return lambda fn: lambda color, a: fn(color, a) if a in points else a
+
+
+_A1, _A2 = isometry.ProjPoint(1, 2), isometry.ProjPoint(1, 3)
+
+
+def _wrong_only_on(color, b1, b2):
+    # q + 1 for the one pair (b1, b2) of ``color``, the right value elsewhere
+    def breaker(fn):
+        def broken(c, a1, a2):
+            num, den = fn(c, a1, a2)
+            return (num + den, den) if (c, a1, a2) == (color, b1, b2) else (num, den)
+        return broken
+    return breaker
+
+
+# (kernel, how it is broken, p, the failure of _chromo_case on [1:2], [1:3]).
+# Each breaker keeps every earlier law of the case, so the law named fails.
+CHROMO_LATE_LAWS = [
+    ("perpendicular_point", _right_only_on([_A1]), None,
+     {"identity": "color-invariance-blue-blue", "inputs": {"a1": "[1:2]", "a2": "[1:3]"},
+      "lhs": "49/50", "rhs": "1/50"}),
+    ("perpendicular_point", _right_only_on([_A1]), 7,
+     {"identity": "color-invariance-blue-blue", "inputs": {"a1": "[1:2]", "a2": "[1:3]"},
+      "lhs": "0", "rhs": "1"}),
+    # blue's cross pair: the red perpendicular of a1 and the green one of a2
+    ("colored_quadrance_fraction",
+     _wrong_only_on(Color.BLUE, isometry.ProjPoint(2, 1), isometry.ProjPoint(1, -3)), None,
+     {"identity": "cross-symmetry-blue", "inputs": {"a1": "[1:2]", "a2": "[1:3]"},
+      "lhs": "99/50", "rhs": "49/50"}),
+    ("colored_quadrance_fraction",
+     _wrong_only_on(Color.BLUE, isometry.ProjPoint(2, 1), isometry.ProjPoint(1, -3)), 7,
+     {"identity": "cross-symmetry-blue", "inputs": {"a1": "[1:2]", "a2": "[1:3]"},
+      "lhs": "1", "rhs": "0"}),
+    ("perpendicular_point", _right_only_on([_A1, _A2]), None,
+     {"identity": "perpendicular-involution-blue", "inputs": {"a": "[1:2]"},
+      "lhs": "[1:-1/2]", "rhs": "[1:2]"}),
+    ("perpendicular_point", _right_only_on([_A1, _A2]), 7,
+     {"identity": "perpendicular-involution-blue", "inputs": {"a": "[1:2]"},
+      "lhs": "[1:3]", "rhs": "[1:2]"}),
+]
+
+
+@pytest.mark.parametrize("kernel, breaker, p, failure", CHROMO_LATE_LAWS,
+                         ids=[f"{row[3]['identity']}-{row[2]}" for row in CHROMO_LATE_LAWS])
+def test_chromo_case_reports_its_late_laws(monkeypatch, kernel, breaker, p, failure):
+    from quadrance import chromo
+    from quadrance.verify import _chromo_case
+
+    assert _chromo_case((_A1, _A2), (_A1, _A2), p) is None
+    monkeypatch.setattr(chromo, kernel, breaker(getattr(chromo, kernel)))
+    assert _chromo_case((_A1, _A2), (_A1, _A2), p) == failure
+
+
 def test_chromo_proof_identity_prints_the_sampled_representatives(monkeypatch):
     # the proof identity prints uncancelled values, so it must not run on
     # cleared points: the same case prints lhs 450, rhs 458 with each point
@@ -1150,3 +1229,78 @@ def test_non_homogeneous_p_quadrance_is_reported_over_fp(monkeypatch, suite, ari
     assert report.counterexample == {
         "identity": f"{suite}-formula", "inputs": {"form": "(1:0:1)"},
         "lhs": "DivisionByZero: division by zero in F_7", "rhs": "no error"}
+
+
+def test_triple_spread_proof_identity_fails_where_the_formula_is_forced_to_hold(monkeypatch):
+    # with the triple spread function forced to 0, p-quadrances plus one
+    # fail the proof-step identity, which is checked after it
+    from quadrance import projective
+
+    quadrance, fraction = projective.p_quadrance, projective.p_quadrance_fraction
+    monkeypatch.setattr(projective, "triple_spread_fn", lambda q1, q2, q3: 0)
+    monkeypatch.setattr(projective, "p_quadrance", lambda *args: quadrance(*args) + 1)
+    monkeypatch.setattr(projective, "p_quadrance_fraction",
+                        lambda *args: (lambda num, den: (num + den, den))(*fraction(*args)))
+    want = {
+        "rationals": {"form": "(1:0:1)", "a1": "[0:1]", "a2": "[1:0]", "a3": "[1:3]"},
+        "fp:7": {"form": "(1:0:1)", "a1": "[1:0]", "a2": "[1:0]", "a3": "[1:0]"},
+    }
+    for field, inputs in want.items():
+        report = run_suite("triple-spread", make_context(field), trials=30, seed=0)
+        assert report.failed > 0 and counts_ok(report), field
+        assert report.counterexample["identity"] == "triple-spread-proof-identity"
+        assert report.counterexample["inputs"] == inputs
+
+
+# Over these fields and seeds (30 trials) the isometry suite raised under a
+# chromo.is_null_for that misses red-null points: make_isometry keeps the
+# real test (isometry imports it by name), so it refused a point the filter
+# kept.  Each report's first failure; over F_p, the one for the red sweep.
+_RED_SWEEP = {"identity": "isometry-preservation-red", "inputs": {"color": "red"},
+              "lhs": "NullParameter: parameter [1:1] is red-null", "rhs": "no error"}
+
+
+def _red_composition(kind1, p1):
+    return {"identity": "composition-table-vs-matrix",
+            "inputs": {"color": "red", "kind1": kind1, "p1": p1, "kind2": "sigma",
+                       "p2": "[1:-1]"},
+            "lhs": "NullParameter: parameter [1:-1] is red-null", "rhs": "no error"}
+
+
+RED_NULL_FAILURES = [
+    ("fp:5", 0, _RED_SWEEP),
+    ("fp:7", 0, _RED_SWEEP),
+    ("fp:13", 0, _RED_SWEEP),
+    ("rationals", 1, _red_composition("rho", "[1:-7]")),
+    ("rationals", 5,
+     {"identity": "multiplication-associativity",
+      "inputs": {"color": "red", "p1": "[1:-9/22]", "p2": "[1:-55/36]", "p3": "[1:-1]"},
+      "lhs": "NullParameter: p2 = [1:-1] is red-null", "rhs": "no error"}),
+    ("rationals", 6,
+     {"identity": "isometry-preservation-red",
+      "inputs": {"kind": "rho", "param": "[1:-1/4]", "a1": "[1:32/15]", "a2": "[1:-1]"},
+      "lhs": "NullPoint: second point [1:-1] is red-null", "rhs": "no error"}),
+    ("rationals", 7, _red_composition("rho", "[1:27/7]")),
+    ("rationals", 8,
+     {"identity": "isometry-preservation-red",
+      "inputs": {"kind": "rho", "param": "[1:-1]", "a1": "[1:-7/2]", "a2": "[1:-7/10]"},
+      "lhs": "NullParameter: parameter [1:-1] is red-null", "rhs": "no error"}),
+    ("rationals", 9, _red_composition("sigma", "[1:3/5]")),
+]
+
+
+@pytest.mark.parametrize("field, seed, failure", RED_NULL_FAILURES,
+                         ids=[f"{row[0]}-{row[1]}" for row in RED_NULL_FAILURES])
+def test_isometry_reports_a_point_its_kernels_call_null(monkeypatch, field, seed, failure):
+    from quadrance import chromo
+
+    right = run_suite("isometry", make_context(field), trials=30, seed=seed,
+                      colors=["blue", "green"])
+    monkeypatch.setattr(chromo, "is_null_for", _misses_red_null(chromo.is_null_for))
+    report = run_suite("isometry", make_context(field), trials=30, seed=seed)
+    assert report.failed > 0 and counts_ok(report)
+    assert report.counterexample == failure
+    if field != "rationals":
+        # one failure for red, and blue and green sweep as before
+        assert (report.failed, report.passed) == (1, right.passed)
+        assert report.attempted == right.attempted + 1
