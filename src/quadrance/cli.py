@@ -39,6 +39,7 @@ eval requests, the kind first and its flags after it:
   aclassify --points IMAGE0 IMAGE1 [--field F]      -> t:<shift> | r:<shift>
   pclassify --color C --matrix A,B;C,D [--field F]  -> rho:C:[a:b] | sigma:C:[a:b]
 Field descriptors: rationals (default) or fp:<odd prime>.
+Values take no '_' digit separators (1_000 is refused) in either field.
 A flag before the kind (eval --field fp:7 quad ...) is a usage error.
 """
 

@@ -260,6 +260,10 @@ class RationalContext(FieldContext):
 
     def parse(self, text: str):
         literal = text.strip()
+        # Fraction takes '_' separators only from Python 3.11 on; both fields
+        # refuse them, so every supported Python reads the same literals
+        if "_" in literal:
+            raise ParseError(f"not a rational literal: {text!r}")
         # Fraction computes 10**exponent, past Python's int-string digit
         # limit and for as long as that takes; refuse such an exponent first
         exponent = literal.lower().partition("e")[2]
@@ -304,6 +308,8 @@ class PrimeContext(FieldContext):
         return Fp(n, self.p)
 
     def parse(self, text: str):
+        if "_" in text:  # int() takes '_' separators; refused as over Q
+            raise ParseError(f"not an F_{self.p} literal: {text!r}")
         try:
             n = int(text.strip())
         except ValueError as exc:
@@ -394,89 +400,128 @@ class Scaled:
     then evaluate in ints, with no gcd at any step.
 
     A product adds the exponents; a sum first scales the numerator with the
-    lower exponent by a power of D.  Plain ints count as k = 0.  Two values
-    of the same lift (and, for + and -, the same exponent) take a direct
-    path: the result is built in place, with no _align or _scaled call.
-    Every other operand goes through _align.  Only a quotient, an equality
-    with a Fraction and str go through Fraction.  An operand of any other
-    type (an Fp, a Fraction not lifted) or of another lift raises
-    TypeError, so a wrong value never comes back.
+    lower exponent by a power of D.  Plain ints count as k = 0.  +, -, *,
+    their reflected forms and == take a plain int or a value of the same
+    lift, whatever its exponent, directly: the other numerator is scaled by
+    a power of D in line.  Every result, of ** and negation too, is built in
+    place.  Only a quotient goes through _align, and only a quotient, an
+    equality with a Fraction and str go through Fraction.  An operand of any other type (an
+    Fp, a Fraction not lifted) or of another lift raises TypeError, so a
+    wrong value never comes back.
     """
 
     __slots__ = ("n", "k", "pw")
 
-    def _int(self, other) -> int:
-        """other as an int operand (exponent 0); anything else raises."""
-        if isinstance(other, int):
-            return other
-        raise TypeError(f"cannot combine {type(other).__name__} with a rational over "
-                        f"the common denominator {self.pw[1]}")
+    def _refused(self, other) -> TypeError:
+        """The error for an operand that is neither an int nor of this lift."""
+        return TypeError(f"cannot combine {type(other).__name__} with a rational over "
+                         f"the common denominator {self.pw[1]}")
 
     def _align(self, other):
-        """(self's numerator, other's numerator, k) over the one power D**k."""
+        """(self's numerator, other's numerator) over one power of D."""
         if type(other) is Scaled and other.pw is self.pw:
             n, k = other.n, other.k
+        elif isinstance(other, int):
+            n, k = other, 0
         else:
-            n, k = self._int(other), 0
+            raise self._refused(other)
         j = self.k
-        if j == k:
-            return self.n, n, k
         if j < k:
-            return self.n * self.pw[k - j], n, k
-        return self.n, n * self.pw[j - k], j
+            return self.n * self.pw[k - j], n
+        return self.n, n * self.pw[j - k]
 
     def __add__(self, other):
-        if type(other) is Scaled and other.pw is self.pw and other.k == self.k:
-            x = _new_object(Scaled)
-            x.n, x.k, x.pw = self.n + other.n, self.k, self.pw
-            return x
-        a, b, k = self._align(other)
-        return _scaled(a + b, k, self.pw)
+        pw, j = self.pw, self.k
+        if type(other) is Scaled and other.pw is pw:
+            k = other.k
+            if j == k:
+                n = self.n + other.n
+            elif j > k:
+                n = self.n + other.n * pw[j - k]
+            else:
+                n, j = self.n * pw[k - j] + other.n, k
+        elif isinstance(other, int):
+            n = self.n + other * pw[j]
+        else:
+            raise self._refused(other)
+        x = _new_object(Scaled)
+        x.n, x.k, x.pw = n, j, pw
+        return x
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if type(other) is Scaled and other.pw is self.pw and other.k == self.k:
-            x = _new_object(Scaled)
-            x.n, x.k, x.pw = self.n - other.n, self.k, self.pw
-            return x
-        a, b, k = self._align(other)
-        return _scaled(a - b, k, self.pw)
+        pw, j = self.pw, self.k
+        if type(other) is Scaled and other.pw is pw:
+            k = other.k
+            if j == k:
+                n = self.n - other.n
+            elif j > k:
+                n = self.n - other.n * pw[j - k]
+            else:
+                n, j = self.n * pw[k - j] - other.n, k
+        elif isinstance(other, int):
+            n = self.n - other * pw[j]
+        else:
+            raise self._refused(other)
+        x = _new_object(Scaled)
+        x.n, x.k, x.pw = n, j, pw
+        return x
 
     def __rsub__(self, other):
-        a, b, k = self._align(other)
-        return _scaled(b - a, k, self.pw)
+        if not isinstance(other, int):
+            raise self._refused(other)
+        x = _new_object(Scaled)
+        x.n, x.k, x.pw = other * self.pw[self.k] - self.n, self.k, self.pw
+        return x
 
     def __mul__(self, other):
         if type(other) is Scaled and other.pw is self.pw:
-            x = _new_object(Scaled)
-            x.n, x.k, x.pw = self.n * other.n, self.k + other.k, self.pw
-            return x
-        return _scaled(self.n * self._int(other), self.k, self.pw)
+            n, k = self.n * other.n, self.k + other.k
+        elif isinstance(other, int):
+            n, k = self.n * other, self.k
+        else:
+            raise self._refused(other)
+        x = _new_object(Scaled)
+        x.n, x.k, x.pw = n, k, self.pw
+        return x
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int):
         if not isinstance(e, int) or e < 0:
             raise TypeError("a Scaled rational takes only int powers >= 0")
-        return _scaled(self.n ** e, self.k * e, self.pw)
+        x = _new_object(Scaled)
+        x.n, x.k, x.pw = self.n ** e, self.k * e, self.pw
+        return x
 
     def __neg__(self):
-        return _scaled(-self.n, self.k, self.pw)
+        x = _new_object(Scaled)
+        x.n, x.k, x.pw = -self.n, self.k, self.pw
+        return x
 
     def __truediv__(self, other):
-        a, b, _ = self._align(other)
+        a, b = self._align(other)
         return Fraction(a, b)
 
     def __rtruediv__(self, other):
-        a, b, _ = self._align(other)
+        a, b = self._align(other)
         return Fraction(b, a)
 
     def __eq__(self, other):
+        pw, j = self.pw, self.k
+        if type(other) is Scaled and other.pw is pw:
+            k = other.k
+            if j == k:
+                return self.n == other.n
+            if j > k:
+                return self.n == other.n * pw[j - k]
+            return self.n * pw[k - j] == other.n
         if type(other) is Fraction:
-            return self.n * other.denominator == other.numerator * self.pw[self.k]
-        a, b, _ = self._align(other)
-        return a == b
+            return self.n * other.denominator == other.numerator * pw[j]
+        if isinstance(other, int):
+            return self.n == other * pw[j]
+        raise self._refused(other)
 
     def __bool__(self):
         return self.n != 0

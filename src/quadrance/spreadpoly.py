@@ -136,12 +136,21 @@ _phi_cache: dict[int, IntPolynomial] = {}
 _cache_lock = threading.Lock()
 
 
+# S_n = 2(1 - 2s) S_(n-1) - S_(n-2) + 2s and T_n = 2x T_(n-1) - T_(n-2)
+_SPREAD_STEP, _SPREAD_SHIFT = IntPolynomial([2, -4]), IntPolynomial([0, 2])
+_CHEB_STEP = IntPolynomial([0, 2])
+
+
 def _three_term(cache: list, n: int, step: IntPolynomial, shift: IntPolynomial):
     """cache[n] of P_k = step * P_(k-1) - P_(k-2) + shift, extending the cache.
 
-    ``step`` has degree 1, a + b s, and is applied to the coefficient list
-    directly: coefficient i of step * P is a p_i + b p_(i-1).
+    An entry already built is read without the lock: entries are only ever
+    appended, under it.  ``step`` has degree 1, a + b s, and is applied to
+    the coefficient list directly: coefficient i of step * P is
+    a p_i + b p_(i-1).
     """
+    if n < len(cache):
+        return cache[n]
     a, b = step.coeffs
     with _cache_lock:
         while len(cache) <= n:
@@ -159,16 +168,14 @@ def spread_poly(n: int) -> IntPolynomial:
     """The n-th spread polynomial (degree n, leading coefficient (-4)^(n-1))."""
     if n < 0:
         raise InvalidArgument("spread polynomial index must be nonnegative")
-    # S_n = 2(1 - 2s) S_(n-1) - S_(n-2) + 2s
-    return _three_term(_spread_cache, n, IntPolynomial([2, -4]), IntPolynomial([0, 2]))
+    return _three_term(_spread_cache, n, _SPREAD_STEP, _SPREAD_SHIFT)
 
 
 def chebyshev_T(n: int) -> IntPolynomial:
     """The n-th Chebyshev polynomial of the first kind."""
     if n < 0:
         raise InvalidArgument("Chebyshev index must be nonnegative")
-    # T_n = 2x T_(n-1) - T_(n-2)
-    return _three_term(_cheb_cache, n, IntPolynomial([0, 2]), ZERO)
+    return _three_term(_cheb_cache, n, _CHEB_STEP, ZERO)
 
 
 def spread_via_chebyshev(n: int) -> IntPolynomial:

@@ -35,8 +35,9 @@ matrices by their cross products.  The exceptions: the spread cases lift
 the p-quadrances they compute, and the spread recurrence lifts s with
 S_0(s)..S_12(s) from spreadpoly.poly_eval.  The chromo suite runs on
 int-residue points over F_p and on the cleared points over Q, which print
-the same through canonical(); only its reciprocal-sum proof identity runs
-on the drawn points, as it prints uncancelled values.  It reaches the
+the same through canonical(); only its reciprocal-sum proof identity,
+which prints uncancelled values, runs on the drawn points, over Q on
+their Scaled lift, which holds the same values.  It reaches the
 wrappers colored_quadrance and reciprocal_sum through one reciprocal_sum
 call per case, on Fp points over F_p.  The blue square roots need field
 square roots.  The free-variable identities (the alternate forms, the
@@ -157,10 +158,19 @@ _SMALL_RATIONALS = [[Fraction(n, d) for d in range(1, 13)] for n in range(-12, 1
 
 def random_element(ctx: Optional[FieldContext], rng: random.Random):
     """A small random rational, Fraction(rng.randint(-12, 12), rng.randint(1, 12)),
-    read from a table with the same two draws.  Only the rational driver
-    samples, and its callers pass ``ctx=None``; the parameter stays only for
-    perfbench's field probes, which pass a context."""
-    return _SMALL_RATIONALS[rng.randint(-12, 12) + 12][rng.randint(1, 12) - 1]
+    read from a table.  It makes randint's own two draws, by the same
+    rejection sampling: getrandbits(5) until it is below 25, then
+    getrandbits(4) until it is below 12, so the stream is unchanged.  Only
+    the rational driver samples, and its callers pass ``ctx=None``; the
+    parameter stays only for perfbench's field probes, which pass a context."""
+    bits = rng.getrandbits
+    n = bits(5)
+    while n >= 25:
+        n = bits(5)
+    d = bits(4)
+    while d >= 12:
+        d = bits(4)
+    return _SMALL_RATIONALS[n][d]
 
 
 def random_nonzero(rng):
@@ -767,18 +777,21 @@ _INVOLUTION_LAWS = tuple((c, f"perpendicular-involution-{c}") for c in Color)
 def _chromo_case(drawn, cleared, p=None) -> Optional[dict]:
     """The chromogeometry laws for two points non-null in every colour.
 
-    The proof identity runs on the ``drawn`` pair.  Every later identity
-    compares _colored_fraction pairs cleared of denominators, on the
-    ``cleared`` pair: the same points with int coordinates over Q, and the
-    int-residue points (both pairs) over F_p.  The wrappers
-    colored_quadrance and reciprocal_sum are reached through one
-    reciprocal_sum call.
+    The proof identity runs on the ``drawn`` pair, over Q lifted together
+    to Scaled values (_lift_points): the same rationals, computed in ints.
+    Every later identity compares _colored_fraction pairs cleared of
+    denominators, on the ``cleared`` pair: the same points with int
+    coordinates over Q, and the int-residue points (both pairs) over F_p.
+    The wrappers colored_quadrance and reciprocal_sum are reached through
+    one reciprocal_sum call.
     """
     a1, a2 = drawn
     inputs = {"a1": a1, "a2": a2}
     # red and green numerators are -num_blue, so the reciprocal sum is
     # (den_blue - den_red - den_green) / num_blue, and it is 2; a report
     # prints these uncancelled values, so they are taken on the drawn pair
+    if p is None:
+        a1, a2 = _lift_points(drawn)
     fraction = chromo.colored_quadrance_fraction
     num, den = fraction(Color.BLUE, a1, a2)
     lhs = _reduce(den - fraction(Color.RED, a1, a2)[1] - fraction(Color.GREEN, a1, a2)[1], p)

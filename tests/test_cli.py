@@ -345,6 +345,15 @@ def test_eval_refuses_an_exponent_beyond_the_digit_limit(capsys):
     assert err.startswith("error: ParseError: ") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("field", ["rationals", "fp:7"])
+@pytest.mark.parametrize("literal", ["1_000", "1_0/3", "1e1_0"])
+def test_eval_refuses_digit_separators(capsys, field, literal):
+    code, out, err = run(capsys, "eval", "quad", "--points", literal, "2", "--field", field)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ParseError: ") and len(err.splitlines()) == 1
+
+
 # The point a classification prints, or the matrix in its error message,
 # has more digits than Python's int-string limit.
 OVERSIZED_PCLASSIFY = [

@@ -233,6 +233,15 @@ def test_parse_format_round_trip():
         ctx13.parse("1/2")
 
 
+@pytest.mark.parametrize("field", ["rationals", "fp:13"])
+@pytest.mark.parametrize("literal", ["1_000", "1_0/3", "1e1_0"])
+def test_no_field_takes_digit_separators(field, literal):
+    # Fraction reads them only from Python 3.11 on, and int() on every
+    # version: both fields refuse them, whatever the Python
+    with pytest.raises(ParseError):
+        make_context(field).parse(literal)
+
+
 def test_format_denominator_one_omitted():
     ctx = make_context("rationals")
     assert ctx.format(Fr(8, 4)) == "2"

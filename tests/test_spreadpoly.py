@@ -209,6 +209,64 @@ def test_caches_safe_under_concurrent_use():
     assert results[0][0] == spread_via_chebyshev(40)
 
 
+def test_built_entries_are_read_without_the_lock(monkeypatch):
+    from quadrance import spreadpoly
+
+    class Refusing:
+        def __enter__(self):
+            raise AssertionError("lock taken")
+
+        def __exit__(self, *exc):
+            return False
+
+    built = (spread_poly(12), chebyshev_T(12))
+    monkeypatch.setattr(spreadpoly, "_cache_lock", Refusing())
+    for k in range(13):
+        assert spread_poly(k) is spreadpoly._spread_cache[k]
+        assert chebyshev_T(k) is spreadpoly._cheb_cache[k]
+    assert (spread_poly(12), chebyshev_T(12)) == built
+    # a new index is built under the lock
+    for poly, cache in ((spread_poly, spreadpoly._spread_cache),
+                        (chebyshev_T, spreadpoly._cheb_cache)):
+        with pytest.raises(AssertionError, match="lock taken"):
+            poly(len(cache))
+
+
+def test_lock_free_reads_race_with_appends(monkeypatch):
+    # fresh caches, built by many threads at once in different orders, with
+    # a short switch interval: every lookup returns the one built entry
+    import sys
+    import threading
+
+    from quadrance import spreadpoly
+
+    want = [spread_poly(k) for k in range(60)], [chebyshev_T(k) for k in range(60)]
+    monkeypatch.setattr(spreadpoly, "_spread_cache", spreadpoly._spread_cache[:2])
+    monkeypatch.setattr(spreadpoly, "_cheb_cache", spreadpoly._cheb_cache[:2])
+    wrong = []
+
+    def worker(seed):
+        order = list(range(60))
+        random.Random(seed).shuffle(order)
+        for k in order:
+            if (spread_poly(k), chebyshev_T(k)) != (want[0][k], want[1][k]):
+                wrong.append(k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+    assert len(spreadpoly._spread_cache) == len(spreadpoly._cheb_cache) == 60
+
+
 def test_exact_division_failure_paths():
     from quadrance.spreadpoly import _exact_poly_div
 

@@ -994,6 +994,25 @@ def test_chromo_proof_identity_prints_the_sampled_representatives(monkeypatch):
         "lhs": "25/2", "rhs": "83/6"}
 
 
+def test_chromo_proof_identity_runs_on_the_lifted_pair(monkeypatch):
+    # the drawn pair is lifted together before the proof identity, so no
+    # unlifted Fraction reaches the kernel; the later laws pass int points
+    from quadrance import chromo
+    from quadrance.field import Scaled
+
+    seen = []
+    fraction = chromo.colored_quadrance_fraction
+
+    def recording(color, a1, a2):
+        seen.extend((a1.x, a1.y, a2.x, a2.y))
+        return fraction(color, a1, a2)
+
+    monkeypatch.setattr(chromo, "colored_quadrance_fraction", recording)
+    report = run_suite("chromo", make_context("rationals"), trials=30, seed=0)
+    assert (report.attempted, report.passed) == (30, 30)
+    assert {type(v) for v in seen} == {int, Scaled}
+
+
 def _returns_argument(fn):
     return lambda color, a: a
 
