@@ -5,6 +5,10 @@ non-degenerate forms, spread polynomials, chromogeometry, and the blue,
 red, and green projective isometry groups, all in exact arithmetic over
 the rationals or any odd prime field, with randomized and exhaustive
 verification of every identity.
+
+``import quadrance`` loads the kernels only.  The verifier, ``Report`` and
+``run_suite``, is imported from ``quadrance.verify`` the first time either
+name is read.
 """
 
 from .affine import (
@@ -60,7 +64,6 @@ from .spreadpoly import (
     spread_poly,
     spread_via_chebyshev,
 )
-from .verify import Report, run_suite
 
 __version__ = "0.1.0"
 
@@ -121,3 +124,18 @@ __all__ = [
     "spread_via_chebyshev",
     "triple_spread_fn",
 ]
+
+_VERIFY_NAMES = frozenset({"Report", "run_suite"})
+
+
+def __getattr__(name: str):
+    """Read the verifier's names from quadrance.verify, importing it on first use."""
+    if name in _VERIFY_NAMES:
+        from . import verify
+
+        return getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(globals().keys() | _VERIFY_NAMES)

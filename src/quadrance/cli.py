@@ -20,12 +20,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from . import affine, chromo, isometry, projective, spreadpoly, verify
+from . import affine, chromo, isometry, projective, spreadpoly
 from .chromo import Color
 from .errors import ParseError, QuadranceError
 from .field import FieldContext, make_context
 from .isometry import ProjMatrix
 from .projective import Form, ProjPoint
+from .suites import SUITE_NAMES
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -39,7 +40,8 @@ eval requests, the kind first and its flags after it:
   aclassify --points IMAGE0 IMAGE1 [--field F]      -> t:<shift> | r:<shift>
   pclassify --color C --matrix A,B;C,D [--field F]  -> rho:C:[a:b] | sigma:C:[a:b]
 Field descriptors: rationals (default) or fp:<odd prime>.
-Values take no '_' digit separators (1_000 is refused) in either field.
+Values and the p of fp:<p> take no '_' digit separators (1_000 and
+fp:1_3 are refused).
 A flag before the kind (eval --field fp:7 quad ...) is a usage error.
 """
 
@@ -239,21 +241,25 @@ def cmd_example(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify  # only this command loads the verifier
+
     colors = None if args.color == "all" else [args.color]
     if args.suite == "isometry" and args.color == "general":
         raise ParseError("the isometry suite covers blue, red, and green only")
     if args.trials < 1:
         raise ParseError("--trials must be positive")
-    fields = [args.field]
     if args.primes:
+        # each prime is read as its field descriptor is, by make_context
         try:
-            fields = [f"fp:{int(p)}" for p in args.primes.split(",") if p.strip()]
-        except ValueError as exc:
+            contexts = [make_context(f"fp:{p}") for p in args.primes.split(",") if p.strip()]
+        except ParseError as exc:
             raise ParseError(f"bad prime list {args.primes!r}") from exc
-        if not fields:
+        if not contexts:
             raise ParseError("empty prime list")
-    reports = [verify.run_suite(args.suite, make_context(field), trials=args.trials,
-                                seed=args.seed, colors=colors) for field in fields]
+    else:
+        contexts = [make_context(args.field)]
+    reports = [verify.run_suite(args.suite, ctx, trials=args.trials,
+                                seed=args.seed, colors=colors) for ctx in contexts]
     dicts = [r.to_dict() for r in reports]
     print(json.dumps(dicts if args.primes else dicts[0], indent=2))
     return EXIT_OK if all(r.failed == 0 for r in reports) else EXIT_VERIFY_FAILED
@@ -320,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a verification suite, print a JSON report")
     p_verify.add_argument("--suite", required=True,
-                          choices=list(verify.SUITE_NAMES) + ["all"])
+                          choices=list(SUITE_NAMES) + ["all"])
     p_verify.add_argument("--field", default="rationals",
                           help="rationals or fp:<p> (default: rationals)")
     p_verify.add_argument("--primes",

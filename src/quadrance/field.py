@@ -341,7 +341,8 @@ def make_context(descriptor: str) -> FieldContext:
         return _context_cache[descriptor]
     if descriptor == "rationals":
         ctx: FieldContext = RationalContext()
-    elif descriptor.startswith("fp:"):
+    # int() takes '_' separators in p; refused, as values refuse them
+    elif descriptor.startswith("fp:") and "_" not in descriptor:
         try:
             p = int(descriptor[3:])
         except ValueError as exc:

@@ -80,6 +80,7 @@ from .errors import (DivisionByZero, FactorizationFailure, InvalidArgument, NonI
 from .field import FieldContext, Fp, clear_denominators, exact_div, lift_scaled
 from .isometry import IsoKind
 from .projective import Form, ProjPoint
+from .suites import SUITE_NAMES
 
 FORM_NAMES = ("blue", "red", "green", "general")
 
@@ -763,7 +764,7 @@ def _suite_quadruple_spread(rec, ctx, rng, trials, colors):
 
 
 # The chromo laws by colour, with their identity names formatted once: a
-# case checks 19 of them.  _CYCLIC_LAWS: (c, u, v), u and v the colours
+# case checks 22 of them.  _CYCLIC_LAWS: (c, u, v), u and v the colours
 # after c, with the cyclic-perpendicularity and cross-symmetry names of c.
 _CYCLIC_LAWS = tuple((c, u, v, f"cyclic-perpendicularity-{c}", f"cross-symmetry-{c}")
                      for c, u, v in ((Color.BLUE, Color.RED, Color.GREEN),
@@ -772,6 +773,7 @@ _CYCLIC_LAWS = tuple((c, u, v, f"cyclic-perpendicularity-{c}", f"cross-symmetry-
 _INVARIANCE_LAWS = tuple((c, tuple((e, f"color-invariance-{c}-{e}") for e in Color))
                          for c in Color)
 _INVOLUTION_LAWS = tuple((c, f"perpendicular-involution-{c}") for c in Color)
+_PERPENDICULAR_LAWS = tuple((c, f"perpendicular-{c}") for c in Color)
 
 
 def _chromo_case(drawn, cleared, p=None) -> Optional[dict]:
@@ -835,6 +837,12 @@ def _chromo_case(drawn, cleared, p=None) -> Optional[dict]:
             back = perp(c, perp(c, a1))
             if _points_differ(back, a1, p):
                 return _failed((identity, back, a1), where, p)
+        # a colour's perpendicular is perpendicular in that colour: q_c = 1
+        for c, identity in _PERPENDICULAR_LAWS:
+            failure = _fraction_mismatch(
+                identity, _colored_fraction(c, a1, perp(c, a1), p), (1, 1), p)
+            if failure is not None:
+                return _failed(failure, where, p)
     except QuadranceError as exc:
         return _raised(identity, where, exc, p)
     return None
@@ -1138,20 +1146,11 @@ def _suite_spreadpoly(rec, ctx, rng, trials, colors):
             rec.case(failure)
 
 
-_SUITES: dict[str, Callable] = {
-    "triple-quad": _suite_triple_quad,
-    "quadruple-quad": _suite_quadruple_quad,
-    "heron": _suite_heron,
-    "brahmagupta": _suite_brahmagupta,
-    "fibonacci": _suite_fibonacci,
-    "triple-spread": _suite_triple_spread,
-    "quadruple-spread": _suite_quadruple_spread,
-    "chromo": _suite_chromo,
-    "isometry": _suite_isometry,
-    "spreadpoly": _suite_spreadpoly,
-}
-
-SUITE_NAMES = tuple(_SUITES)
+# One runner per name of suites.SUITE_NAMES, in its order.
+_SUITES: dict[str, Callable] = dict(zip(SUITE_NAMES, (
+    _suite_triple_quad, _suite_quadruple_quad, _suite_heron, _suite_brahmagupta,
+    _suite_fibonacci, _suite_triple_spread, _suite_quadruple_spread, _suite_chromo,
+    _suite_isometry, _suite_spreadpoly), strict=True))
 
 
 def run_suite(suite: str, ctx: FieldContext, *, trials: int = 1000,

@@ -259,6 +259,17 @@ def test_verify_primes_list(capsys):
     assert all(r["failed"] == 0 for r in reports)
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "quad", "--points", "1", "3", "--field", "fp:1_3"],
+    ["verify", "--suite", "heron", "--primes", "1_3"],
+], ids=["field", "primes"])
+def test_digit_separators_in_p_are_one_parse_error(capsys, argv):
+    # int() reads 1_3 as 13: these printed 4 and a report on fp:13
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err.count("\n")) == (2, "", 1)
+    assert err.startswith("error: ParseError: ")
+
+
 def test_verify_exit_reflects_report(capsys):
     # a passing run exits 0; the exit code is computed from failed counts
     code, out, _ = run(capsys, "verify", "--suite", "chromo", "--field", "fp:5")

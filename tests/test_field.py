@@ -60,6 +60,8 @@ def test_make_context_rejects_junk():
         make_context("reals")
     with pytest.raises(ParseError):
         make_context("fp:abc")
+    with pytest.raises(ParseError):  # int() reads it as F_13; values refuse '_' too
+        make_context("fp:1_3")
 
 
 def test_make_context_rejects_oversized_modulus():

@@ -1017,16 +1017,28 @@ def _returns_argument(fn):
     return lambda color, a: a
 
 
+_SWAPPED_PERPENDICULAR = {Color.RED: Color.GREEN, Color.GREEN: Color.RED}
+
+
+def _permuted_perpendiculars(fn):
+    # blue's perpendicular is the point itself, red's is green's and green's
+    # red's: every chromo law but perpendicular-<colour> holds for these maps
+    return lambda color, a: a if color is Color.BLUE else fn(_SWAPPED_PERPENDICULAR[color], a)
+
+
 CHROMO_MUTATION_GOLDEN = (Path(__file__).with_name("data")
                           / "verify_chromo_mutations_golden.json")
 
 # (kernel, how it is broken).  The golden file holds the chromo reports under
 # each, over F_7 and over Q (seed 0, 30 trials), as the suite gave them when
-# it compared colored_quadrance values, on Fp points over F_p.
+# it compared colored_quadrance values, on Fp points over F_p.  The last
+# row's entries came with the perpendicular-<colour> law, which alone fails
+# under it.
 CHROMO_MUTATIONS = [
     ("colored_quadrance_fraction", _denominator_plus_one),
     ("colored_quadrance_fraction", _numerator_plus_x1x2),
     ("perpendicular_point", _returns_argument),
+    ("perpendicular_point", _permuted_perpendiculars),
 ]
 
 
