@@ -8,17 +8,19 @@ is a translation x -> x + a or a reflection x -> a - x.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import DegenerateDenominator, NotIsometry
+from .errors import DegenerateDenominator, FrozenRecord, NotIsometry
 from .field import exact_div
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class AffinePoint:
+
+class AffinePoint(FrozenRecord):
     """A point [x] of the affine line; any field value is valid."""
 
-    x: object
+    __slots__ = ("x",)
+
+    def __init__(self, x):
+        _set(self, "x", x)
 
 
 def quadrance(a1: AffinePoint, a2: AffinePoint):
@@ -114,16 +116,16 @@ def brahmagupta_product(d12, d23, d34, d14):
             * (d23 - d14 - d12 + d34))
 
 
-@dataclass(frozen=True)
-class AffineIsometry:
+class AffineIsometry(FrozenRecord):
     """x -> parity * x + shift with parity +1 (translation) or -1 (reflection)."""
 
-    parity: int
-    shift: object
+    __slots__ = ("parity", "shift")
 
-    def __post_init__(self):
-        if self.parity not in (1, -1):
-            raise NotIsometry(f"parity must be +1 or -1, got {self.parity!r}")
+    def __init__(self, parity: int, shift):
+        if parity not in (1, -1):
+            raise NotIsometry(f"parity must be +1 or -1, got {parity!r}")
+        _set(self, "parity", parity)
+        _set(self, "shift", shift)
 
 
 def isometry_apply(iso: AffineIsometry, a: AffinePoint) -> AffinePoint:

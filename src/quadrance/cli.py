@@ -16,13 +16,11 @@ import json
 import re
 import shlex
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from . import affine, chromo, isometry, projective, spreadpoly
 from .chromo import Color
-from .errors import ParseError, QuadranceError
+from .errors import ParseError, QuadranceError, Record
 from .field import FieldContext, make_context
 from .isometry import ProjMatrix
 from .projective import Form, ProjPoint
@@ -90,14 +88,17 @@ def parse_matrix(ctx: FieldContext, text: str) -> ProjMatrix:
     return ProjMatrix(*_parse_values(ctx, cells(), text, "matrix needs a nonzero entry"))
 
 
-@dataclass
-class EvalRequest:
-    what: str
-    field: str
-    form: Optional[str]
-    color: Optional[str]
-    points: list[str]
-    matrix: Optional[str]
+class EvalRequest(Record):
+    __slots__ = ("what", "field", "form", "color", "points", "matrix")
+
+    def __init__(self, what: str, field: str, form: str | None, color: str | None,
+                 points: list[str], matrix: str | None):
+        self.what = what
+        self.field = field
+        self.form = form
+        self.color = color
+        self.points = points
+        self.matrix = matrix
 
 
 _EVAL_KINDS = ("quad", "pquad", "aclassify", "pclassify")

@@ -1,4 +1,49 @@
-"""Exception types shared by every module in the package."""
+"""Exception types shared by every module in the package, and the base of
+its result records."""
+
+
+class Record:
+    """A record whose fields are its ``__slots__``: equal to a record of the
+    same type with equal fields, shown as ``Name(field=value, ...)``, and
+    pickled and copied through its constructor.  Each record writes its own
+    ``__init__``; this base is mutable and unhashable."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def __init_subclass__(cls):
+        cls.__match_args__ = cls.__slots__
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __repr__(self):
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+
+class FrozenRecord(Record):
+    """A hashable Record whose fields cannot change once ``__init__`` has
+    stored them with ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class QuadranceError(Exception):

@@ -11,12 +11,14 @@ exists without any field extension.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from .chromo import Color, is_null_for
-from .errors import ColorMismatch, InvalidArgument, NotIsometry, NotUnitCircle, NullParameter
+from .errors import (ColorMismatch, FrozenRecord, InvalidArgument, NotIsometry, NotUnitCircle,
+                     NullParameter)
 from .field import decimal_str, exact_div, field_sqrt
 from .projective import ProjPoint, _Proportion
+
+_set = object.__setattr__
 
 
 class ProjMatrix(_Proportion):
@@ -67,13 +69,15 @@ class IsoKind(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class ProjIsometry:
+class ProjIsometry(FrozenRecord):
     """A color-tagged rotation or reflection with a non-null parameter point."""
 
-    color: Color
-    kind: IsoKind
-    param: ProjPoint
+    __slots__ = ("color", "kind", "param")
+
+    def __init__(self, color: Color, kind: IsoKind, param: ProjPoint):
+        _set(self, "color", color)
+        _set(self, "kind", kind)
+        _set(self, "param", param)
 
 
 def make_isometry(color: Color, kind: IsoKind, param: ProjPoint) -> ProjIsometry:

@@ -17,12 +17,11 @@ chromo.colored_quadrance made a call 32-47% slower here and 24-34% there
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 from .affine import archimedes, det4
-from .errors import DegenerateDenominator, DegenerateForm, InvalidArgument, NullPoint
+from .errors import DegenerateDenominator, DegenerateForm, FrozenRecord, InvalidArgument, NullPoint
 from .field import clear_denominators, decimal_str, exact_div
+
+_set = object.__setattr__
 
 
 def canonical(values) -> tuple:
@@ -220,13 +219,16 @@ def quadruple_spread_fn(a, b, c, d):
     return inner * inner - 64 * a * b * c * d * (1 - a) * (1 - b) * (1 - c) * (1 - d)
 
 
-@dataclass(frozen=True)
-class QuadrupleResult:
-    """Quadruple function value plus the two diagonal quadrances when defined."""
+class QuadrupleResult(FrozenRecord):
+    """Quadruple function value plus the two diagonal quadrances when defined
+    (None otherwise)."""
 
-    value: object
-    q13: Optional[object]
-    q24: Optional[object]
+    __slots__ = ("value", "q13", "q24")
+
+    def __init__(self, value, q13, q24):
+        _set(self, "value", value)
+        _set(self, "q13", q13)
+        _set(self, "q24", q24)
 
 
 def projective_quadruple_check(form: Form, a1, a2, a3, a4) -> QuadrupleResult:

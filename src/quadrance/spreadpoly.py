@@ -12,11 +12,13 @@ division.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DivisionByZero, FactorizationFailure, InvalidArgument, NonIntegralResult
+from .errors import (DivisionByZero, FactorizationFailure, FrozenRecord, InvalidArgument,
+                     NonIntegralResult)
 from .field import decimal_str, exact_div
+
+_set = object.__setattr__
 
 
 class IntPolynomial:
@@ -277,13 +279,15 @@ def spread_cyclotomic(k: int) -> IntPolynomial:
     return phi
 
 
-@dataclass(frozen=True)
-class GreenRatioValue:
+class GreenRatioValue(FrozenRecord):
     """Both evaluations of a spread polynomial at a green-ratio argument."""
 
-    s: object
-    sn_of_s: object
-    closed_form: object
+    __slots__ = ("s", "sn_of_s", "closed_form")
+
+    def __init__(self, s, sn_of_s, closed_form):
+        _set(self, "s", s)
+        _set(self, "sn_of_s", sn_of_s)
+        _set(self, "closed_form", closed_form)
 
 
 def green_ratio_fractions(x, y, n: int):

@@ -69,14 +69,14 @@ import itertools
 import random
 import time
 from collections import namedtuple
-from dataclasses import asdict, dataclass, field as dataclass_field
+from collections.abc import Callable
 from fractions import Fraction
-from typing import Callable, Optional
 
 from . import affine, chromo, isometry, projective, spreadpoly
 from .chromo import Color
 from .errors import (DivisionByZero, FactorizationFailure, InvalidArgument, NonIntegralResult,
-                     NotUnitCircle, NullParameter, NullPoint, QuadranceError, UnknownSuite)
+                     NotUnitCircle, NullParameter, NullPoint, QuadranceError, Record,
+                     UnknownSuite)
 from .field import FieldContext, Fp, clear_denominators, exact_div, lift_scaled
 from .isometry import IsoKind
 from .projective import Form, ProjPoint
@@ -94,21 +94,42 @@ def named_form(name: str) -> Form:
     return chromo.colored_form(Color(name))
 
 
-@dataclass
-class Report:
+class _DataclassFields:
+    """A record's ``__dataclass_fields__``, made on first read, so that
+    ``dataclasses.replace`` still takes a Report (perfbench's report checks
+    build their broken reports with it) while the verifier loads no
+    dataclasses."""
+
+    def __get__(self, record, cls):
+        from dataclasses import make_dataclass
+
+        fields = make_dataclass(cls.__name__, cls.__slots__).__dataclass_fields__
+        cls.__dataclass_fields__ = fields
+        return fields
+
+
+class Report(Record):
     """Outcome of one suite run over one field.  The suites tally their
     cases on it, and it keeps the first counterexample in exact form."""
 
-    suite: str = ""
-    field: str = ""
-    attempted: int = 0
-    passed: int = 0
-    failed: int = 0
-    skipped: int = 0
-    skip_reasons: dict = dataclass_field(default_factory=dict)
-    counterexample: Optional[dict] = None
-    seed: Optional[int] = None
-    elapsed_ms: int = 0
+    __slots__ = ("suite", "field", "attempted", "passed", "failed", "skipped", "skip_reasons",
+                 "counterexample", "seed", "elapsed_ms")
+    __dataclass_fields__ = _DataclassFields()
+
+    def __init__(self, suite: str = "", field: str = "", attempted: int = 0, passed: int = 0,
+                 failed: int = 0, skipped: int = 0, skip_reasons: dict | None = None,
+                 counterexample: dict | None = None, seed: int | None = None,
+                 elapsed_ms: int = 0):
+        self.suite = suite
+        self.field = field
+        self.attempted = attempted
+        self.passed = passed
+        self.failed = failed
+        self.skipped = skipped
+        self.skip_reasons = {} if skip_reasons is None else skip_reasons
+        self.counterexample = counterexample
+        self.seed = seed
+        self.elapsed_ms = elapsed_ms
 
     def skip(self, reason: str, count: int = 1):
         if count:
@@ -120,7 +141,7 @@ class Report:
         self.attempted += count
         self.passed += count
 
-    def case(self, failure: Optional[dict]):
+    def case(self, failure: dict | None):
         self.attempted += 1
         if failure is None:
             self.passed += 1
@@ -131,7 +152,7 @@ class Report:
 
     def to_dict(self) -> dict:
         """The JSON report, in field order; counterexample and seed only when set."""
-        out = {k: v for k, v in asdict(self).items() if v is not None}
+        out = {k: v for k, v in zip(self.__slots__, self._values()) if v is not None}
         out["skip_reasons"] = dict(sorted(self.skip_reasons.items()))
         return out
 
@@ -157,7 +178,7 @@ def _raised(identity: str, inputs: dict, exc: QuadranceError, p=None) -> dict:
 _SMALL_RATIONALS = [[Fraction(n, d) for d in range(1, 13)] for n in range(-12, 13)]
 
 
-def random_element(ctx: Optional[FieldContext], rng: random.Random):
+def random_element(ctx: FieldContext | None, rng: random.Random):
     """A small random rational, Fraction(rng.randint(-12, 12), rng.randint(1, 12)),
     read from a table.  It makes randint's own two draws, by the same
     rejection sampling: getrandbits(5) until it is below 25, then
@@ -249,13 +270,13 @@ def _solution_mismatch(num, den, want, p=None):
     return _quotient(num, den, p)
 
 
-def _triple_quad_law(q1, q2, q3, p=None) -> Optional[tuple]:
+def _triple_quad_law(q1, q2, q3, p=None) -> tuple | None:
     """Archimedes' function vanishes on the quadrances of three points."""
     value = _reduce(affine.archimedes(q1, q2, q3), p)
     return None if value == 0 else ("triple-quad-formula", value, 0)
 
 
-def _triple_spread_laws(q1, q2, q3, perp12: bool, p=None) -> Optional[tuple]:
+def _triple_spread_laws(q1, q2, q3, perp12: bool, p=None) -> tuple | None:
     """The p-quadrances of three points annihilate the triple spread
     function and its proof-step identity, and the first two points are
     perpendicular (``perp12``) exactly when q3 = 1."""
@@ -271,7 +292,7 @@ def _triple_spread_laws(q1, q2, q3, perp12: bool, p=None) -> Optional[tuple]:
 
 
 def _quadruple_laws(name: str, fn, fraction, q12, q23, q34, q14, q13, q24,
-                    p=None) -> Optional[tuple]:
+                    p=None) -> tuple | None:
     """The six quadrances of four points: ``fn`` of the four sides vanishes,
     and each diagonal equals its solution ``fraction`` where that is defined."""
     value = _reduce(fn(q12, q23, q34, q14), p)
@@ -297,7 +318,7 @@ def _colored_fraction(color, a1, a2, p=None) -> tuple:
     return num, den
 
 
-def _fraction_mismatch(identity: str, got: tuple, want: tuple, p=None) -> Optional[tuple]:
+def _fraction_mismatch(identity: str, got: tuple, want: tuple, p=None) -> tuple | None:
     """None when the (num, den) pairs ``got`` and ``want`` are equal cleared
     of denominators (num * den' == num' * den); else (identity, got, want)
     as quotients, for the report."""
@@ -335,7 +356,7 @@ def _matrices_differ(m, n, p=None) -> bool:
                 or not (e % p or f % p or g % p or h % p))
 
 
-def _composition_case(iso1, m1, iso2, m2, p=None) -> Optional[dict]:
+def _composition_case(iso1, m1, iso2, m2, p=None) -> dict | None:
     """The composition table entry for iso1 then iso2 (matrices m1, m2)
     against the matrix product, its kind and non-null parameter, and the
     blue/red Fibonacci identity: the colour form's value at the composed
@@ -365,7 +386,7 @@ def _composition_case(iso1, m1, iso2, m2, p=None) -> Optional[dict]:
     return _failed(failure, inputs, p)
 
 
-def _associativity_law(color, p1, p3, ab, bc, p=None) -> Optional[tuple]:
+def _associativity_law(color, p1, p3, ab, bc, p=None) -> tuple | None:
     """(p1 p2) p3 = p1 (p2 p3), given the products ab = p1 p2 and bc = p2 p3."""
     left = isometry.multiply_points(color, ab, p3)
     right = isometry.multiply_points(color, p1, bc)
@@ -374,7 +395,7 @@ def _associativity_law(color, p1, p3, ab, bc, p=None) -> Optional[tuple]:
     return None
 
 
-def _unit_laws(color, a, p=None) -> Optional[tuple]:
+def _unit_laws(color, a, p=None) -> tuple | None:
     """The first failing law of a*1 = a, a*a^-1 = 1."""
     ident = isometry.point_identity(color)
     a_ident = isometry.multiply_points(color, a, ident)
@@ -386,7 +407,7 @@ def _unit_laws(color, a, p=None) -> Optional[tuple]:
     return None
 
 
-def _pair_laws(rot1, rot2, ab, ba, unit_failure, p=None) -> Optional[tuple]:
+def _pair_laws(rot1, rot2, ab, ba, unit_failure, p=None) -> tuple | None:
     """The multiplication laws after associativity, in report order, for the
     rotations by p1 and p2: p1*p2 = p2*p1 (``ab``, ``ba``), the unit laws of
     p1 (``unit_failure`` from _unit_laws), and p1*p2 = rot1 then rot2."""
@@ -419,7 +440,7 @@ def _failed(failure: tuple, inputs: dict, p=None) -> dict:
                     _lift(p, lhs), _lift(p, rhs))
 
 
-def _alternates(name: str, fn, forms, args, shown: dict) -> Optional[dict]:
+def _alternates(name: str, fn, forms, args, shown: dict) -> dict | None:
     """The first of the alternate ``forms(*args)`` that differs from
     ``fn(*args)``, as the mismatch ``<name>-alternate-<i>``; ``shown`` names
     the inputs in the report."""
@@ -555,7 +576,7 @@ def _sweep_triple(rec, p: int, qtab, live, laws: Callable, inputs: Callable, per
 
 # -- individual suites --------------------------------------------------------
 
-def _triple_quad_case(x1, x2, x3) -> Optional[dict]:
+def _triple_quad_case(x1, x2, x3) -> dict | None:
     a1, a2, a3 = affine.AffinePoint(x1), affine.AffinePoint(x2), affine.AffinePoint(x3)
     quadrance = affine.quadrance
     failure = _triple_quad_law(quadrance(a2, a3), quadrance(a1, a3), quadrance(a1, a2))
@@ -575,7 +596,7 @@ def _suite_triple_quad(rec, ctx, rng, trials, colors):
             rec.case(_triple_quad_case(*_random_lifted(rng, 3)))
 
 
-def _quadruple_quad_case(a, b, c, d) -> Optional[dict]:
+def _quadruple_quad_case(a, b, c, d) -> dict | None:
     a1, a2, a3, a4 = (affine.AffinePoint(u) for u in (a, b, c, d))
     quadrance = affine.quadrance
     failure = _quadruple_laws("quadruple-quad", affine.quadruple_quad_fn,
@@ -671,7 +692,7 @@ def _suite_fibonacci(rec, ctx, rng, trials, colors):
         rec.add_passes(passed)
 
 
-def _triple_spread_case(form, a1, a2, a3, free) -> Optional[dict]:
+def _triple_spread_case(form, a1, a2, a3, free) -> dict | None:
     p_quadrance = projective.p_quadrance
     quadrances = (p_quadrance(form, a2, a3), p_quadrance(form, a1, a3),
                   p_quadrance(form, a1, a2))
@@ -683,7 +704,7 @@ def _triple_spread_case(form, a1, a2, a3, free) -> Optional[dict]:
                        projective.triple_spread_forms, free, dict(zip("abc", free)))
 
 
-def _scale_invariance_case(form, a1, a2, lam) -> Optional[dict]:
+def _scale_invariance_case(form, a1, a2, lam) -> dict | None:
     q = projective.p_quadrance(form, a1, a2)
     scaled_pt = ProjPoint(lam * a1.x, lam * a1.y)
     q_pt = projective.p_quadrance(form, scaled_pt, a2)
@@ -725,7 +746,7 @@ def _suite_triple_spread(rec, ctx, rng, trials, colors):
             rec.case(failure)
 
 
-def _quadruple_spread_case(form, a1, a2, a3, a4, free) -> Optional[dict]:
+def _quadruple_spread_case(form, a1, a2, a3, a4, free) -> dict | None:
     p_quadrance = projective.p_quadrance
     quadrances = (p_quadrance(form, a1, a2), p_quadrance(form, a2, a3),
                   p_quadrance(form, a3, a4), p_quadrance(form, a1, a4),
@@ -776,7 +797,7 @@ _INVOLUTION_LAWS = tuple((c, f"perpendicular-involution-{c}") for c in Color)
 _PERPENDICULAR_LAWS = tuple((c, f"perpendicular-{c}") for c in Color)
 
 
-def _chromo_case(drawn, cleared, p=None) -> Optional[dict]:
+def _chromo_case(drawn, cleared, p=None) -> dict | None:
     """The chromogeometry laws for two points non-null in every colour.
 
     The proof identity runs on the ``drawn`` pair, over Q lifted together
@@ -867,7 +888,7 @@ def _suite_chromo(rec, ctx, rng, trials, colors):
             rec.case(_chromo_case(drawn, cleared))
 
 
-def _blue_sqrt_case(p: ProjPoint) -> Optional[dict]:
+def _blue_sqrt_case(p: ProjPoint) -> dict | None:
     root = isometry.blue_sqrt(p)
     square = isometry.multiply_points(Color.BLUE, root, root)
     if square != p:
@@ -875,7 +896,7 @@ def _blue_sqrt_case(p: ProjPoint) -> Optional[dict]:
     return None
 
 
-def _green_power_case(a: ProjPoint, n: int, p=None) -> Optional[dict]:
+def _green_power_case(a: ProjPoint, n: int, p=None) -> dict | None:
     """The green quadrance from [1:1] to a^n is S_n(s), s the one to ``a``.
     ``a`` is non-null, so a QuadranceError is this identity's failure."""
     one_one = isometry.point_identity(Color.GREEN)
@@ -969,7 +990,7 @@ def _lift_points(points) -> list[ProjPoint]:
     return [ProjPoint(x, y) for x, y in zip(coords[::2], coords[1::2])]
 
 
-def _isometry_trial(rng, color, power: int) -> Optional[dict]:
+def _isometry_trial(rng, color, power: int) -> dict | None:
     """One rational trial of the isometry laws, in report order.  Its points
     pass make_isometry's null test, so a QuadranceError is the failure of
     the laws being checked, named after the first of them."""
@@ -1083,7 +1104,7 @@ def _spread_table(p: int, top: int) -> list:
     return [[spreadpoly.poly_eval(poly, r) % p for poly in polys] for r in range(p)]
 
 
-def _recurrence_case(s, values, p=None) -> Optional[dict]:
+def _recurrence_case(s, values, p=None) -> dict | None:
     """S_{n-1}(s), s, S_n(s) annihilate the triple spread function, n = 1..12;
     ``values[n]`` is S_n(s) for n = 0..12."""
     for n in range(1, 13):
@@ -1093,7 +1114,7 @@ def _recurrence_case(s, values, p=None) -> Optional[dict]:
     return None
 
 
-def _composition_eval_case(s: int, spread: list) -> Optional[dict]:
+def _composition_eval_case(s: int, spread: list) -> dict | None:
     """S_n(S_m(s)) = S_nm(s) for n, m = 1..6, at an int residue s, read
     from the _spread_table ``spread``."""
     row = spread[s]
@@ -1105,7 +1126,7 @@ def _composition_eval_case(s: int, spread: list) -> Optional[dict]:
     return None
 
 
-def _green_ratio_case(x, y, ns, p=None, spread=None) -> Optional[dict]:
+def _green_ratio_case(x, y, ns, p=None, spread=None) -> dict | None:
     """S_n(s) equals its closed form at the green ratio s of x and y, for n
     in ``ns``.  Over F_p, x and y are nonzero int residues: the pairs of
     spreadpoly.green_ratio_fractions are reduced mod p and S_n(s) is read

@@ -34,10 +34,28 @@ with contextlib.redirect_stdout(io.StringIO()):
 assert "quadrance.verify" in sys.modules
 """
 
+# Start-up loads none of these, not even for the verify command; -S keeps
+# site hooks from loading them first.
+_NO_HEAVY_IMPORTS = """
+import contextlib, io, sys
+def check(step):
+    loaded = [m for m in ("dataclasses", "inspect", "typing") if m in sys.modules]
+    assert not loaded, f"{step} loaded {loaded}"
+import quadrance
+check("import quadrance")
+from quadrance import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["eval", "quad", "--points", "1", "3"]) == 0
+check("the eval command")
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["verify", "--suite", "heron", "--field", "fp:3"]) == 0
+check("the verify command")
+"""
 
-def _run_fresh(script):
+
+def _run_fresh(script, *flags):
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
+    proc = subprocess.run([sys.executable, *flags, "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
 
@@ -48,6 +66,10 @@ def test_import_loads_the_verifier_on_first_use():
 
 def test_cli_loads_the_verifier_only_to_verify():
     _run_fresh(_CLI_FIRST_USE)
+
+
+def test_start_up_loads_no_dataclasses_inspect_or_typing():
+    _run_fresh(_NO_HEAVY_IMPORTS, "-S")
 
 
 def test_star_import_and_dir_show_every_public_name():

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 from pathlib import Path
 
@@ -760,7 +759,7 @@ def _index_plus_one(fn):
 def _closed_form_plus_one(fn):
     def broken(x, y, n):
         value = fn(x, y, n)
-        return dataclasses.replace(value, closed_form=value.closed_form + 1)
+        return spreadpoly.GreenRatioValue(value.s, value.sn_of_s, value.closed_form + 1)
     return broken
 
 
