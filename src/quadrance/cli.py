@@ -24,7 +24,7 @@ from .errors import ParseError, QuadranceError, Record
 from .field import FieldContext, make_context
 from .isometry import ProjMatrix
 from .projective import Form, ProjPoint
-from .suites import SUITE_NAMES
+from .suites import FORM_NAMES, SUITE_NAMES
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -337,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seed", type=int, default=0,
                           help="random seed, echoed in the report (default 0)")
     p_verify.add_argument("--color", default="all",
-                          choices=["blue", "red", "green", "general", "all"],
+                          choices=list(FORM_NAMES) + ["all"],
                           help="narrow form-based suites to one form")
     p_verify.set_defaults(func=cmd_verify)
 

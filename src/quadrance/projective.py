@@ -48,6 +48,9 @@ class _Proportion:
     def __hash__(self):
         return hash(self.canonical())
 
+    def __reduce__(self):
+        return type(self), self.entries()
+
 
 class ProjPoint(_Proportion):
     """A proportion [x:y], not both zero; the stored representative is

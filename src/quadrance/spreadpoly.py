@@ -32,6 +32,9 @@ class IntPolynomial:
             cs.pop()
         self.coeffs = tuple(cs)
 
+    def __reduce__(self):
+        return IntPolynomial, (self.coeffs,)
+
     @property
     def degree(self) -> int:
         """Degree, with -1 for the zero polynomial."""

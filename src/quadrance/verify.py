@@ -6,16 +6,15 @@ skipping and counting tuples that are null where non-null inputs are
 required.  Every report satisfies passed + failed + skipped = attempted,
 and identical seeds and arguments reproduce identical results.
 
-Every rational point comes from random_point, which clears each draw to
-ints once (field.clear_denominators), redraws until the suite's null test
-keeps that cleared point, and returns it with the drawn point, so that
-each suite takes the one it computes on; a null test that rejects 1,000
-draws in a row (a broken one) makes it raise NullPoint.  The F_p sweep
-skips the points the same test rejects.  That test is the kernels' own:
+Each suite's null test is one ``keep`` predicate, the kernels' own:
 projective.is_null for the two spread suites, and chromo.is_null_for for
 the isometry suite (make_isometry checks it) and, in every colour, for
-the chromo suite.  Nullity depends only on the proportion [x:y], so the
-kernels accept every point either driver keeps.
+the chromo suite.  random_point clears each draw to ints once
+(field.clear_denominators), redraws until ``keep`` accepts it, and
+returns it with the drawn point, so each suite takes the one it computes
+on; 1,000 rejections in a row (a broken test) raise NullPoint.  The F_p
+sweep skips the points ``keep`` rejects (_live_indices).  Nullity depends
+only on [x:y], so the kernels accept every point either driver keeps.
 
 Each identity is checked by one function, which both drivers call, and
 only the drivers pick the representation; a check computes on, and
@@ -33,14 +32,9 @@ too.  Solution fractions are checked cleared of their denominator
 suites, are compared cleared (num * den' == num' * den), and points and
 matrices by their cross products.  The exceptions: the spread cases lift
 the p-quadrances they compute, and the spread recurrence lifts s with
-S_0(s)..S_12(s) from spreadpoly.poly_eval.  The chromo suite runs on
-int-residue points over F_p and on the cleared points over Q, which print
-the same through canonical(); only its reciprocal-sum proof identity,
-which prints uncancelled values, runs on the drawn points, over Q on
-their Scaled lift, which holds the same values.  It reaches the
-wrappers colored_quadrance and reciprocal_sum through one reciprocal_sum
-call per case, on Fp points over F_p.  The blue square roots need field
-square roots.  The free-variable identities (the alternate forms, the
+S_0(s)..S_12(s) from spreadpoly.poly_eval.  The chromo suite's points
+are set out at _chromo_case.  The blue square roots need field square
+roots.  The free-variable identities (the alternate forms, the
 rearrangement identities, rescaling invariance) run over Q only.
 
 The triple and quadruple sweeps check each distinct tuple of table values
@@ -52,15 +46,11 @@ spreadpoly.poly_eval.  The isometry sweep builds each colour's rotations
 and reflections once per call, and every law of the colour reads them.
 Nothing outlives the call, so a kernel patched between runs is always seen.
 
-Where the inputs were already checked valid, an error a kernel raises is
-reported as the failure of the identity checked, not raised: a
-FactorizationFailure in spread-cyclotomic-product, a NonIntegralResult in
-spread-via-chebyshev, a QuadranceError in the chromo identities, in
-green-power-spread-bridge and in each law of a rational isometry trial,
-and a DivisionByZero in the F_p p-quadrance tables of the spread formulas.
-In the isometry sweep a NullParameter or NullPoint (a kernel's null test
-rejecting a point the filter kept) is one failure for the colour swept;
-other errors raise, as an InvalidArgument for a point that is 0 mod p.
+One error rule serves both drivers: where a case's inputs passed the
+suite's checks, a QuadranceError a kernel raises comes from a broken
+kernel, and it is the failure of the identity checked, with the error as
+lhs, not raised.  Over F_p an error in a p-quadrance table fails every
+tuple of the form, and one in the isometry sweep fails the colour once.
 """
 
 from __future__ import annotations
@@ -75,23 +65,18 @@ from fractions import Fraction
 from . import affine, chromo, isometry, projective, spreadpoly
 from .chromo import Color
 from .errors import (DivisionByZero, FactorizationFailure, InvalidArgument, NonIntegralResult,
-                     NotUnitCircle, NullParameter, NullPoint, QuadranceError, Record,
-                     UnknownSuite)
+                     NotUnitCircle, NullPoint, QuadranceError, Record, UnknownSuite)
 from .field import FieldContext, Fp, clear_denominators, exact_div, lift_scaled
 from .isometry import IsoKind
 from .projective import Form, ProjPoint
-from .suites import SUITE_NAMES
-
-FORM_NAMES = ("blue", "red", "green", "general")
+from .suites import FORM_NAMES, SUITE_NAMES
 
 GENERAL_FORM = Form(1, 2, 3)
 
 
 def named_form(name: str) -> Form:
     """One of the three colored forms, or the fixed general form (1:2:3)."""
-    if name == "general":
-        return GENERAL_FORM
-    return chromo.colored_form(Color(name))
+    return GENERAL_FORM if name == "general" else chromo.colored_form(Color(name))
 
 
 class _DataclassFields:
@@ -333,8 +318,7 @@ def _points_differ(u: ProjPoint, v: ProjPoint, p=None) -> bool:
 
     With p the coordinates are int residues and the points are compared
     over F_p.  A point that is 0 mod p differs from every point, so its
-    case fails, and reporting it raises InvalidArgument as building it over
-    F_p does.  The cross product is written out here, not taken from
+    case fails.  The cross product is written out here, not taken from
     projective's proportion rule: in the isometry sweep's inner loops a
     generic minor loop took about 10x as long per call.
     """
@@ -477,10 +461,11 @@ def _check_identity(rec, ctx, rng, trials, identity, names, sides):
     rec.add_passes(passed)
 
 
-def _live_indices(rec, null: list, arity: int) -> list:
-    """Indices of the non-null points; the tuples with a null entry are skipped."""
-    live = [i for i, is_null in enumerate(null) if not is_null]
-    rec.skip("null-point", len(null) ** arity - len(live) ** arity)
+def _live_indices(rec, keep: Callable, pts, arity: int) -> list:
+    """Indices of the ``pts`` the suite's null test ``keep`` accepts; the
+    ``arity``-tuples with a rejected entry are skipped (none for arity 0)."""
+    live = [i for i, a in enumerate(pts) if keep(a)]
+    rec.skip("null-point", len(pts) ** arity - len(live) ** arity)
     return live
 
 
@@ -500,23 +485,23 @@ def _quadrance_table(p: int) -> list:
     return _pair_table(p, range(p), lambda i, j: affine.quadrance(pts[i], pts[j]) % p)
 
 
-def _p_quadrance_table(rec, p: int, form, pts, identity: str, arity: int) -> tuple:
+def _p_quadrance_table(rec, p: int, form, keep, pts, identity: str, arity: int) -> tuple:
     """(live, table): the indices of the points ``pts`` (proj_points) that
-    are not null for the form, with the ``arity``-tuples that hold a null
-    point skipped, and the residues of the p-quadrances between the live
-    points of _residue_points(p).
+    ``keep`` accepts, with the ``arity``-tuples that hold another point
+    skipped, and the residues of the p-quadrances between the live points
+    of _residue_points(p).
 
-    A zero denominator on live points comes from a broken kernel.  Then
-    every live ``arity``-tuple of the form fails ``identity``, with the
-    error as lhs, and the table is None.
+    An error on live points, such as a zero denominator, comes from a
+    broken kernel.  Then every live ``arity``-tuple of the form fails
+    ``identity``, with the error as lhs, and the table is None.
     """
-    live = _live_indices(rec, [projective.is_null(form, a) for a in pts], arity)
+    live = _live_indices(rec, keep, pts, arity)
     res = _residue_points(p)
     fraction = projective.p_quadrance_fraction
     try:
         return live, _pair_table(len(res), live,
                                  lambda i, j: _quotient(*fraction(form, res[i], res[j]), p))
-    except DivisionByZero as exc:
+    except QuadranceError as exc:
         failure = _raised(identity, {"form": form}, exc)
         for _ in range(len(live) ** arity):
             rec.case(failure)
@@ -693,13 +678,17 @@ def _suite_fibonacci(rec, ctx, rng, trials, colors):
 
 
 def _triple_spread_case(form, a1, a2, a3, free) -> dict | None:
+    inputs = {"form": form, "a1": a1, "a2": a2, "a3": a3}
     p_quadrance = projective.p_quadrance
-    quadrances = (p_quadrance(form, a2, a3), p_quadrance(form, a1, a3),
-                  p_quadrance(form, a1, a2))
+    try:
+        quadrances = (p_quadrance(form, a2, a3), p_quadrance(form, a1, a3),
+                      p_quadrance(form, a1, a2))
+    except QuadranceError as exc:
+        return _raised("triple-spread-formula", inputs, exc)
     failure = _triple_spread_laws(*lift_scaled(quadrances),
                                   projective.is_perpendicular(form, a1, a2))
     if failure is not None:
-        return _failed(failure, {"form": form, "a1": a1, "a2": a2, "a3": a3})
+        return _failed(failure, inputs)
     return _alternates("triple-spread", projective.triple_spread_fn,
                        projective.triple_spread_forms, free, dict(zip("abc", free)))
 
@@ -724,12 +713,18 @@ def _selected_forms(colors) -> list[str]:
     return [c for c in FORM_NAMES if not colors or c in colors]
 
 
+def _null_tests(is_null: Callable, items) -> list[tuple]:
+    """(item, keep) for each item: ``keep``, the suite's null test for both
+    drivers, accepts the points a that ``is_null(item, a)`` does not."""
+    return [(x, lambda a, x=x: not is_null(x, a)) for x in items]
+
+
 def _suite_triple_spread(rec, ctx, rng, trials, colors):
-    forms = [named_form(name) for name in _selected_forms(colors)]
+    forms = _null_tests(projective.is_null, map(named_form, _selected_forms(colors)))
     if rng is None:
         p, pts = ctx.p, proj_points(ctx)
-        for form in forms:
-            live, qtab = _p_quadrance_table(rec, p, form, pts, "triple-spread-formula", 3)
+        for form, keep in forms:
+            live, qtab = _p_quadrance_table(rec, p, form, keep, pts, "triple-spread-formula", 3)
             if qtab is not None:
                 perp = _pair_table(len(pts), live,
                                    lambda i, j: projective.is_perpendicular(form, pts[i], pts[j]))
@@ -737,9 +732,8 @@ def _suite_triple_spread(rec, ctx, rng, trials, colors):
                               lambda i, j, k: {"form": form, "a1": pts[i], "a2": pts[j],
                                                "a3": pts[k]}, perp)
     else:
-        for form in _cycled(forms, trials):
-            a1, a2, a3 = (random_point(rng, lambda a: not projective.is_null(form, a))[0]
-                          for _ in range(3))
+        for form, keep in _cycled(forms, trials):
+            a1, a2, a3 = (random_point(rng, keep)[0] for _ in range(3))
             failure = _triple_spread_case(form, a1, a2, a3, _random_lifted(rng, 3))
             if failure is None:
                 failure = _scale_invariance_case(form, a1, a2, random_nonzero(rng))
@@ -747,14 +741,18 @@ def _suite_triple_spread(rec, ctx, rng, trials, colors):
 
 
 def _quadruple_spread_case(form, a1, a2, a3, a4, free) -> dict | None:
+    inputs = {"form": form, "a1": a1, "a2": a2, "a3": a3, "a4": a4}
     p_quadrance = projective.p_quadrance
-    quadrances = (p_quadrance(form, a1, a2), p_quadrance(form, a2, a3),
-                  p_quadrance(form, a3, a4), p_quadrance(form, a1, a4),
-                  p_quadrance(form, a1, a3), p_quadrance(form, a2, a4))
+    try:
+        quadrances = (p_quadrance(form, a1, a2), p_quadrance(form, a2, a3),
+                      p_quadrance(form, a3, a4), p_quadrance(form, a1, a4),
+                      p_quadrance(form, a1, a3), p_quadrance(form, a2, a4))
+    except QuadranceError as exc:
+        return _raised("quadruple-spread-formula", inputs, exc)
     failure = _quadruple_laws("quadruple-spread", projective.quadruple_spread_fn,
                               projective.spread_triple_pair_fraction, *lift_scaled(quadrances))
     if failure is not None:
-        return _failed(failure, {"form": form, "a1": a1, "a2": a2, "a3": a3, "a4": a4})
+        return _failed(failure, inputs)
     a, b, c, d = free
     den = a + b - c - d - 2 * a * b + 2 * c * d
     lhs = ((a - b) ** 2 - (c - d) ** 2 - 2 * den * (a + b - 2 * a * b)) ** 2 \
@@ -766,11 +764,12 @@ def _quadruple_spread_case(form, a1, a2, a3, a4, free) -> dict | None:
 
 
 def _suite_quadruple_spread(rec, ctx, rng, trials, colors):
-    forms = [named_form(name) for name in _selected_forms(colors)]
+    forms = _null_tests(projective.is_null, map(named_form, _selected_forms(colors)))
     if rng is None:
         pts = proj_points(ctx)
-        for form in forms:
-            live, qtab = _p_quadrance_table(rec, ctx.p, form, pts, "quadruple-spread-formula", 4)
+        for form, keep in forms:
+            live, qtab = _p_quadrance_table(rec, ctx.p, form, keep, pts,
+                                            "quadruple-spread-formula", 4)
             if qtab is not None:
                 _sweep_quadruple(rec, ctx.p, qtab, live, "quadruple-spread",
                                  projective.quadruple_spread_fn,
@@ -778,9 +777,8 @@ def _suite_quadruple_spread(rec, ctx, rng, trials, colors):
                                  lambda i, j, k, m: {"form": form, "a1": pts[i], "a2": pts[j],
                                                      "a3": pts[k], "a4": pts[m]})
     else:
-        for form in _cycled(forms, trials):
-            quad = [random_point(rng, lambda a: not projective.is_null(form, a))[0]
-                    for _ in range(4)]
+        for form, keep in _cycled(forms, trials):
+            quad = [random_point(rng, keep)[0] for _ in range(4)]
             rec.case(_quadruple_spread_case(form, *quad, _random_lifted(rng, 4)))
 
 
@@ -877,7 +875,7 @@ def _suite_chromo(rec, ctx, rng, trials, colors):
     if rng is None:
         p = ctx.p
         res = _residue_points(p)
-        live = _live_indices(rec, [not _all_colors_nonnull(a) for a in proj_points(ctx)], 2)
+        live = _live_indices(rec, _all_colors_nonnull, proj_points(ctx), 2)
         for i in live:
             for j in live:
                 pair = res[i], res[j]
@@ -990,12 +988,11 @@ def _lift_points(points) -> list[ProjPoint]:
     return [ProjPoint(x, y) for x, y in zip(coords[::2], coords[1::2])]
 
 
-def _isometry_trial(rng, color, power: int) -> dict | None:
+def _isometry_trial(rng, color, keep, power: int) -> dict | None:
     """One rational trial of the isometry laws, in report order.  Its points
-    pass make_isometry's null test, so a QuadranceError is the failure of
-    the laws being checked, named after the first of them."""
-    p1, p2, p3, a1, a2 = _lift_points(
-        [random_point(rng, lambda a: not chromo.is_null_for(color, a))[0] for _ in range(5)])
+    pass ``keep``, make_isometry's null test, so a QuadranceError is the
+    failure of the laws being checked, named after the first of them."""
+    p1, p2, p3, a1, a2 = _lift_points([random_point(rng, keep)[0] for _ in range(5)])
     kind1, kind2 = (IsoKind.ROTATION if rng.randrange(2) else IsoKind.REFLECTION for _ in range(2))
     identity = f"isometry-preservation-{color}"
     where = {"kind": kind1, "param": p1, "a1": a1, "a2": a2}
@@ -1032,15 +1029,16 @@ def _isometry_trial(rng, color, power: int) -> dict | None:
 
 
 def _suite_isometry(rec, ctx, rng, trials, colors):
-    wanted = [Color(name) for name in _selected_forms(colors) if name != "general"]
+    wanted = _null_tests(chromo.is_null_for,
+                         [Color(name) for name in _selected_forms(colors) if name != "general"])
     if rng is not None:
-        for t, color in enumerate(_cycled(wanted, trials)):
-            rec.case(_isometry_trial(rng, color, 1 + t % 8))
+        for t, (color, keep) in enumerate(_cycled(wanted, trials)):
+            rec.case(_isometry_trial(rng, color, keep, 1 + t % 8))
         return
     p, pts = ctx.p, proj_points(ctx)
     res = _residue_points(p)
-    for color in wanted:
-        live = [i for i, a in enumerate(pts) if not chromo.is_null_for(color, a)]
+    for color, keep in wanted:
+        live = _live_indices(rec, keep, pts, 0)
         identity = f"isometry-preservation-{color}"
         try:
             isos = {(kind, i): isometry.make_isometry(color, kind, res[i])
@@ -1061,7 +1059,7 @@ def _suite_isometry(rec, ctx, rng, trials, colors):
                 rec.skip("null-point", 8 * (len(pts) - len(live)))
                 for i, power in itertools.product(live, range(1, 9)):
                     rec.case(_green_power_case(res[i], power, p))
-        except (NullParameter, NullPoint) as exc:
+        except QuadranceError as exc:
             rec.case(_raised(identity, {"color": color}, exc))
 
 
@@ -1130,16 +1128,21 @@ def _green_ratio_case(x, y, ns, p=None, spread=None) -> dict | None:
     """S_n(s) equals its closed form at the green ratio s of x and y, for n
     in ``ns``.  Over F_p, x and y are nonzero int residues: the pairs of
     spreadpoly.green_ratio_fractions are reduced mod p and S_n(s) is read
-    from the _spread_table ``spread``."""
+    from the _spread_table ``spread``.  x and y are nonzero, so a
+    QuadranceError is this identity's failure."""
     for n in ns:
-        if p is None:
-            res = spreadpoly.spread_at_green_ratio(x, y, n)
-            sn, closed = res.sn_of_s, res.closed_form
-        else:
-            (s_num, s_den), closed = spreadpoly.green_ratio_fractions(x, y, n)
-            sn, closed = spread[_quotient(s_num, s_den, p)][n], _quotient(*closed, p)
+        inputs = {"x": x, "y": y, "n": n}
+        try:
+            if p is None:
+                res = spreadpoly.spread_at_green_ratio(x, y, n)
+                sn, closed = res.sn_of_s, res.closed_form
+            else:
+                (s_num, s_den), closed = spreadpoly.green_ratio_fractions(x, y, n)
+                sn, closed = spread[_quotient(s_num, s_den, p)][n], _quotient(*closed, p)
+        except QuadranceError as exc:
+            return _raised("green-ratio-closed-form", inputs, exc)
         if sn != closed:
-            return mismatch("green-ratio-closed-form", {"x": x, "y": y, "n": n}, sn, closed)
+            return mismatch("green-ratio-closed-form", inputs, sn, closed)
     return None
 
 

@@ -13,9 +13,10 @@ from quadrance.affine import AffineIsometry, AffinePoint
 from quadrance.chromo import Color
 from quadrance.cli import EvalRequest
 from quadrance.errors import NotIsometry
-from quadrance.isometry import IsoKind, ProjIsometry
-from quadrance.projective import ProjPoint, QuadrupleResult
-from quadrance.spreadpoly import GreenRatioValue
+from quadrance.field import Fp
+from quadrance.isometry import IsoKind, ProjIsometry, ProjMatrix
+from quadrance.projective import Form, ProjPoint, QuadrupleResult
+from quadrance.spreadpoly import GreenRatioValue, IntPolynomial
 from quadrance.verify import Report
 
 # (class, field names, field values, repr, frozen)
@@ -85,12 +86,31 @@ def test_frozen_records_hash_and_refuse_changes(cls, names, values, text, frozen
 @pytest.mark.parametrize("cls, names, values, text, frozen", RECORDS, ids=IDS)
 def test_pickle_and_deepcopy_round_trip(cls, names, values, text, frozen):
     record = cls(*values)
-    # from protocol 2: protocols 0 and 1 cannot pickle a slotted ProjPoint
-    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         back = pickle.loads(pickle.dumps(record, protocol))
         assert type(back) is cls and back == record and repr(back) == text
     clone = copy.deepcopy(record)
     assert type(clone) is cls and clone == record and repr(clone) == text
+
+
+# Slotted values without a __dict__, and records that hold them: each
+# pickles through its constructor, so protocols 0 and 1 take them too.
+VALUES = [
+    ProjPoint(1, 2),
+    Form(1, 0, 1),
+    ProjMatrix(1, 2, 3, 4),
+    Fp(2, 7),
+    IntPolynomial([0, 4, -4]),
+    ProjIsometry(Color.RED, IsoKind.REFLECTION, ProjPoint(Fp(1, 7), Fp(3, 7))),
+    AffinePoint(Fp(2, 7)),
+]
+
+
+@pytest.mark.parametrize("value", VALUES, ids=lambda value: type(value).__name__)
+def test_values_pickle_at_every_protocol(value):
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(value, protocol))
+        assert type(back) is type(value) and back == value and repr(back) == repr(value)
 
 
 def test_match_by_position():

@@ -577,13 +577,55 @@ VANISHING_MOD_7 = [
 
 @pytest.mark.parametrize("kernel, breaker", VANISHING_MOD_7, ids=[m[0] for m in VANISHING_MOD_7])
 def test_isometry_sweep_rejects_values_that_vanish_mod_p(monkeypatch, kernel, breaker):
-    # Points and matrices that are 0 mod 7 cannot be built over F_7, so the
-    # sweep over Fp objects raised here; the residue sweep must not count
-    # them as equal to anything, and raises the same error.  Red has no
+    # Points and matrices that are 0 mod 7 cannot be built over F_7.  The
+    # residue sweep must not count them as equal to anything: the case
+    # fails, and the InvalidArgument that printing the value over F_7
+    # raises is reported as the failure of the colour swept.  Red has no
     # checks on Fp objects that could raise first.
     monkeypatch.setattr(isometry, kernel, breaker(getattr(isometry, kernel)))
-    with pytest.raises(InvalidArgument):
-        run_suite("isometry", make_context("fp:7"), colors=["red"])
+    report = run_suite("isometry", make_context("fp:7"), colors=["red"])
+    assert report.failed >= 1 and counts_ok(report)
+    assert report.counterexample["lhs"].startswith("InvalidArgument:")
+
+
+def _zero_denominator(fn):
+    return lambda *args: (fn(*args)[0], 0)
+
+
+def _zero_ratio_denominator(fn):
+    return lambda x, y, n: ((fn(x, y, n)[0][0], 0), fn(x, y, n)[1])
+
+
+# (module, kernel, how it is broken, suite, colors, the identity reported
+# first, and its error over F_7 and over Q, None where a law fails first).
+# The kernel raises on inputs the suite's checks kept, so both drivers
+# report the error as a failure instead of raising it.
+RAISING_KERNELS = [
+    ("chromo", "_null_value", _plus_one, "isometry", ["green"],
+     "isometry-preservation-green", ("InvalidArgument", None)),
+    ("projective", "p_quadrance_fraction", _zero_denominator, "triple-spread", None,
+     "triple-spread-formula", ("DivisionByZero", "NullPoint")),
+    ("projective", "p_quadrance_fraction", _zero_denominator, "quadruple-spread", None,
+     "quadruple-spread-formula", ("DivisionByZero", "NullPoint")),
+    ("spreadpoly", "green_ratio_fractions", _zero_ratio_denominator, "spreadpoly", None,
+     "green-ratio-closed-form", ("DivisionByZero", "DivisionByZero")),
+]
+
+
+@pytest.mark.parametrize("module, kernel, breaker, suite, colors, identity, errors",
+                         RAISING_KERNELS, ids=[f"{row[1]}-{row[3]}" for row in RAISING_KERNELS])
+def test_kernel_errors_on_kept_points_are_reported_by_both_drivers(
+        monkeypatch, module, kernel, breaker, suite, colors, identity, errors):
+    import importlib
+
+    mod = importlib.import_module(f"quadrance.{module}")
+    monkeypatch.setattr(mod, kernel, breaker(getattr(mod, kernel)))
+    for field, error in zip(("fp:7", "rationals"), errors):
+        report = run_suite(suite, make_context(field), trials=30, colors=colors)
+        assert report.failed >= 1 and counts_ok(report), field
+        assert report.counterexample["identity"] == identity, field
+        if error is not None:
+            assert report.counterexample["lhs"].startswith(f"{error}:"), field
 
 
 def test_wrong_small_spread_poly_is_reported_not_raised(monkeypatch):
