@@ -58,6 +58,8 @@ class Fp:
     Arithmetic mixes freely with ``int``; any other operand (including a
     residue mod a different prime) raises :class:`MixedContexts`.  It hashes
     as its residue, so it and the int residue it equals are one dict key.
+    Every operator returns Fp(result, p): the constructor is the one place
+    an Fp is built and its residue reduced.
     """
 
     __slots__ = ("r", "p")
@@ -83,7 +85,7 @@ class Fp:
         r = self._residue(other)
         if r is None:
             return NotImplemented
-        return _fp((self.r + r) % self.p, self.p)
+        return Fp(self.r + r, self.p)
 
     __radd__ = __add__
 
@@ -91,19 +93,19 @@ class Fp:
         r = self._residue(other)
         if r is None:
             return NotImplemented
-        return _fp((self.r - r) % self.p, self.p)
+        return Fp(self.r - r, self.p)
 
     def __rsub__(self, other):
         r = self._residue(other)
         if r is None:
             return NotImplemented
-        return _fp((r - self.r) % self.p, self.p)
+        return Fp(r - self.r, self.p)
 
     def __mul__(self, other):
         r = self._residue(other)
         if r is None:
             return NotImplemented
-        return _fp(self.r * r % self.p, self.p)
+        return Fp(self.r * r, self.p)
 
     __rmul__ = __mul__
 
@@ -113,7 +115,7 @@ class Fp:
             return NotImplemented
         if r == 0:
             raise DivisionByZero(f"division by zero in F_{self.p}")
-        return _fp(self.r * pow(r, -1, self.p) % self.p, self.p)
+        return Fp(self.r * pow(r, -1, self.p), self.p)
 
     def __rtruediv__(self, other):
         r = self._residue(other)
@@ -121,17 +123,17 @@ class Fp:
             return NotImplemented
         if self.r == 0:
             raise DivisionByZero(f"division by zero in F_{self.p}")
-        return _fp(r * pow(self.r, -1, self.p) % self.p, self.p)
+        return Fp(r * pow(self.r, -1, self.p), self.p)
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
             return NotImplemented
         if n < 0 and self.r == 0:
             raise DivisionByZero(f"inverse of zero in F_{self.p}")
-        return _fp(pow(self.r, n, self.p), self.p)
+        return Fp(pow(self.r, n, self.p), self.p)
 
     def __neg__(self):
-        return _fp(-self.r % self.p, self.p)
+        return Fp(-self.r, self.p)
 
     def __eq__(self, other):
         if type(other) is Fp:
@@ -154,17 +156,6 @@ class Fp:
 
     def __reduce__(self):
         return Fp, (self.r, self.p)
-
-
-_new_object = object.__new__
-
-
-def _fp(r: int, p: int) -> Fp:
-    """An Fp from a residue already in 0..p-1, without reducing it again."""
-    x = _new_object(Fp)
-    x.r = r
-    x.p = p
-    return x
 
 
 def decimal_str(x) -> str:
@@ -398,6 +389,9 @@ class _Powers(dict):
         return value
 
 
+_new_object = object.__new__
+
+
 class Scaled:
     """A rational n / D**k over a common denominator D shared by one case's
     values (lift_scaled); the integer-coefficient polynomials of the paper
@@ -518,6 +512,10 @@ class Scaled:
 
     def __str__(self):
         return str(Fraction(self.n, self.pw[self.k]))
+
+    def __reduce__(self):
+        # pickle sets the slots back at any protocol; its memo shares one pw
+        return Scaled, (), (None, {"n": self.n, "k": self.k, "pw": self.pw})
 
 
 def lift_scaled(values) -> list:

@@ -23,10 +23,12 @@ def run(capsys, *argv):
 
 
 def test_eval_pquad_paper_value(capsys):
-    code, out, _ = run(capsys, "eval", "pquad", "--form", "1:0:1",
-                       "--points", "[1:0]", "[2:3]")
-    assert code == 0
-    assert out.strip() == "9/13"
+    # a form parses with or without the brackets it prints in
+    for form in ("1:0:1", "(1:0:1)"):
+        code, out, _ = run(capsys, "eval", "pquad", "--form", form,
+                           "--points", "[1:0]", "[2:3]")
+        assert code == 0
+        assert out.strip() == "9/13"
 
 
 def test_eval_quad_coincident(capsys):
@@ -268,6 +270,37 @@ def test_digit_separators_in_p_are_one_parse_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out, err.count("\n")) == (2, "", 1)
     assert err.startswith("error: ParseError: ")
+
+
+_PQUAD = ["eval", "pquad", "--color", "blue", "--points"]
+_PCLASSIFY = ["eval", "pclassify", "--color", "blue", "--matrix"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (_PQUAD + ["[0:0]", "[1:0]"], "projective point needs a nonzero coordinate: '[0:0]'"),
+    (["eval", "pquad", "--form", "0:0:0", "--points", "[1:0]", "[1:1]"],
+     "form needs a nonzero coefficient: '0:0:0'"),
+    (_PCLASSIFY + ["0,0;0,0"], "matrix needs a nonzero entry: '0,0;0,0'"),
+    (_PQUAD + ["1:2", "[1:0]"], "point literal must look like [x:y], got '1:2'"),
+    (_PQUAD + ["[1:2:3]", "[1:0]"], "point literal must have two coordinates, got '[1:2:3]'"),
+    (["eval", "pquad", "--form", "1:0", "--points", "[1:0]", "[1:1]"],
+     "form literal must look like d:e:f, got '1:0'"),
+    (_PCLASSIFY + ["1,2"], "matrix literal must look like a,b;c,d, got '1,2'"),
+    (_PCLASSIFY + ["1,2;3"], "matrix rows need two entries, got '1,2;3'"),
+    (["eval"], "empty request; expected one of: quad, pquad, aclassify, pclassify"),
+    (["eval", "pquad", "--color", "purple", "--points", "[1:0]", "[1:1]"],
+     "unknown color 'purple'; expected blue, red, or green"),
+    (["spreadpoly", "--n", "-1"], "--n must be nonnegative"),
+    (["verify", "--suite", "isometry", "--color", "general"],
+     "the isometry suite covers blue, red, and green only"),
+    (["verify", "--suite", "heron", "--trials", "0"], "--trials must be positive"),
+    (["verify", "--suite", "heron", "--primes", ","], "empty prime list"),
+], ids=["zero-point", "zero-form", "zero-matrix", "point-brackets", "point-arity",
+        "form-arity", "matrix-rows", "matrix-row-arity", "bare-eval", "unknown-color",
+        "negative-n", "isometry-general", "no-trials", "empty-primes"])
+def test_refused_input_is_one_parse_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: ParseError: {message}\n")
 
 
 def test_verify_exit_reflects_report(capsys):

@@ -49,10 +49,9 @@ def test_make_context_rejects_characteristic_two():
 
 
 def test_make_context_rejects_composite():
-    with pytest.raises(NotPrime):
-        make_context("fp:9")
-    with pytest.raises(NotPrime):
-        make_context("fp:1")
+    for descriptor in ("fp:9", "fp:1", "fp:1763"):  # 1763 = 41 * 43
+        with pytest.raises(NotPrime):
+            make_context(descriptor)
 
 
 def test_make_context_rejects_junk():
@@ -78,6 +77,15 @@ def test_is_prime_small_table():
     assert primes == expected
 
 
+def test_is_prime_miller_rabin_rejects_composites_trial_division_misses():
+    # every factor exceeds 37, so only a Miller-Rabin witness rejects these;
+    # 3825123056546413051 is a strong pseudoprime to each base up to 31
+    for n in (41 * 43, 1000003 * 1000033, 3825123056546413051,
+              (2 ** 32 - 5) * (2 ** 32 - 17)):
+        assert not is_prime(n), n
+    assert is_prime(2 ** 64 - 59)  # the largest 64-bit prime
+
+
 def test_rational_arithmetic_exact():
     assert Fr(2, 3) + Fr(1, 6) == Fr(5, 6)
 
@@ -97,6 +105,8 @@ def test_inverse_of_zero_raises():
         1 / Fp(0, 13)
     with pytest.raises(DivisionByZero):
         Fp(3, 13) / Fp(0, 13)
+    with pytest.raises(DivisionByZero):
+        Fp(0, 7) ** -1
 
 
 def test_mixed_contexts_raise():
@@ -131,6 +141,25 @@ def test_fp_operators_match_integer_residues():
                 assert type(got) is Fp and got.p == p
                 assert got.r == want % p
             assert (x == y) == (a == b)
+
+
+def test_each_fp_operator_builds_its_result_through_the_constructor(monkeypatch):
+    x, y = Fp(3, 7), Fp(5, 7)
+    calls = [0]
+    init = Fp.__init__
+
+    def counting_init(self, r, p):
+        calls[0] += 1
+        init(self, r, p)
+
+    monkeypatch.setattr(Fp, "__init__", counting_init)
+    for op, want in ((lambda: x + 1, 4), (lambda: 1 + x, 4), (lambda: x - y, 5),
+                     (lambda: 2 - x, 6), (lambda: x * y, 1), (lambda: x / 2, 5),
+                     (lambda: 2 / x, 3), (lambda: x ** 2, 2), (lambda: x ** -1, 5),
+                     (lambda: -x, 4)):
+        calls[0] = 0
+        got = op()
+        assert (type(got), got.r, calls[0]) == (Fp, want, 1)
 
 
 def test_fp_int_lifting():
@@ -276,6 +305,8 @@ def test_field_sqrt_dispatches():
     assert field_sqrt(Fr(9, 4)) == Fr(3, 2)
     assert field_sqrt(4) == 2
     assert field_sqrt(Fp(3, 13)) == Fp(4, 13)
+    with pytest.raises(MixedContexts):
+        field_sqrt("x")
 
 
 def test_contexts_compare_and_cache():
@@ -316,6 +347,8 @@ def test_lift_scaled_puts_values_over_the_lcm_of_their_denominators():
     lifted = lift_scaled((Fr(1, 2), Fr(-1, 3), 5))
     assert [(v.n, v.k, v.pw[1]) for v in lifted] == [(3, 1, 6), (-2, 1, 6), (30, 1, 6)]
     assert [str(v) for v in lifted] == ["1/2", "-1/3", "5"]
+    with pytest.raises(TypeError):
+        lifted[0] ** -1
 
 
 @given(st.lists(_fractions, min_size=2, max_size=4), st.integers(0, 3), st.integers(0, 3),

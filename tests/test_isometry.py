@@ -258,6 +258,10 @@ def test_multiply_points_examples():
     assert multiply_points(Color.RED, pp(2, 1), pp(3, 1)) == pp(7, 5)
     with pytest.raises(NullParameter):
         multiply_points(Color.GREEN, pp(1, 0), pp(2, 3))
+    with pytest.raises(NullParameter, match="-null$"):
+        point_inverse(Color.GREEN, pp(1, 0))
+    with pytest.raises(NullParameter, match="-null$"):
+        point_power(Color.RED, pp(1, 1), 2)
 
 
 def test_multiplication_laws():

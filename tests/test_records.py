@@ -13,7 +13,7 @@ from quadrance.affine import AffineIsometry, AffinePoint
 from quadrance.chromo import Color
 from quadrance.cli import EvalRequest
 from quadrance.errors import NotIsometry
-from quadrance.field import Fp
+from quadrance.field import Fp, Scaled, lift_scaled
 from quadrance.isometry import IsoKind, ProjIsometry, ProjMatrix
 from quadrance.projective import Form, ProjPoint, QuadrupleResult
 from quadrance.spreadpoly import GreenRatioValue, IntPolynomial
@@ -111,6 +111,19 @@ def test_values_pickle_at_every_protocol(value):
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         back = pickle.loads(pickle.dumps(value, protocol))
         assert type(back) is type(value) and back == value and repr(back) == repr(value)
+
+
+def test_scaled_values_pickle_at_every_protocol_and_keep_one_lift():
+    x, y = lift_scaled([Fraction(1, 2), Fraction(-2, 3)])
+    values = [x, y, x * y + 1]
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(values, protocol))
+        assert all(type(v) is Scaled for v in back)
+        assert back[0].pw is back[1].pw is back[2].pw
+        assert back[0] * back[1] + 1 == back[2]
+        assert [str(v) for v in back] == [str(v) for v in values] == ["1/2", "-2/3", "2/3"]
+    clone = copy.deepcopy(values)
+    assert clone[0].pw is clone[2].pw and [str(v) for v in clone] == ["1/2", "-2/3", "2/3"]
 
 
 def test_match_by_position():

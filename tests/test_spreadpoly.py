@@ -267,13 +267,21 @@ def test_lock_free_reads_race_with_appends(monkeypatch):
     assert len(spreadpoly._spread_cache) == len(spreadpoly._cheb_cache) == 60
 
 
-def test_exact_division_failure_paths():
+def test_exact_division_failure_paths(monkeypatch):
+    from quadrance import spreadpoly
     from quadrance.spreadpoly import _exact_poly_div
 
     with pytest.raises(FactorizationFailure):
         _exact_poly_div(IntPolynomial([1, 1]), IntPolynomial([1, 2]))
     with pytest.raises(FactorizationFailure):
         _exact_poly_div(IntPolynomial([0, 1]), IntPolynomial([]))
+    # a factor of the wrong degree is refused, and not cached
+    totient = spreadpoly._totient
+    monkeypatch.setattr(spreadpoly, "_totient", lambda n: totient(n) + 1)
+    monkeypatch.setattr(spreadpoly, "_phi_cache", {})
+    with pytest.raises(FactorizationFailure, match="^factor 1 has degree 1, expected 2$"):
+        spread_cyclotomic(3)
+    assert spreadpoly._phi_cache == {}
 
 
 def test_polynomial_str_rows():

@@ -1104,17 +1104,12 @@ def test_chromo_sweep_builds_few_fp_objects(monkeypatch):
     from quadrance import field
 
     built = [0]
-    make, init = field._fp, field.Fp.__init__
-
-    def counting_fp(r, p):
-        built[0] += 1
-        return make(r, p)
+    init = field.Fp.__init__
 
     def counting_init(self, r, p):
         built[0] += 1
         init(self, r, p)
 
-    monkeypatch.setattr(field, "_fp", counting_fp)
     monkeypatch.setattr(field.Fp, "__init__", counting_init)
     report = run_suite("chromo", make_context("fp:7"))
     assert (report.passed, report.failed) == (16, 0)
