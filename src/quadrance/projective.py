@@ -7,12 +7,12 @@ and both are hashed and shown by canonical(), the values divided by the
 first nonzero one.  The projective quadrance q of two non-null
 points is (df - e^2)(x1 y2 - x2 y1)^2 over the product of the two form
 values; q = 1 exactly at perpendicularity, and triples/quadruples of
-p-quadrances annihilate the triple and quadruple spread functions.  The
-scale-invariant kernels (p_quadrance_fraction, is_null) clear rational
-coordinates to integers first (field.clear_denominators) and compute in int.
-Each clears and rebuilds its own values in line: one helper shared with
-chromo.colored_quadrance made a call 32-47% slower here and 24-34% there
-(timeit, 200 random rational points, Python 3.11, 2 vCPUs).
+p-quadrances annihilate the triple and quadruple spread functions.  Only
+p_quadrance_fraction clears rational coordinates to integers first
+(field.clear_denominators) and computes in int; the other kernels, is_null
+included, compute on the stored representative.  It clears and rebuilds in
+line: one helper shared with chromo.colored_quadrance made a call 32-47%
+slower here and 24-34% there (timeit, 200 random rational points, 2 vCPUs).
 """
 
 from __future__ import annotations
@@ -118,13 +118,7 @@ def _require_nondegenerate(form: Form):
 
 
 def is_null(form: Form, a: ProjPoint) -> bool:
-    """Whether the form vanishes on the point (scale-invariant), evaluated
-    on the cleared form and point."""
-    values = (form.d, form.e, form.f, a.x, a.y)
-    cleared = clear_denominators(values)
-    if cleared is not values:
-        d, e, f, x, y = cleared
-        form, a = Form(d, e, f), ProjPoint(x, y)
+    """Whether the form vanishes on the point (scale-invariant)."""
     _require_nondegenerate(form)
     return form_value(form, a) == 0
 

@@ -49,8 +49,12 @@ Nothing outlives the call, so a kernel patched between runs is always seen.
 One error rule serves both drivers: where a case's inputs passed the
 suite's checks, a QuadranceError a kernel raises comes from a broken
 kernel, and it is the failure of the identity checked, with the error as
-lhs, not raised.  Over F_p an error in a p-quadrance table fails every
-tuple of the form, and one in the isometry sweep fails the colour once.
+lhs, not raised.  It covers the guarded calls only: the spread suites'
+p-quadrances, the chromo laws after the proof identity, the isometry
+suite, and the spreadpoly green-ratio and fixed cases.  Elsewhere (e.g.
+affine.archimedes, projective.pairing) an error leaves run_suite.  Over
+F_p an error in a p-quadrance table fails every tuple of the form, and one
+in the isometry sweep fails the colour once.
 """
 
 from __future__ import annotations
@@ -64,8 +68,8 @@ from fractions import Fraction
 
 from . import affine, chromo, isometry, projective, spreadpoly
 from .chromo import Color
-from .errors import (DivisionByZero, FactorizationFailure, InvalidArgument, NonIntegralResult,
-                     NotUnitCircle, NullPoint, QuadranceError, Record, UnknownSuite)
+from .errors import (DivisionByZero, InvalidArgument, NotUnitCircle, NullPoint, QuadranceError,
+                     Record, UnknownSuite)
 from .field import FieldContext, Fp, clear_denominators, exact_div, lift_scaled
 from .isometry import IsoKind
 from .projective import Form, ProjPoint
@@ -1080,18 +1084,18 @@ def _spreadpoly_fixed_cases():
     for n in range(1, 17):
         try:
             via = spreadpoly.spread_via_chebyshev(n)
-        except NonIntegralResult as exc:
-            # a wrong T_n need not halve to integers; report it as this case's failure
-            via = f"NonIntegralResult: {exc}"
+        except QuadranceError as exc:
+            # e.g. a wrong T_n need not halve to integers; report it as this case's failure
+            via = f"{type(exc).__name__}: {exc}"
         yield "spread-via-chebyshev", {"n": n}, via, spread_poly(n)
     for n in range(1, 13):
         product = spreadpoly.IntPolynomial([1])
         try:
             for k in spreadpoly.divisors(n):
                 product = product * spreadpoly.spread_cyclotomic(k)
-        except FactorizationFailure as exc:
-            # a wrong S_k does not factor; report it as this case's failure
-            product = f"FactorizationFailure: {exc}"
+        except QuadranceError as exc:
+            # e.g. a wrong S_k does not factor; report it as this case's failure
+            product = f"{type(exc).__name__}: {exc}"
         yield "spread-cyclotomic-product", {"n": n}, product, spread_poly(n)
 
 

@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -83,3 +84,34 @@ def test_star_import_and_dir_show_every_public_name():
 def test_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="^module 'quadrance' has no attribute 'no_such_name'$"):
         quadrance.no_such_name
+
+
+def _imports_and_names(path):
+    """(absolute module imports, imported names, names the module reads or
+    exports) of one module of the package, imports inside functions too."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    modules, imported, used = [], [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+            imported += [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0:
+                modules.append(node.module)
+            if node.module != "__future__":
+                imported += [alias.asname or alias.name for alias in node.names]
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return modules, imported, used
+
+
+@pytest.mark.parametrize("path", sorted((SRC / "quadrance").glob("*.py")), ids=lambda p: p.name)
+def test_module_imports_only_the_stdlib_and_uses_every_import(path):
+    modules, imported, used = _imports_and_names(path)
+    outside = [m for m in modules if m.partition(".")[0] not in sys.stdlib_module_names]
+    assert not outside, f"{path.name} imports {outside} from outside the standard library"
+    unused = [name for name in imported if name not in used]
+    assert not unused, f"{path.name} imports {unused} and never uses them"

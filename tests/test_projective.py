@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quadrance.errors import DegenerateDenominator, DegenerateForm, MixedContexts, NullPoint
-from quadrance.field import Fp, make_context
+from quadrance.field import Fp, lift_scaled, make_context
 from quadrance.projective import (
     Form,
     ProjPoint,
@@ -345,6 +345,53 @@ def test_pairing_matches_perpendicularity():
     for _ in range(200):
         a1, a2 = rand_nonnull(GENERAL, rng), rand_nonnull(GENERAL, rng)
         assert (pairing(GENERAL, a1, a2) == 0) == is_perpendicular(GENERAL, a1, a2)
+
+
+# -- the null and perpendicularity tests on any representative ---------------
+
+_NULLS = {"blue": [], "red": [(1, 1), (1, -1)], "green": [(1, 0), (0, 1)],
+          "general": [(1, -1), (3, -1)]}  # (1:2:3) is (x + y)(x + 3y)
+
+
+def _representatives(form, a1, a2, rng):
+    """(form, a1, a2) as ints, as Fractions and as Scaled values, each
+    value scaled by a random rational per proportion, then as Fp values
+    over F_7 and F_13 each scaled by a random residue; the first three
+    are the same proportions over Q."""
+    ints = [(form.d, form.e, form.f), (a1.x, a1.y), (a2.x, a2.y)]
+    scales = [Fr(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9)) for _ in ints]
+    fractions = [[lam * v for v in values] for lam, values in zip(scales, ints)]
+    flat = lift_scaled([v for values in fractions for v in values])
+    scaled = [flat[:3], flat[3:5], flat[5:]]
+    reps = [ints, fractions, scaled]
+    for p in (7, 13):
+        scales = [Fp(rng.randint(1, p - 1), p) for _ in ints]
+        reps.append([[lam * v for v in values] for lam, values in zip(scales, ints)])
+    return [(Form(*f), ProjPoint(*b1), ProjPoint(*b2)) for f, b1, b2 in reps if any(b1) and any(b2)]
+
+
+@pytest.mark.parametrize("name", _NULLS)
+def test_is_null_and_is_perpendicular_compute_on_the_representative(name):
+    form = {"blue": BLUE, "red": RED, "green": GREEN, "general": GENERAL}[name]
+    rng = random.Random(11)
+    seen = set()
+    for _ in range(200):
+        x1, y1 = rng.choice(_NULLS[name] + [(rng.randint(-9, 9), rng.randint(1, 9))])
+        a1 = ProjPoint(x1, y1)
+        # half the time a2 is perpendicular to a1: [-(e x1 + f y1) : d x1 + e y1]
+        x2, y2 = rng.choice([(-(form.e * x1 + form.f * y1), form.d * x1 + form.e * y1),
+                             (rng.randint(-9, 9), rng.randint(1, 9))])
+        if x2 == 0 and y2 == 0:
+            continue
+        a2 = ProjPoint(x2, y2)
+        over_q = (form_value(form, a1) == 0, pairing(form, a1, a2) == 0)
+        seen.add(over_q)
+        for i, (f, b1, b2) in enumerate(_representatives(form, a1, a2, rng)):
+            null, perpendicular = form_value(f, b1) == 0, pairing(f, b1, b2) == 0
+            assert is_null(f, b1) is null and is_perpendicular(f, b1, b2) is perpendicular
+            if i < 3:  # the same proportions over Q
+                assert (null, perpendicular) == over_q
+    assert len(seen) == (2 if name == "blue" else 4)
 
 
 # -- the cleared kernels against the stored-representative formulas -----------

@@ -766,6 +766,52 @@ def test_broken_chebyshev_is_reported_not_raised(monkeypatch):
             "rhs": str(spreadpoly.spread_poly(5))}
 
 
+def _raises_at(fn, bad):
+    """fn, raising InvalidArgument at the index bad."""
+    def broken(n):
+        if n == bad:
+            raise InvalidArgument(f"broken at {n}")
+        return fn(n)
+    return broken
+
+
+# (kernel, the index it raises at, the fixed cases n that report it): any
+# kernel error is reported, not only the NonIntegralResult and
+# FactorizationFailure that a wrong polynomial raises
+FIXED_CASE_BREAKERS = [
+    ("chebyshev_T", 5, "spread-via-chebyshev", [5]),
+    ("spread_cyclotomic", 6, "spread-cyclotomic-product", [6, 12]),
+]
+
+
+@pytest.mark.parametrize("kernel, bad, identity, failing", FIXED_CASE_BREAKERS,
+                         ids=[row[0] for row in FIXED_CASE_BREAKERS])
+def test_any_kernel_error_in_a_fixed_case_is_reported_not_raised(monkeypatch, kernel, bad,
+                                                                  identity, failing):
+    import quadrance.verify as v
+
+    record, seen = v.mismatch, []
+
+    def recording_mismatch(identity, inputs, lhs, rhs):
+        if str(lhs).startswith("InvalidArgument"):
+            seen.append(inputs["n"])
+        return record(identity, inputs, lhs, rhs)
+
+    monkeypatch.setattr(spreadpoly, kernel, _raises_at(getattr(spreadpoly, kernel), bad))
+    monkeypatch.setattr(v, "mismatch", recording_mismatch)
+    for field in ("fp:7", "rationals"):
+        # keep factors of a broken spread_cyclotomic out of the shared cache
+        monkeypatch.setattr(spreadpoly, "_phi_cache", {})
+        seen.clear()
+        report = run_suite("spreadpoly", make_context(field), trials=30, seed=0)
+        assert report.failed == len(failing) and counts_ok(report), field
+        assert seen == failing, field
+        assert report.counterexample == {
+            "identity": identity, "inputs": {"n": str(failing[0])},
+            "lhs": f"InvalidArgument: broken at {bad}",
+            "rhs": str(spreadpoly.spread_poly(failing[0]))}
+
+
 def _numerator_plus_abc(fn):
     def broken(a, b, c, d):
         num, den = fn(a, b, c, d)
