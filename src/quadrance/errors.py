@@ -30,20 +30,26 @@ class Record:
         return self.__class__, self._values()
 
 
-class FrozenRecord(Record):
-    """A hashable Record whose fields cannot change once ``__init__`` has
-    stored them with ``object.__setattr__``."""
+class Frozen:
+    """A value whose slots cannot change once ``__init__`` has stored them,
+    through ``object.__setattr__`` or a slot's own ``__set__``."""
 
     __slots__ = ()
-
-    def __hash__(self):
-        return hash(self._values())
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+class FrozenRecord(Frozen, Record):
+    """A hashable Record that is Frozen."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(self._values())
 
 
 class QuadranceError(Exception):

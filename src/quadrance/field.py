@@ -18,6 +18,7 @@ from fractions import Fraction
 from .errors import (
     CharacteristicTwo,
     DivisionByZero,
+    Frozen,
     InfiniteField,
     InvalidArgument,
     MixedContexts,
@@ -52,7 +53,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
-class Fp:
+class Fp(Frozen):
     """A residue in F_p for an odd prime p, reduced to 0 <= r < p.
 
     Arithmetic mixes freely with ``int``; any other operand (including a
@@ -65,8 +66,8 @@ class Fp:
     __slots__ = ("r", "p")
 
     def __init__(self, r: int, p: int):
-        self.r = r % p
-        self.p = p
+        _set_r(self, r % p)
+        _set_p(self, p)
 
     def _residue(self, other):
         if type(other) is Fp:
@@ -156,6 +157,10 @@ class Fp:
 
     def __reduce__(self):
         return Fp, (self.r, self.p)
+
+
+# the slots' own setters: a frozen value's __init__ stores through these
+_set_r, _set_p = Fp.r.__set__, Fp.p.__set__
 
 
 def decimal_str(x) -> str:

@@ -29,10 +29,10 @@ class ProjMatrix(_Proportion):
     def __init__(self, a, b, c, d):
         if a == 0 and b == 0 and c == 0 and d == 0:
             raise InvalidArgument("projective matrix needs a nonzero entry")
-        self.a = a
-        self.b = b
-        self.c = c
-        self.d = d
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_c(self, c)
+        _set_d(self, d)
 
     def entries(self):
         return (self.a, self.b, self.c, self.d)
@@ -59,6 +59,11 @@ class ProjMatrix(_Proportion):
     def __str__(self):
         a, b, c, d = map(decimal_str, self.entries())
         return f"[[{a},{b}],[{c},{d}]]"
+
+
+# the slots' own setters: a frozen value's __init__ stores through these
+_set_a, _set_b, _set_c, _set_d = (ProjMatrix.a.__set__, ProjMatrix.b.__set__,
+                                  ProjMatrix.c.__set__, ProjMatrix.d.__set__)
 
 
 class IsoKind(enum.Enum):

@@ -5,8 +5,12 @@ S_n = 2(1 - 2s) S_{n-1} - S_{n-2} + 2s; they compose multiplicatively
 (S_n o S_m = S_nm), relate to the Chebyshev polynomials of the first kind
 by S_n(s) = (1 - T_n(1 - 2s)) / 2, and factor into integer polynomials
 phi_k of degree totient(k) with S_n = prod over k | n of phi_k. The
-coefficients are Python ints, and the factors are found by integer long
-division.
+coefficients are Python ints.  As with cyclotomic polynomials,
+phi_pm = phi_m o S_p whenever the prime p divides m, because
+S_p(sin^2 t) = sin^2(pt); so a factor with a square prime divisor is a
+composition, and only a squarefree index is found by integer long
+division.  spread_rows streams S_0..S_n holding two rows, for callers that
+print a table once and need no cache.
 """
 
 from __future__ import annotations
@@ -14,14 +18,14 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 
-from .errors import (DivisionByZero, FactorizationFailure, FrozenRecord, InvalidArgument,
+from .errors import (DivisionByZero, FactorizationFailure, Frozen, FrozenRecord, InvalidArgument,
                      NonIntegralResult)
 from .field import decimal_str, exact_div
 
 _set = object.__setattr__
 
 
-class IntPolynomial:
+class IntPolynomial(Frozen):
     """Dense integer-coefficient polynomial; index = degree, no trailing zeros."""
 
     __slots__ = ("coeffs",)
@@ -30,7 +34,7 @@ class IntPolynomial:
         cs = list(coeffs)
         while cs and cs[-1] == 0:
             cs.pop()
-        self.coeffs = tuple(cs)
+        _set_coeffs(self, tuple(cs))
 
     def __reduce__(self):
         return IntPolynomial, (self.coeffs,)
@@ -97,8 +101,14 @@ class IntPolynomial:
     def __str__(self):
         if not self.coeffs:
             return "0"
-        return " ".join(map(decimal_str, self.coeffs))
+        try:
+            return " ".join(map(str, self.coeffs))
+        except ValueError:  # past the int-string limit: decimal_str raises its error
+            return " ".join(map(decimal_str, self.coeffs))
 
+
+# the slot's own setter: a frozen value's __init__ stores through it
+_set_coeffs = IntPolynomial.coeffs.__set__
 
 ZERO = IntPolynomial()
 ONE = IntPolynomial([1])
@@ -146,26 +156,33 @@ _SPREAD_STEP, _SPREAD_SHIFT = IntPolynomial([2, -4]), IntPolynomial([0, 2])
 _CHEB_STEP = IntPolynomial([0, 2])
 
 
+def _next_row(prev: IntPolynomial, last: IntPolynomial, step: IntPolynomial,
+              shift: IntPolynomial) -> IntPolynomial:
+    """step * last - prev + shift, where ``prev`` has lower degree than ``last``.
+
+    ``step`` has degree 1, a + b s, and is applied to the coefficient list
+    directly: coefficient i of step * P is a p_i + b p_(i-1).
+    """
+    a, b = step.coeffs
+    low, top = prev.coeffs, last.coeffs
+    low += (0,) * (len(top) + 1 - len(low))
+    out = [a * c + b * c_low - c_prev for c, c_low, c_prev in zip(top + (0,), (0,) + top, low)]
+    for i, c in enumerate(shift.coeffs):
+        out[i] += c
+    return IntPolynomial(out)
+
+
 def _three_term(cache: list, n: int, step: IntPolynomial, shift: IntPolynomial):
     """cache[n] of P_k = step * P_(k-1) - P_(k-2) + shift, extending the cache.
 
     An entry already built is read without the lock: entries are only ever
-    appended, under it.  ``step`` has degree 1, a + b s, and is applied to
-    the coefficient list directly: coefficient i of step * P is
-    a p_i + b p_(i-1).
+    appended, under it.
     """
     if n < len(cache):
         return cache[n]
-    a, b = step.coeffs
     with _cache_lock:
         while len(cache) <= n:
-            last = cache[-1].coeffs
-            out = [a * c + b * c_low for c, c_low in zip(last + (0,), (0,) + last)]
-            for i, c in enumerate(cache[-2].coeffs):
-                out[i] -= c
-            for i, c in enumerate(shift.coeffs):
-                out[i] += c
-            cache.append(IntPolynomial(out))
+            cache.append(_next_row(cache[-2], cache[-1], step, shift))
         return cache[n]
 
 
@@ -174,6 +191,18 @@ def spread_poly(n: int) -> IntPolynomial:
     if n < 0:
         raise InvalidArgument("spread polynomial index must be nonnegative")
     return _three_term(_spread_cache, n, _SPREAD_STEP, _SPREAD_SHIFT)
+
+
+def spread_rows(n: int):
+    """S_0, ..., S_n in order, built by the recurrence while holding only the
+    last two rows; the cache is neither read nor extended."""
+    if n < 0:
+        raise InvalidArgument("spread polynomial index must be nonnegative")
+    prev, last = ZERO, X
+    yield from (prev, last)[:n + 1]
+    for _ in range(n - 1):
+        prev, last = last, _next_row(prev, last, _SPREAD_STEP, _SPREAD_SHIFT)
+        yield last
 
 
 def chebyshev_T(n: int) -> IntPolynomial:
@@ -252,12 +281,26 @@ def divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
+def _square_prime(k: int):
+    """The least prime p with p^2 | k, or None when k is squarefree."""
+    m, q = k, 2
+    while q * q <= m:
+        if m % q == 0:
+            m //= q
+            if m % q == 0:
+                return q
+        q += 1
+    return None
+
+
 def spread_cyclotomic(k: int) -> IntPolynomial:
     """The k-th spread-cyclotomic factor: S_n = prod over k | n of phi_k.
 
-    Computed by integer long division of S_k by the factors phi_d of its
-    proper divisors d; each division must be exact, and the result must
-    have degree totient(k).
+    When p^2 | k for a prime p, phi_k = phi_(k/p) o S_p: the factor is a
+    composition, and phi_(2^j) needs no S_n past S_2.  A squarefree k is
+    found by integer long division of S_k by the factors phi_d of its
+    proper divisors d, each of which must be exact.  On both paths the
+    result must have degree totient(k).
     """
     if k < 1:
         raise InvalidArgument("index must be positive")
@@ -265,7 +308,10 @@ def spread_cyclotomic(k: int) -> IntPolynomial:
         cached = _phi_cache.get(k)
     if cached is not None:
         return cached
-    if k == 1:
+    p = _square_prime(k)
+    if p is not None:
+        phi = poly_compose(spread_cyclotomic(k // p), spread_poly(p))
+    elif k == 1:
         phi = spread_poly(1)
     else:
         quotient = spread_poly(k)

@@ -113,6 +113,28 @@ def test_values_pickle_at_every_protocol(value):
         assert type(back) is type(value) and back == value and repr(back) == repr(value)
 
 
+FROZEN_VALUES = VALUES[:5]
+
+
+@pytest.mark.parametrize("value", FROZEN_VALUES, ids=lambda value: type(value).__name__)
+def test_hashable_values_refuse_changes_and_still_copy(value):
+    cls, args = value.__reduce__()
+    for name in cls.__slots__:
+        old = getattr(value, name)
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+            setattr(value, name, old)
+        with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
+            delattr(value, name)
+        assert getattr(value, name) is old
+    assert value == cls(*args) and hash(value) == hash(cls(*args))
+    copies = [pickle.loads(pickle.dumps(value, protocol))
+              for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for back in copies + [copy.deepcopy(value), copy.copy(value)]:
+        assert type(back) is cls and back == value and repr(back) == repr(value)
+        with pytest.raises(AttributeError):
+            setattr(back, cls.__slots__[0], None)
+
+
 def test_scaled_values_pickle_at_every_protocol_and_keep_one_lift():
     x, y = lift_scaled([Fraction(1, 2), Fraction(-2, 3)])
     values = [x, y, x * y + 1]

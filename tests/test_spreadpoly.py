@@ -128,7 +128,7 @@ def test_spread_cyclotomic_product_and_degrees():
     def totient(n):
         return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
 
-    for n in range(1, 61):
+    for n in range(1, 201):
         product = IntPolynomial([1])
         for k in divisors(n):
             phi = spread_cyclotomic(k)
@@ -136,6 +136,47 @@ def test_spread_cyclotomic_product_and_degrees():
             assert all(isinstance(c, int) for c in phi.coeffs)
             product = product * phi
         assert product == spread_poly(n)
+
+
+def _long_division_factors(top):
+    """phi_1..phi_top by S_k's integer long division by phi_d for every proper
+    divisor d, with no composition: the rule spread_cyclotomic replaced for
+    k with a square factor."""
+    phi = {}
+    for k in range(1, top + 1):
+        quotient = spread_poly(k)
+        for d in divisors(k)[:-1]:
+            quotient = _exact_poly_div(quotient, phi[d])
+        phi[k] = quotient
+    return phi
+
+
+def test_composed_factors_match_long_division():
+    # phi_pm = phi_m o S_p when p | m: every k <= 400 with a square factor
+    oracle = _long_division_factors(400)
+    square = [k for k in oracle if any(k % (q * q) == 0 for q in range(2, 21))]
+    assert len(square) == 157
+    for k in square:
+        assert spread_cyclotomic(k) == oracle[k], k
+
+
+def test_a_power_of_two_factor_builds_no_spread_poly_past_s2(monkeypatch):
+    from quadrance import spreadpoly
+
+    monkeypatch.setattr(spreadpoly, "_spread_cache", spreadpoly._spread_cache[:2])
+    monkeypatch.setattr(spreadpoly, "_phi_cache", {})
+    phi = spread_cyclotomic(2 ** 10)
+    assert len(spreadpoly._spread_cache) == 3
+    assert phi.degree == 2 ** 9
+    # the product of phi_(2^j), j <= 10, is S_1024, i.e. S_2 applied ten
+    # times: checked at one point mod a large prime
+    s, p = Fp(12345, 1000003), 1000003
+    product, value = Fp(1, p), s
+    for j in range(11):
+        product = product * poly_eval(spread_cyclotomic(2 ** j), s)
+    for _ in range(10):
+        value = 4 * value * (1 - value)
+    assert product == value
 
 
 def test_divisors():
