@@ -11,8 +11,6 @@ from __future__ import annotations
 from .errors import DegenerateDenominator, FrozenRecord, NotIsometry
 from .field import exact_div
 
-_set = object.__setattr__
-
 
 class AffinePoint(FrozenRecord):
     """A point [x] of the affine line; any field value is valid."""
@@ -20,7 +18,11 @@ class AffinePoint(FrozenRecord):
     __slots__ = ("x",)
 
     def __init__(self, x):
-        _set(self, "x", x)
+        _set_x(self, x)
+
+
+# the slots' own setters: a frozen value's __init__ stores through these
+_set_x = AffinePoint.x.__set__
 
 
 def quadrance(a1: AffinePoint, a2: AffinePoint):
@@ -124,8 +126,11 @@ class AffineIsometry(FrozenRecord):
     def __init__(self, parity: int, shift):
         if parity not in (1, -1):
             raise NotIsometry(f"parity must be +1 or -1, got {parity!r}")
-        _set(self, "parity", parity)
-        _set(self, "shift", shift)
+        _set_parity(self, parity)
+        _set_shift(self, shift)
+
+
+_set_parity, _set_shift = AffineIsometry.parity.__set__, AffineIsometry.shift.__set__
 
 
 def isometry_apply(iso: AffineIsometry, a: AffinePoint) -> AffinePoint:

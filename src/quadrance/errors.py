@@ -31,8 +31,11 @@ class Record:
 
 
 class Frozen:
-    """A value whose slots cannot change once ``__init__`` has stored them,
-    through ``object.__setattr__`` or a slot's own ``__set__``."""
+    """A value whose slots cannot change once ``__init__`` has stored them.
+    Every frozen class stores them one way: through its slots' own setters,
+    captured once after the class, e.g. ``_set_x = Point.x.__set__``, and
+    called as ``_set_x(self, x)``; a captured setter is cheaper than
+    ``object.__setattr__``."""
 
     __slots__ = ()
 

@@ -18,8 +18,6 @@ from .errors import (ColorMismatch, FrozenRecord, InvalidArgument, NotIsometry, 
 from .field import decimal_str, exact_div, field_sqrt
 from .projective import ProjPoint, _Proportion
 
-_set = object.__setattr__
-
 
 class ProjMatrix(_Proportion):
     """A 2x2 projective matrix [[a,b],[c,d]], equal up to common scaling."""
@@ -80,9 +78,13 @@ class ProjIsometry(FrozenRecord):
     __slots__ = ("color", "kind", "param")
 
     def __init__(self, color: Color, kind: IsoKind, param: ProjPoint):
-        _set(self, "color", color)
-        _set(self, "kind", kind)
-        _set(self, "param", param)
+        _set_color(self, color)
+        _set_kind(self, kind)
+        _set_param(self, param)
+
+
+_set_color, _set_kind, _set_param = (ProjIsometry.color.__set__, ProjIsometry.kind.__set__,
+                                     ProjIsometry.param.__set__)
 
 
 def make_isometry(color: Color, kind: IsoKind, param: ProjPoint) -> ProjIsometry:
@@ -168,9 +170,10 @@ def point_identity(color: Color) -> ProjPoint:
 
 def multiply_points(color: Color, p1: ProjPoint, p2: ProjPoint) -> ProjPoint:
     """The commutative multiplication induced by rotation composition."""
-    for name, p in (("p1", p1), ("p2", p2)):
-        if is_null_for(color, p):
-            raise NullParameter(f"{name} = {p} is {color}-null")
+    if is_null_for(color, p1):
+        raise NullParameter(f"p1 = {p1} is {color}-null")
+    if is_null_for(color, p2):
+        raise NullParameter(f"p2 = {p2} is {color}-null")
     a, b = p1.x, p1.y
     c, d = p2.x, p2.y
     if color is Color.BLUE:

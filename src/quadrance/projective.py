@@ -22,8 +22,6 @@ from .errors import (DegenerateDenominator, DegenerateForm, Frozen, FrozenRecord
                      NullPoint)
 from .field import clear_denominators, decimal_str, exact_div
 
-_set = object.__setattr__
-
 
 def canonical(values) -> tuple:
     """A proportion's values divided by the first nonzero one."""
@@ -229,9 +227,13 @@ class QuadrupleResult(FrozenRecord):
     __slots__ = ("value", "q13", "q24")
 
     def __init__(self, value, q13, q24):
-        _set(self, "value", value)
-        _set(self, "q13", q13)
-        _set(self, "q24", q24)
+        _set_value(self, value)
+        _set_q13(self, q13)
+        _set_q24(self, q24)
+
+
+_set_value, _set_q13, _set_q24 = (QuadrupleResult.value.__set__, QuadrupleResult.q13.__set__,
+                                  QuadrupleResult.q24.__set__)
 
 
 def projective_quadruple_check(form: Form, a1, a2, a3, a4) -> QuadrupleResult:

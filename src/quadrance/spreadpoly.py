@@ -22,8 +22,6 @@ from .errors import (DivisionByZero, FactorizationFailure, Frozen, FrozenRecord,
                      NonIntegralResult)
 from .field import decimal_str, exact_div
 
-_set = object.__setattr__
-
 
 class IntPolynomial(Frozen):
     """Dense integer-coefficient polynomial; index = degree, no trailing zeros."""
@@ -334,9 +332,14 @@ class GreenRatioValue(FrozenRecord):
     __slots__ = ("s", "sn_of_s", "closed_form")
 
     def __init__(self, s, sn_of_s, closed_form):
-        _set(self, "s", s)
-        _set(self, "sn_of_s", sn_of_s)
-        _set(self, "closed_form", closed_form)
+        _set_s(self, s)
+        _set_sn_of_s(self, sn_of_s)
+        _set_closed_form(self, closed_form)
+
+
+_set_s, _set_sn_of_s, _set_closed_form = (GreenRatioValue.s.__set__,
+                                          GreenRatioValue.sn_of_s.__set__,
+                                          GreenRatioValue.closed_form.__set__)
 
 
 def green_ratio_fractions(x, y, n: int):

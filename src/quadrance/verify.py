@@ -26,16 +26,18 @@ Scaled prints exactly as its Fraction.  The F_p sweep passes int residues
 Fp only to print a failure.  Both are exact because the identities have
 integer coefficients.  No check re-derives a kernel: the generalized
 Fibonacci identity runs through projective.discriminant, pairing and
-form_value, on plain records so that zero coefficients and vectors count
-too.  Solution fractions are checked cleared of their denominator
-(num == den * q); coloured quadrances, in the isometry and the chromo
-suites, are compared cleared (num * den' == num' * den), and points and
-matrices by their cross products.  The exceptions: the spread cases lift
-the p-quadrances they compute, and the spread recurrence lifts s with
-S_0(s)..S_12(s) from spreadpoly.poly_eval.  The chromo suite's points
-are set out at _chromo_case.  The blue square roots need field square
-roots.  The free-variable identities (the alternate forms, the
-rearrangement identities, rescaling invariance) run over Q only.
+form_value, on plain slotted records, so that zero coefficients and
+vectors count too; not on namedtuples, whose field reads cost twice a slot
+read on the sweep's hottest loop.  Solution fractions are checked cleared
+of their denominator (num == den * q); coloured quadrances, in the
+isometry and the chromo suites, are compared cleared (num * den' == num' *
+den), and points and matrices by their cross products.  The exceptions:
+the spread cases lift the p-quadrances they compute, and the spread
+recurrence lifts s with S_0(s)..S_12(s) from spreadpoly.poly_eval.  The
+chromo suite's points are set out at _chromo_case.  The blue square roots
+need field square roots.  The free-variable identities (the alternate
+forms, the rearrangement identities, rescaling invariance) run over Q
+only.
 
 The triple and quadruple sweeps check each distinct tuple of table values
 once per call: a verdict is a pure function of the values it reads,
@@ -51,10 +53,13 @@ suite's checks, a QuadranceError a kernel raises comes from a broken
 kernel, and it is the failure of the identity checked, with the error as
 lhs, not raised.  It covers the guarded calls only: the spread suites'
 p-quadrances, the chromo laws after the proof identity, the isometry
-suite, and the spreadpoly green-ratio and fixed cases.  Elsewhere (e.g.
-affine.archimedes, projective.pairing) an error leaves run_suite.  Over
-F_p an error in a p-quadrance table fails every tuple of the form, and one
-in the isometry sweep fails the colour once.
+suite, the heron, brahmagupta and fibonacci cases, and the spreadpoly
+green-ratio and fixed cases.  Elsewhere (e.g. affine.archimedes in
+triple-quad, projective.pairing in triple-spread, and the discriminant and
+form values the F_p fibonacci sweep takes once per form) an error leaves
+run_suite.  Over F_p an error in a p-quadrance table fails every tuple of
+the form, and one in the isometry sweep fails the colour once; a heron,
+brahmagupta or fibonacci case fails alone, and the loop resumes after it.
 """
 
 from __future__ import annotations
@@ -62,7 +67,6 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from collections import namedtuple
 from collections.abc import Callable
 from fractions import Fraction
 
@@ -446,6 +450,8 @@ def _check_identity(rec, ctx, rng, trials, identity, names, sides):
 
     Over Q the tuples are ``trials`` random ones, lifted.  Over F_p they are
     every tuple of residues, and both sides are compared, and reported, mod p.
+    A QuadranceError from a kernel fails its tuple, and the loop resumes
+    after it: the ``try`` sits outside the loop, and ``cases`` is an iterator.
     """
     if rng is not None:
         p = None
@@ -454,14 +460,19 @@ def _check_identity(rec, ctx, rng, trials, identity, names, sides):
         p = ctx.p
         cases = itertools.product(range(p), repeat=len(names))
     passed = 0
-    for args in cases:
-        lhs, rhs = sides(*args)
-        if p is not None:
-            lhs, rhs = lhs % p, rhs % p
-        if lhs == rhs:
-            passed += 1
-        else:
-            rec.case(mismatch(identity, dict(zip(names, args)), lhs, rhs))
+    while True:
+        try:
+            for args in cases:
+                lhs, rhs = sides(*args)
+                if p is not None:
+                    lhs, rhs = lhs % p, rhs % p
+                if lhs == rhs:
+                    passed += 1
+                else:
+                    rec.case(mismatch(identity, dict(zip(names, args)), lhs, rhs))
+            break
+        except QuadranceError as exc:
+            rec.case(_raised(identity, dict(zip(names, args)), exc, p))
     rec.add_passes(passed)
 
 
@@ -635,9 +646,21 @@ def _suite_brahmagupta(rec, ctx, rng, trials, colors):
 
 # The generalized Fibonacci identity also holds for the zero vector and the
 # zero coefficient triple, which ProjPoint and Form reject; the projective
-# kernels read only these fields.
-_Vector = namedtuple("_Vector", "x y")
-_Coefficients = namedtuple("_Coefficients", "d e f")
+# kernels read only these fields.  They are plain slotted records, not
+# namedtuples: pairing and the cross product read sixteen fields a case,
+# and a slot read costs about half a namedtuple field read.
+class _Vector:
+    __slots__ = ("x", "y")
+
+    def __init__(self, x, y):
+        self.x, self.y = x, y
+
+
+class _Coefficients:
+    __slots__ = ("d", "e", "f")
+
+    def __init__(self, d, e, f):
+        self.d, self.e, self.f = d, e, f
 
 
 def _fibonacci_sides(form, disc, v1, value1, v2, value2):
@@ -662,22 +685,32 @@ def _suite_fibonacci(rec, ctx, rng, trials, colors):
     # The identity has seven free variables; enumerating them all is
     # infeasible, so the four standard forms are paired with every
     # coordinate 4-tuple.  Each form's discriminant and values are taken once.
+    # A kernel error fails its case, and the inner loop resumes after it.
     p = ctx.p
     vectors = [_Vector(x, y) for x, y in itertools.product(range(p), repeat=2)]
+
+    def inputs(form, v1, v2):
+        return dict(zip(names, (form.d, form.e, form.f, v1.x, v1.y, v2.x, v2.y)))
+
     for form in map(named_form, FORM_NAMES):
         disc = projective.discriminant(form)
         values = [value(form, v) for v in vectors]
         passed = 0
         for v1, value1 in zip(vectors, values):
-            for v2, value2 in zip(vectors, values):
-                lhs, rhs = _fibonacci_sides(form, disc, v1, value1, v2, value2)
-                lhs, rhs = lhs % p, rhs % p
-                if lhs == rhs:
-                    passed += 1
-                else:
-                    rec.case(mismatch("generalized-fibonacci",
-                                      dict(zip(names, (form.d, form.e, form.f) + v1 + v2)),
-                                      lhs, rhs))
+            pairs = zip(vectors, values)
+            while True:
+                try:
+                    for v2, value2 in pairs:
+                        lhs, rhs = _fibonacci_sides(form, disc, v1, value1, v2, value2)
+                        lhs, rhs = lhs % p, rhs % p
+                        if lhs == rhs:
+                            passed += 1
+                        else:
+                            rec.case(mismatch("generalized-fibonacci",
+                                              inputs(form, v1, v2), lhs, rhs))
+                    break
+                except QuadranceError as exc:
+                    rec.case(_raised("generalized-fibonacci", inputs(form, v1, v2), exc, p))
         rec.add_passes(passed)
 
 

@@ -256,8 +256,11 @@ def test_multiply_points_examples():
     assert multiply_points(Color.GREEN, pp(2, 3), pp(2, 3)) == pp(4, 9)
     assert multiply_points(Color.BLUE, pp(1, 2), pp(3, 1)) == pp(1, 7)
     assert multiply_points(Color.RED, pp(2, 1), pp(3, 1)) == pp(7, 5)
-    with pytest.raises(NullParameter):
-        multiply_points(Color.GREEN, pp(1, 0), pp(2, 3))
+    # p1 is tested first, and the message names the null factor
+    with pytest.raises(NullParameter, match=r"^p1 = \[1:0\] is green-null$"):
+        multiply_points(Color.GREEN, pp(1, 0), pp(0, 1))
+    with pytest.raises(NullParameter, match=r"^p2 = \[0:1\] is green-null$"):
+        multiply_points(Color.GREEN, pp(2, 3), pp(0, 1))
     with pytest.raises(NullParameter, match="-null$"):
         point_inverse(Color.GREEN, pp(1, 0))
     with pytest.raises(NullParameter, match="-null$"):

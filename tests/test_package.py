@@ -115,3 +115,14 @@ def test_module_imports_only_the_stdlib_and_uses_every_import(path):
     assert not outside, f"{path.name} imports {outside} from outside the standard library"
     unused = [name for name in imported if name not in used]
     assert not unused, f"{path.name} imports {unused} and never uses them"
+
+
+@pytest.mark.parametrize("path", sorted((SRC / "quadrance").glob("*.py")), ids=lambda p: p.name)
+def test_frozen_values_store_through_captured_slot_setters(path):
+    # errors.Frozen names the one way: each class's slot setters, captured
+    # once, never object.__setattr__
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    calls = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+             and node.attr == "__setattr__" and isinstance(node.value, ast.Name)
+             and node.value.id == "object"]
+    assert not calls, f"{path.name} uses object.__setattr__ on lines {calls}"

@@ -628,6 +628,81 @@ def test_kernel_errors_on_kept_points_are_reported_by_both_drivers(
             assert report.counterexample["lhs"].startswith(f"{error}:"), field
 
 
+def _raises_from_call(fn, first):
+    """fn, raising InvalidArgument from its ``first``-th call on."""
+    calls = 0
+
+    def broken(*args):
+        nonlocal calls
+        calls += 1
+        if calls >= first:
+            raise InvalidArgument(f"broken at call {calls}")
+        return fn(*args)
+    return broken
+
+
+# (module, kernel, suite, identity, its cases over F_7, and the inputs of
+# the fourth).  The kernel runs once a case, so breaking it from its fourth
+# call on passes the first three cases and fails every later one alone:
+# the loop records the error and resumes after the case that raised.
+LOOP_KERNELS = [
+    ("affine", "archimedes", "heron", "heron-identity", 7 ** 3,
+     {"d1": "0", "d2": "0", "d3": "3"}),
+    ("projective", "pairing", "fibonacci", "generalized-fibonacci", 4 * 7 ** 4,
+     {"d": "1", "e": "0", "f": "1", "x1": "0", "y1": "0", "x2": "0", "y2": "3"}),
+]
+
+
+@pytest.mark.parametrize("module, kernel, suite, identity, cases, fourth", LOOP_KERNELS,
+                         ids=[f"{row[1]}-{row[2]}" for row in LOOP_KERNELS])
+def test_kernel_errors_in_identity_loops_fail_their_case_and_resume(
+        monkeypatch, module, kernel, suite, identity, cases, fourth):
+    import importlib
+
+    mod = importlib.import_module(f"quadrance.{module}")
+    original = getattr(mod, kernel)
+    for field in ("fp:7", "rationals"):
+        monkeypatch.setattr(mod, kernel, _raises_from_call(original, 4))
+        report = run_suite(suite, make_context(field), trials=30, seed=0)
+        assert report.attempted == (cases if field == "fp:7" else 30), field
+        assert (report.passed, report.skipped) == (3, 0) and counts_ok(report), field
+        failure = report.counterexample
+        assert failure["identity"] == identity, field
+        assert (failure["lhs"], failure["rhs"]) == ("InvalidArgument: broken at call 4",
+                                                    "no error"), field
+        if field == "fp:7":
+            assert failure["inputs"] == fourth
+
+
+# Calls of each kernel, through its module attribute, in one sweep over
+# F_7.  A fast path that skipped a kernel would change them.
+KERNEL_CENSUS = {
+    "isometry": {("chromo", "colored_quadrance_fraction"): 2120,
+                 ("isometry", "multiply_points"): 2236, ("isometry", "compose"): 680,
+                 ("isometry", "matrix_of"): 904, ("isometry", "apply"): 320,
+                 ("projective", "form_value"): 1344},
+    "fibonacci": {("projective", "pairing"): 9604, ("projective", "form_value"): 196,
+                  ("projective", "discriminant"): 4},
+}
+
+
+@pytest.mark.parametrize("suite", KERNEL_CENSUS)
+def test_fp_sweeps_reach_every_kernel_call(monkeypatch, suite):
+    import importlib
+
+    counts = dict.fromkeys(KERNEL_CENSUS[suite], 0)
+    for module, kernel in counts:
+        mod = importlib.import_module(f"quadrance.{module}")
+
+        def counted(*args, _kernel=getattr(mod, kernel), _key=(module, kernel)):
+            counts[_key] += 1
+            return _kernel(*args)
+        monkeypatch.setattr(mod, kernel, counted)
+    report = run_suite(suite, make_context("fp:7"))
+    assert report.failed == 0 and counts_ok(report)
+    assert counts == KERNEL_CENSUS[suite]
+
+
 def test_wrong_small_spread_poly_is_reported_not_raised(monkeypatch):
     # with a wrong S_2, phi_2 = 5 - 4s still has degree 1.  phi_4 and phi_8
     # are compositions with S_2, so they come out wrong without raising and
