@@ -200,10 +200,10 @@ def cmd_eval(args) -> int:
 def cmd_spreadpoly(args) -> int:
     if args.n < 0:
         raise ParseError("--n must be nonnegative")
-    for k, row in enumerate(spreadpoly.spread_rows(args.n)):
-        print(f"S_{k}: {row}")
+    for k in range(args.n + 1):
+        print(f"S_{k}: {spreadpoly.spread_poly(k)}")
     if args.factor:
-        for k in spreadpoly.divisors(args.n) if args.n >= 1 else []:
+        for k in spreadpoly.divisors(args.n):
             print(f"phi_{k}: {spreadpoly.spread_cyclotomic(k)}")
     return EXIT_OK
 

@@ -17,7 +17,7 @@ slower here and 24-34% there (timeit, 200 random rational points, 2 vCPUs).
 
 from __future__ import annotations
 
-from .affine import archimedes, det4
+from . import affine
 from .errors import (DegenerateDenominator, DegenerateForm, Frozen, FrozenRecord, InvalidArgument,
                      NullPoint)
 from .field import clear_denominators, decimal_str, exact_div
@@ -169,18 +169,18 @@ def p_quadrance(form: Form, a1: ProjPoint, a2: ProjPoint):
 
 def triple_spread_fn(a, b, c):
     """Triple spread function (a+b+c)^2 - 2(a^2+b^2+c^2) - 4abc."""
-    return archimedes(a, b, c) - 4 * a * b * c
+    return affine.archimedes(a, b, c) - 4 * a * b * c
 
 
 def triple_spread_forms(a, b, c) -> list:
     """The seven alternate expressions for the triple spread function."""
     return [
-        archimedes(a, b, c) - 4 * a * b * c,
+        affine.archimedes(a, b, c) - 4 * a * b * c,
         2 * (a * c + b * c + a * b) - (a * a + b * b + c * c) - 4 * a * b * c,
         4 * (a * b + b * c + c * a) - (a + b + c) ** 2 - 4 * a * b * c,
         4 * (1 - a) * (1 - b) * (1 - c) - (a + b + c - 2) ** 2,
         4 * (1 - a) * b * c - (a - b - c) ** 2,
-        -det4([[0, a, b, 1], [a, 0, c, 1], [b, c, 0, 1], [1, 1, 1, 2]]),
+        -affine.det4([[0, a, b, 1], [a, 0, c, 1], [b, c, 0, 1], [1, 1, 1, 2]]),
         4 * b * c * (1 - b) * (1 - c) - (a - b - c + 2 * b * c) ** 2,
     ]
 

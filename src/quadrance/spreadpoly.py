@@ -5,12 +5,16 @@ S_n = 2(1 - 2s) S_{n-1} - S_{n-2} + 2s; they compose multiplicatively
 (S_n o S_m = S_nm), relate to the Chebyshev polynomials of the first kind
 by S_n(s) = (1 - T_n(1 - 2s)) / 2, and factor into integer polynomials
 phi_k of degree totient(k) with S_n = prod over k | n of phi_k. The
-coefficients are Python ints.  As with cyclotomic polynomials,
+coefficients are Python ints.  Each S_n and T_n is built alone, and no
+cache keeps it, from its explicit coefficients (Goh and Wildberger,
+"Spread polynomials, rotations and the butterfly effect", 2009):
+S_n(s) = sum over k = 1..n of (n/k) C(n+k-1, 2k-1) (-4)^(k-1) s^k and
+T_n(x) = (n/2) sum over m <= n/2 of (-1)^m (n-m-1)!/(m!(n-2m)!) (2x)^(n-2m).
+As with cyclotomic polynomials,
 phi_pm = phi_m o S_p whenever the prime p divides m, because
 S_p(sin^2 t) = sin^2(pt); so a factor with a square prime divisor is a
 composition, and only a squarefree index is found by integer long
-division.  spread_rows streams S_0..S_n holding two rows, for callers that
-print a table once and need no cache.
+division.
 """
 
 from __future__ import annotations
@@ -110,7 +114,6 @@ _set_coeffs = IntPolynomial.coeffs.__set__
 
 ZERO = IntPolynomial()
 ONE = IntPolynomial([1])
-X = IntPolynomial([0, 1])
 
 
 def poly_eval(poly: IntPolynomial, s):
@@ -143,71 +146,35 @@ def poly_compose(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
     return acc
 
 
-_spread_cache: list[IntPolynomial] = [ZERO, X]
-_cheb_cache: list[IntPolynomial] = [ONE, X]
 _phi_cache: dict[int, IntPolynomial] = {}
 _cache_lock = threading.Lock()
 
 
-# S_n = 2(1 - 2s) S_(n-1) - S_(n-2) + 2s and T_n = 2x T_(n-1) - T_(n-2)
-_SPREAD_STEP, _SPREAD_SHIFT = IntPolynomial([2, -4]), IntPolynomial([0, 2])
-_CHEB_STEP = IntPolynomial([0, 2])
-
-
-def _next_row(prev: IntPolynomial, last: IntPolynomial, step: IntPolynomial,
-              shift: IntPolynomial) -> IntPolynomial:
-    """step * last - prev + shift, where ``prev`` has lower degree than ``last``.
-
-    ``step`` has degree 1, a + b s, and is applied to the coefficient list
-    directly: coefficient i of step * P is a p_i + b p_(i-1).
-    """
-    a, b = step.coeffs
-    low, top = prev.coeffs, last.coeffs
-    low += (0,) * (len(top) + 1 - len(low))
-    out = [a * c + b * c_low - c_prev for c, c_low, c_prev in zip(top + (0,), (0,) + top, low)]
-    for i, c in enumerate(shift.coeffs):
-        out[i] += c
-    return IntPolynomial(out)
-
-
-def _three_term(cache: list, n: int, step: IntPolynomial, shift: IntPolynomial):
-    """cache[n] of P_k = step * P_(k-1) - P_(k-2) + shift, extending the cache.
-
-    An entry already built is read without the lock: entries are only ever
-    appended, under it.
-    """
-    if n < len(cache):
-        return cache[n]
-    with _cache_lock:
-        while len(cache) <= n:
-            cache.append(_next_row(cache[-2], cache[-1], step, shift))
-        return cache[n]
-
-
 def spread_poly(n: int) -> IntPolynomial:
-    """The n-th spread polynomial (degree n, leading coefficient (-4)^(n-1))."""
+    """The n-th spread polynomial (degree n, leading coefficient (-4)^(n-1)):
+    the coefficient of s^k is a_k, a_1 = n^2, a_(k+1) = a_k 2(k^2 - n^2) / ((k+1)(2k+1))."""
     if n < 0:
         raise InvalidArgument("spread polynomial index must be nonnegative")
-    return _three_term(_spread_cache, n, _SPREAD_STEP, _SPREAD_SHIFT)
-
-
-def spread_rows(n: int):
-    """S_0, ..., S_n in order, built by the recurrence while holding only the
-    last two rows; the cache is neither read nor extended."""
-    if n < 0:
-        raise InvalidArgument("spread polynomial index must be nonnegative")
-    prev, last = ZERO, X
-    yield from (prev, last)[:n + 1]
-    for _ in range(n - 1):
-        prev, last = last, _next_row(prev, last, _SPREAD_STEP, _SPREAD_SHIFT)
-        yield last
+    coeffs, a, nn = [0], n * n, n * n
+    for k in range(1, n + 1):
+        coeffs.append(a)
+        a = a * (2 * (k * k - nn)) // ((k + 1) * (2 * k + 1))
+    return IntPolynomial(coeffs)
 
 
 def chebyshev_T(n: int) -> IntPolynomial:
-    """The n-th Chebyshev polynomial of the first kind."""
+    """The n-th Chebyshev polynomial of the first kind: from c_n = 2^(n-1) down,
+    the coefficient of x^(j-2) is c_j j(1-j) / (4(m+1)(n-m-1)), m = (n-j)/2."""
     if n < 0:
         raise InvalidArgument("Chebyshev index must be nonnegative")
-    return _three_term(_cheb_cache, n, _CHEB_STEP, ZERO)
+    if n == 0:
+        return ONE
+    coeffs = [0] * (n + 1)
+    c = coeffs[n] = 1 << (n - 1)
+    for j in range(n, 1, -2):
+        m = (n - j) // 2
+        c = coeffs[j - 2] = c * (j * (1 - j)) // (4 * (m + 1) * (n - m - 1))
+    return IntPolynomial(coeffs)
 
 
 def spread_via_chebyshev(n: int) -> IntPolynomial:
@@ -309,14 +276,11 @@ def spread_cyclotomic(k: int) -> IntPolynomial:
     p = _square_prime(k)
     if p is not None:
         phi = poly_compose(spread_cyclotomic(k // p), spread_poly(p))
-    elif k == 1:
-        phi = spread_poly(1)
     else:
-        quotient = spread_poly(k)
+        phi = spread_poly(k)
         for d in divisors(k):
             if d < k:
-                quotient = _exact_poly_div(quotient, spread_cyclotomic(d))
-        phi = quotient
+                phi = _exact_poly_div(phi, spread_cyclotomic(d))
     if phi.degree != _totient(k):
         raise FactorizationFailure(
             f"factor {k} has degree {phi.degree}, expected {_totient(k)}"

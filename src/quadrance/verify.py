@@ -42,10 +42,13 @@ only.
 The triple and quadruple sweeps check each distinct tuple of table values
 once per call: a verdict is a pure function of the values it reads,
 so every point tuple that reads the same values reuses it, and the counts
-and the first counterexample are unchanged.  The spreadpoly sweep reads
-S_k(r) mod p from one table per call (_spread_table), built by
-spreadpoly.poly_eval.  The isometry sweep builds each colour's rotations
-and reflections once per call, and every law of the colour reads them.
+and the first counterexample are unchanged.  The spreadpoly suite reads
+S_0..S_36 from one list per call, and its sweep S_k(r) mod p from one
+table per call (_spread_table).  spread_poly builds each row from its
+explicit coefficients, so spread-recurrence-triple compares two
+independent constructions of S_n.  The isometry sweep builds each
+colour's rotations and reflections once per call, and every law of the
+colour reads them.
 Nothing outlives the call, so a kernel patched between runs is always seen.
 
 One error rule serves both drivers: where a case's inputs passed the
@@ -54,12 +57,13 @@ kernel, and it is the failure of the identity checked, with the error as
 lhs, not raised.  It covers the guarded calls only: the spread suites'
 p-quadrances, the chromo laws after the proof identity, the isometry
 suite, the heron, brahmagupta and fibonacci cases, and the spreadpoly
-green-ratio and fixed cases.  Elsewhere (e.g. affine.archimedes in
+rows, green-ratio and fixed cases.  Elsewhere (e.g. affine.archimedes in
 triple-quad, projective.pairing in triple-spread, and the discriminant and
 form values the F_p fibonacci sweep takes once per form) an error leaves
-run_suite.  Over F_p an error in a p-quadrance table fails every tuple of
-the form, and one in the isometry sweep fails the colour once; a heron,
-brahmagupta or fibonacci case fails alone, and the loop resumes after it.
+run_suite.  An error in a p-quadrance table fails every F_p tuple of the
+form, one building S_0..S_36 every spreadpoly case, and one in the
+isometry sweep the colour once; a heron, brahmagupta or fibonacci case
+fails alone, and the loop resumes after it.
 """
 
 from __future__ import annotations
@@ -1100,27 +1104,25 @@ def _suite_isometry(rec, ctx, rng, trials, colors):
             rec.case(_raised(identity, {"color": color}, exc))
 
 
-def _spreadpoly_fixed_cases():
-    """(identity, inputs, got, want) of each fixed spread-polynomial case."""
-    spread_poly = spreadpoly.spread_poly
-    for n in range(1, 17):
-        poly = spread_poly(n)
+def _spreadpoly_fixed_cases(polys):
+    """(identity, inputs, got, want) of the 81 fixed cases; polys[n] is S_n."""
+    for n, poly in enumerate(polys[1:17], 1):
         want = f"deg={n}, |lead|=4^{n - 1}"  # got is want exactly when the case holds
         holds = poly.degree == n and abs(poly.leading) == 4 ** (n - 1)
         yield ("spread-degree-leading", {"n": n},
                want if holds else f"deg={poly.degree}, lead={poly.leading}", want)
-    yield "spread-2-logistic", {}, spread_poly(2), spreadpoly.IntPolynomial([0, 4, -4])
+    yield "spread-2-logistic", {}, polys[2], spreadpoly.IntPolynomial([0, 4, -4])
     for n in range(1, 7):
         for m in range(1, 7):
             yield ("spread-composition", {"n": n, "m": m},
-                   spreadpoly.poly_compose(spread_poly(n), spread_poly(m)), spread_poly(n * m))
+                   spreadpoly.poly_compose(polys[n], polys[m]), polys[n * m])
     for n in range(1, 17):
         try:
             via = spreadpoly.spread_via_chebyshev(n)
         except QuadranceError as exc:
             # e.g. a wrong T_n need not halve to integers; report it as this case's failure
             via = f"{type(exc).__name__}: {exc}"
-        yield "spread-via-chebyshev", {"n": n}, via, spread_poly(n)
+        yield "spread-via-chebyshev", {"n": n}, via, polys[n]
     for n in range(1, 13):
         product = spreadpoly.IntPolynomial([1])
         try:
@@ -1129,13 +1131,12 @@ def _spreadpoly_fixed_cases():
         except QuadranceError as exc:
             # e.g. a wrong S_k does not factor; report it as this case's failure
             product = f"{type(exc).__name__}: {exc}"
-        yield "spread-cyclotomic-product", {"n": n}, product, spread_poly(n)
+        yield "spread-cyclotomic-product", {"n": n}, product, polys[n]
 
 
-def _spread_table(p: int, top: int) -> list:
-    """spread[r][k] = S_k(r) mod p for the residues r < p and k = 0..top:
-    each spread polynomial is evaluated at each residue once per call."""
-    polys = [spreadpoly.spread_poly(k) for k in range(top + 1)]
+def _spread_table(p: int, polys) -> list:
+    """spread[r][k] = S_k(r) mod p for the residues r < p, where
+    ``polys[k]`` is S_k: each row is evaluated at each residue once per call."""
     return [[spreadpoly.poly_eval(poly, r) % p for poly in polys] for r in range(p)]
 
 
@@ -1184,22 +1185,32 @@ def _green_ratio_case(x, y, ns, p=None, spread=None) -> dict | None:
 
 
 def _suite_spreadpoly(rec, ctx, rng, trials, colors):
-    for identity, inputs, got, want in _spreadpoly_fixed_cases():
-        rec.case(None if got == want else mismatch(identity, inputs, got, want))
     if rng is None:
         p = ctx.p
-        spread = _spread_table(p, 36)
+        rec.skip("zero-coordinate", p ** 2 - (p - 1) ** 2)
+    spread_poly, polys = spreadpoly.spread_poly, []
+    try:
+        for n in range(37):  # S_36 = S_6 o S_6 is the largest row read
+            polys.append(spread_poly(n))
+    except QuadranceError as exc:
+        # every case fails with it: the 81 fixed ones, then the trials or the sweep's
+        failure = _raised("spread-degree-leading", {"n": len(polys)}, exc)
+        for _ in range(81 + (trials if rng else p + (p - 1) ** 2)):
+            rec.case(failure)
+        return
+    for identity, inputs, got, want in _spreadpoly_fixed_cases(polys):
+        rec.case(None if got == want else mismatch(identity, inputs, got, want))
+    if rng is None:
+        spread = _spread_table(p, polys)
         for s in range(p):
             rec.case(_recurrence_case(s, spread[s], p) or _composition_eval_case(s, spread))
-        rec.skip("zero-coordinate", p ** 2 - (p - 1) ** 2)
         for x in range(1, p):
             for y in range(1, p):
                 rec.case(_green_ratio_case(x, y, range(1, 9), p, spread))
     else:
         for t in range(trials):
             s = random_element(None, rng)
-            s, *values = lift_scaled(
-                [s] + [spreadpoly.poly_eval(spreadpoly.spread_poly(n), s) for n in range(13)])
+            s, *values = lift_scaled([s] + [spreadpoly.poly_eval(polys[n], s) for n in range(13)])
             failure = _recurrence_case(s, values)
             if failure is None:
                 x, y = random_nonzero(rng), random_nonzero(rng)

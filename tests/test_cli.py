@@ -131,7 +131,7 @@ def test_spreadpoly_factor(capsys):
     assert product == spread_poly(6)
 
 
-@pytest.mark.parametrize("kernel, argv", [("spread_rows", ["--n", "1"]),
+@pytest.mark.parametrize("kernel, argv", [("spread_poly", ["--n", "1"]),
                                            ("spread_cyclotomic", ["--n", "2", "--factor"])],
                          ids=["rows", "factor-rows"])
 def test_spreadpoly_coefficient_past_the_int_string_limit_exits_3(capsys, monkeypatch, kernel,
@@ -140,10 +140,9 @@ def test_spreadpoly_coefficient_past_the_int_string_limit_exits_3(capsys, monkey
     # print it through field.decimal_str, which refuses it as InvalidArgument
     from quadrance import spreadpoly
 
-    # the S_n rows come from spread_rows, the phi_k rows from spread_cyclotomic
+    # the S_n rows come from spread_poly, the phi_k rows from spread_cyclotomic
     big = spreadpoly.IntPolynomial([1, 10 ** 700])
-    monkeypatch.setattr(spreadpoly, kernel,
-                        (lambda n: [big] * (n + 1)) if kernel == "spread_rows" else (lambda n: big))
+    monkeypatch.setattr(spreadpoly, kernel, lambda n: big)
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)
     try:
@@ -164,20 +163,31 @@ def test_spreadpoly_factor_360_output_is_pinned(capsys):
         "54b177ac6fdeaa75053b1d5f8f20a8da3bf144ae4093f3fb24cbd56a4405a2f2")
 
 
-def test_spreadpoly_rows_stream_past_the_cache(capsys, monkeypatch):
-    # S_0..S_n are printed from a two-row generator: the rows leave the S_n
-    # cache as it was, and --factor builds S_k only up to the largest
-    # squarefree divisor of n (30 for 360)
+def test_spreadpoly_rows_are_built_one_at_a_time(capsys, monkeypatch):
+    # S_k is built only once S_0..S_(k-1) are printed, and --factor asks
+    # spread_poly only for the squarefree divisors of n and the primes of
+    # its compositions, 30 at most for 360
     from quadrance import spreadpoly
 
-    monkeypatch.setattr(spreadpoly, "_spread_cache", spreadpoly._spread_cache[:2])
+    right, asked, lines = spreadpoly.spread_poly, [], []
+
+    def watched(n):
+        lines.extend(capsys.readouterr().out.splitlines())
+        asked.append((n, len(lines)))
+        return right(n)
+
+    monkeypatch.setattr(spreadpoly, "spread_poly", watched)
     monkeypatch.setattr(spreadpoly, "_phi_cache", {})
     assert main(["spreadpoly", "--n", "300"]) == 0
-    assert len(spreadpoly._spread_cache) == 2
+    assert asked == [(k, k) for k in range(301)]
+    capsys.readouterr()
+    asked.clear()
+    lines.clear()
     assert main(["spreadpoly", "--n", "360", "--factor"]) == 0
-    assert len(spreadpoly._spread_cache) == 31
-    out = capsys.readouterr().out.splitlines()
-    assert out[300] == f"S_300: {spreadpoly.spread_poly(300)}"
+    assert asked[:361] == [(k, k) for k in range(361)]
+    assert max(n for n, _ in asked[361:]) == 30
+    out = lines + capsys.readouterr().out.splitlines()
+    assert out[300] == f"S_300: {right(300)}"
 
 
 def test_example_paper(capsys):

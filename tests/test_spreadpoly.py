@@ -52,6 +52,34 @@ def test_spread_poly_table():
         assert list(spread_poly(n).coeffs) == coeffs
 
 
+def _three_term_rows(count, step, shift, first):
+    """The first ``count`` rows of P_k = step * P_(k-1) - P_(k-2) + shift,
+    from P_0 and P_1 in ``first``: the recurrence, as a reference."""
+    rows = list(first)
+    while len(rows) < count:
+        rows.append(step * rows[-1] - rows[-2] + shift)
+    return rows
+
+
+def test_explicit_coefficients_match_the_recurrence():
+    # S_n = 2(1 - 2s) S_(n-1) - S_(n-2) + 2s and T_n = 2x T_(n-1) - T_(n-2)
+    x = IntPolynomial([0, 1])
+    spread = _three_term_rows(400, IntPolynomial([2, -4]), IntPolynomial([0, 2]),
+                              (IntPolynomial(), x))
+    assert [spread_poly(n) for n in range(400)] == spread
+    cheb = _three_term_rows(200, IntPolynomial([0, 2]), IntPolynomial(), (IntPolynomial([1]), x))
+    assert [chebyshev_T(n) for n in range(200)] == cheb
+
+
+def test_a_large_row_is_built_alone():
+    # S_6000 = S_6 o S_1000, checked at one point mod a large prime
+    big = spread_poly(6000)
+    assert big.degree == 6000
+    assert big.leading == (-4) ** 5999
+    s = Fp(12345, 1000003)
+    assert poly_eval(big, s) == poly_eval(spread_poly(6), poly_eval(spread_poly(1000), s))
+
+
 def test_spread_poly_factored_forms():
     s = IntPolynomial([0, 1])
     one_minus_s = IntPolynomial([1, -1])
@@ -163,10 +191,12 @@ def test_composed_factors_match_long_division():
 def test_a_power_of_two_factor_builds_no_spread_poly_past_s2(monkeypatch):
     from quadrance import spreadpoly
 
-    monkeypatch.setattr(spreadpoly, "_spread_cache", spreadpoly._spread_cache[:2])
+    asked = []
+    right = spreadpoly.spread_poly
+    monkeypatch.setattr(spreadpoly, "spread_poly", lambda n: asked.append(n) or right(n))
     monkeypatch.setattr(spreadpoly, "_phi_cache", {})
     phi = spread_cyclotomic(2 ** 10)
-    assert len(spreadpoly._spread_cache) == 3
+    assert asked and max(asked) == 2
     assert phi.degree == 2 ** 9
     # the product of phi_(2^j), j <= 10, is S_1024, i.e. S_2 applied ten
     # times: checked at one point mod a large prime
@@ -227,76 +257,29 @@ def test_memoization_transparent():
     # recomputing from a fresh index order gives identical polynomials
     a = spread_poly(12)
     b = spread_poly(12)
-    assert a is b  # cached
+    assert a == b
     fresh = poly_compose(spread_poly(4), spread_poly(3))
     assert fresh == a
 
 
-def test_caches_safe_under_concurrent_use():
-    import threading
-
-    results = []
-
-    def worker():
-        results.append((spread_poly(40), chebyshev_T(40), spread_cyclotomic(24)))
-
-    threads = [threading.Thread(target=worker) for _ in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert len(results) == 8
-    assert all(r == results[0] for r in results)
-    assert results[0][0] == spread_via_chebyshev(40)
-
-
-def test_built_entries_are_read_without_the_lock(monkeypatch):
-    from quadrance import spreadpoly
-
-    class Refusing:
-        def __enter__(self):
-            raise AssertionError("lock taken")
-
-        def __exit__(self, *exc):
-            return False
-
-    built = (spread_poly(12), chebyshev_T(12))
-    monkeypatch.setattr(spreadpoly, "_cache_lock", Refusing())
-    for k in range(13):
-        assert spread_poly(k) is spreadpoly._spread_cache[k]
-        assert chebyshev_T(k) is spreadpoly._cheb_cache[k]
-    assert (spread_poly(12), chebyshev_T(12)) == built
-    # a new index is built under the lock
-    for poly, cache in ((spread_poly, spreadpoly._spread_cache),
-                        (chebyshev_T, spreadpoly._cheb_cache)):
-        with pytest.raises(AssertionError, match="lock taken"):
-            poly(len(cache))
-
-
-def test_lock_free_reads_race_with_appends(monkeypatch):
-    # fresh caches, built by many threads at once in different orders, with
-    # a short switch interval: every lookup returns the one built entry
+def test_caches_safe_under_concurrent_use(monkeypatch):
+    # an empty factor cache, filled by many threads at once with a short
+    # switch interval: every thread gets the same polynomials
     import sys
     import threading
 
     from quadrance import spreadpoly
 
-    want = [spread_poly(k) for k in range(60)], [chebyshev_T(k) for k in range(60)]
-    monkeypatch.setattr(spreadpoly, "_spread_cache", spreadpoly._spread_cache[:2])
-    monkeypatch.setattr(spreadpoly, "_cheb_cache", spreadpoly._cheb_cache[:2])
-    wrong = []
+    monkeypatch.setattr(spreadpoly, "_phi_cache", {})
+    results = []
 
-    def worker(seed):
-        order = list(range(60))
-        random.Random(seed).shuffle(order)
-        for k in order:
-            if (spread_poly(k), chebyshev_T(k)) != (want[0][k], want[1][k]):
-                wrong.append(k)
+    def worker():
+        results.append((spread_poly(40), chebyshev_T(40), spread_cyclotomic(24)))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(8)]
+        threads = [threading.Thread(target=worker) for _ in range(8)]
         for t in threads:
             t.start()
         for t in threads:
@@ -304,8 +287,11 @@ def test_lock_free_reads_race_with_appends(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert wrong == []
-    assert len(spreadpoly._spread_cache) == len(spreadpoly._cheb_cache) == 60
+    assert len(results) == 8
+    assert all(r == results[0] for r in results)
+    assert results[0][0] == spread_via_chebyshev(40)
+    # phi_24 = phi_12 o S_2 and phi_12 = phi_6 o S_2; phi_6 divides out phi_1..phi_3
+    assert sorted(spreadpoly._phi_cache) == [1, 2, 3, 6, 12, 24]
 
 
 def test_exact_division_failure_paths(monkeypatch):

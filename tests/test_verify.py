@@ -891,6 +891,37 @@ def test_any_kernel_error_in_a_fixed_case_is_reported_not_raised(monkeypatch, ke
             "rhs": str(spreadpoly.spread_poly(failing[0]))}
 
 
+def test_an_error_building_the_spread_rows_fails_every_spreadpoly_case(monkeypatch):
+    # S_0..S_36 are built once per run, inside one guard: an error building
+    # S_20 fails every case the suite attempts, and the skips stay the same
+    right = spreadpoly.spread_poly
+    for field in ("fp:7", "rationals"):
+        clean = run_suite("spreadpoly", make_context(field), trials=30, seed=0)
+        monkeypatch.setattr(spreadpoly, "spread_poly", _raises_at(right, 20))
+        report = run_suite("spreadpoly", make_context(field), trials=30, seed=0)
+        monkeypatch.setattr(spreadpoly, "spread_poly", right)
+        assert (report.attempted, report.skipped, report.skip_reasons) == (
+            clean.attempted, clean.skipped, clean.skip_reasons), field
+        assert report.passed == 0 and counts_ok(report), field
+        assert report.counterexample == {
+            "identity": "spread-degree-leading", "inputs": {"n": "20"},
+            "lhs": "InvalidArgument: broken at 20", "rhs": "no error"}, field
+
+
+@pytest.mark.parametrize("suite, identity", [("triple-spread", "triple-spread-formula"),
+                                             ("spreadpoly", "spread-recurrence-triple")])
+def test_a_broken_archimedes_reaches_the_spread_suites(monkeypatch, suite, identity):
+    # projective calls Archimedes' function through the affine module, so a
+    # breaker set there reaches the triple spread function too
+    import quadrance.affine as af
+
+    monkeypatch.setattr(af, "archimedes", _plus_abc(af.archimedes))
+    for field in ("fp:7", "rationals"):
+        report = run_suite(suite, make_context(field), trials=30, seed=0)
+        assert report.failed > 0 and counts_ok(report), field
+        assert report.counterexample["identity"] == identity, field
+
+
 def _numerator_plus_abc(fn):
     def broken(a, b, c, d):
         num, den = fn(a, b, c, d)
@@ -1008,7 +1039,6 @@ NOT_REACHED = {
     "isometry.classify": "CLI only: eval pclassify",
     "affine.isometry_classify": "CLI only: eval aclassify",
     "projective.projective_quadruple_check": "CLI only: example paper",
-    "spreadpoly.spread_rows": "CLI only: spreadpoly (pinned by its sha256 test)",
     "projective.solve_spread_triple_pair": "named as a per-layer metric in BENCHMARK.json",
     "affine.is_quad_triple": "paper API with its own tests",
     "projective.is_spread_triple": "paper API with its own tests",
