@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 
 from . import affine, chromo, isometry, projective, spreadpoly
-from .chromo import Color
+from .chromo import BLUE, Color
 from .errors import ParseError, QuadranceError, Record
 from .field import FieldContext, make_context
 from .isometry import ProjMatrix
@@ -222,7 +222,7 @@ WORKED_EXAMPLE_VALUES = {
 def cmd_example(args) -> int:
     if args.name != "paper":
         raise ParseError(f"unknown example {args.name!r}; available: paper")
-    form = chromo.colored_form(Color.BLUE)
+    form = chromo.colored_form(BLUE)
     pts = [ProjPoint(Fraction(x), Fraction(y)) for x, y in WORKED_EXAMPLE_POINTS]
     want = WORKED_EXAMPLE_VALUES
     # "qij" is the p-quadrance of points i and j, counted from 1

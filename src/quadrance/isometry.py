@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 
-from .chromo import Color, is_null_for
+from .chromo import BLUE, GREEN, RED, Color, is_null_for
 from .errors import (ColorMismatch, FrozenRecord, InvalidArgument, NotIsometry, NotUnitCircle,
                      NullParameter)
 from .field import decimal_str, exact_div, field_sqrt
@@ -72,6 +72,10 @@ class IsoKind(enum.Enum):
         return self.value
 
 
+# bound once, as chromo binds the colours
+ROTATION, REFLECTION = IsoKind.ROTATION, IsoKind.REFLECTION
+
+
 class ProjIsometry(FrozenRecord):
     """A color-tagged rotation or reflection with a non-null parameter point."""
 
@@ -97,10 +101,10 @@ def make_isometry(color: Color, kind: IsoKind, param: ProjPoint) -> ProjIsometry
 def matrix_of(iso: ProjIsometry) -> ProjMatrix:
     """The matrix realization of an isometry."""
     a, b = iso.param.x, iso.param.y
-    rot = iso.kind is IsoKind.ROTATION
-    if iso.color is Color.BLUE:
+    rot = iso.kind is ROTATION
+    if iso.color is BLUE:
         return ProjMatrix(a, b, -b, a) if rot else ProjMatrix(a, b, b, -a)
-    if iso.color is Color.RED:
+    if iso.color is RED:
         return ProjMatrix(a, b, b, a) if rot else ProjMatrix(a, b, -b, -a)
     return ProjMatrix(a, 0, 0, b) if rot else ProjMatrix(0, a, b, 0)
 
@@ -121,13 +125,13 @@ def compose(iso1: ProjIsometry, iso2: ProjIsometry) -> ProjIsometry:
     color = iso1.color
     a, b = iso1.param.x, iso1.param.y
     c, d = iso2.param.x, iso2.param.y
-    r1 = iso1.kind is IsoKind.ROTATION
-    r2 = iso2.kind is IsoKind.ROTATION
-    kind = IsoKind.ROTATION if r1 == r2 else IsoKind.REFLECTION
+    r1 = iso1.kind is ROTATION
+    r2 = iso2.kind is ROTATION
+    kind = ROTATION if r1 == r2 else REFLECTION
     # blue and red: the parameter depends only on the second factor's kind
-    if color is Color.BLUE:
+    if color is BLUE:
         param = (a * c - b * d, a * d + b * c) if r2 else (a * c + b * d, a * d - b * c)
-    elif color is Color.RED:
+    elif color is RED:
         param = (a * c + b * d, a * d + b * c) if r2 else (a * c - b * d, a * d - b * c)
     else:
         # green: rho-first gives [ac:bd], sigma-first gives [ad:bc],
@@ -146,8 +150,8 @@ def classify(matrix: ProjMatrix, color: Color) -> ProjIsometry:
     if matrix.det() == 0:
         raise NotIsometry(f"matrix {matrix} is singular")
     a, b, c, d = entries = matrix.entries()
-    if color is Color.GREEN:
-        params = {IsoKind.ROTATION: (a, d), IsoKind.REFLECTION: (b, c)}
+    if color is GREEN:
+        params = {ROTATION: (a, d), REFLECTION: (b, c)}
     else:
         params = dict.fromkeys(IsoKind, (a, b))
     for kind, (x, y) in params.items():
@@ -163,7 +167,7 @@ def classify(matrix: ProjMatrix, color: Color) -> ProjIsometry:
 
 def point_identity(color: Color) -> ProjPoint:
     """Identity of the color's multiplication: [1:0] for blue/red, [1:1] for green."""
-    if color is Color.GREEN:
+    if color is GREEN:
         return ProjPoint(1, 1)
     return ProjPoint(1, 0)
 
@@ -176,9 +180,9 @@ def multiply_points(color: Color, p1: ProjPoint, p2: ProjPoint) -> ProjPoint:
         raise NullParameter(f"p2 = {p2} is {color}-null")
     a, b = p1.x, p1.y
     c, d = p2.x, p2.y
-    if color is Color.BLUE:
+    if color is BLUE:
         return ProjPoint(a * c - b * d, a * d + b * c)
-    if color is Color.RED:
+    if color is RED:
         return ProjPoint(a * c + b * d, a * d + b * c)
     return ProjPoint(a * c, b * d)
 
@@ -187,7 +191,7 @@ def point_inverse(color: Color, p: ProjPoint) -> ProjPoint:
     """Inverse under the color's multiplication: [a:-b] (blue/red), [b:a] (green)."""
     if is_null_for(color, p):
         raise NullParameter(f"{p} is {color}-null")
-    if color is Color.GREEN:
+    if color is GREEN:
         return ProjPoint(p.y, p.x)
     return ProjPoint(p.x, -p.y)
 

@@ -55,7 +55,7 @@ One error rule serves both drivers: where a case's inputs passed the
 suite's checks, a QuadranceError a kernel raises comes from a broken
 kernel, and it is the failure of the identity checked, with the error as
 lhs, not raised.  It covers the guarded calls only: the spread suites'
-p-quadrances, the chromo laws after the proof identity, the isometry
+p-quadrances, the chromo laws from the proof identity on, the isometry
 suite, the heron, brahmagupta and fibonacci cases, and the spreadpoly
 rows, green-ratio and fixed cases.  Elsewhere (e.g. affine.archimedes in
 triple-quad, projective.pairing in triple-spread, and the discriminant and
@@ -75,11 +75,11 @@ from collections.abc import Callable
 from fractions import Fraction
 
 from . import affine, chromo, isometry, projective, spreadpoly
-from .chromo import Color
+from .chromo import BLUE, GREEN, RED, Color
 from .errors import (DivisionByZero, InvalidArgument, NotUnitCircle, NullPoint, QuadranceError,
                      Record, UnknownSuite)
 from .field import FieldContext, Fp, clear_denominators, exact_div, lift_scaled
-from .isometry import IsoKind
+from .isometry import REFLECTION, ROTATION, IsoKind
 from .projective import Form, ProjPoint
 from .suites import FORM_NAMES, SUITE_NAMES
 
@@ -361,7 +361,7 @@ def _composition_case(iso1, m1, iso2, m2, p=None) -> dict | None:
     composed = isometry.compose(iso1, iso2)
     table = isometry.matrix_of(composed)
     product = m1 @ m2
-    expected_kind = IsoKind.ROTATION if kind1 == kind2 else IsoKind.REFLECTION
+    expected_kind = ROTATION if kind1 == kind2 else REFLECTION
     form = chromo.colored_form(color)
     value = _reduce(projective.form_value(form, composed.param), p)
     if _matrices_differ(table, product, p):
@@ -370,7 +370,7 @@ def _composition_case(iso1, m1, iso2, m2, p=None) -> dict | None:
         failure = ("composition-kind-parity", composed.kind, expected_kind)
     elif value == 0:
         failure = ("composition-nonnull-closure", composed.param, "non-null")
-    elif color is Color.GREEN:
+    elif color is GREEN:
         # green's 2xy is multiplicative only up to the factor 2
         return None
     else:
@@ -827,9 +827,7 @@ def _suite_quadruple_spread(rec, ctx, rng, trials, colors):
 # case checks 22 of them.  _CYCLIC_LAWS: (c, u, v), u and v the colours
 # after c, with the cyclic-perpendicularity and cross-symmetry names of c.
 _CYCLIC_LAWS = tuple((c, u, v, f"cyclic-perpendicularity-{c}", f"cross-symmetry-{c}")
-                     for c, u, v in ((Color.BLUE, Color.RED, Color.GREEN),
-                                     (Color.RED, Color.GREEN, Color.BLUE),
-                                     (Color.GREEN, Color.BLUE, Color.RED)))
+                     for c, u, v in ((BLUE, RED, GREEN), (RED, GREEN, BLUE), (GREEN, BLUE, RED)))
 _INVARIANCE_LAWS = tuple((c, tuple((e, f"color-invariance-{c}-{e}") for e in Color))
                          for c in Color)
 _INVOLUTION_LAWS = tuple((c, f"perpendicular-involution-{c}") for c in Color)
@@ -855,18 +853,19 @@ def _chromo_case(drawn, cleared, p=None) -> dict | None:
     if p is None:
         a1, a2 = _lift_points(drawn)
     fraction = chromo.colored_quadrance_fraction
-    num, den = fraction(Color.BLUE, a1, a2)
-    lhs = _reduce(den - fraction(Color.RED, a1, a2)[1] - fraction(Color.GREEN, a1, a2)[1], p)
-    rhs = _reduce(2 * num, p)
-    if lhs != rhs:
-        return _failed(("reciprocal-sum-proof-identity", lhs, rhs), inputs, p)
-    # the rest print only points (canonical) and ratios
-    a1, a2 = cleared
     perp = chromo.perpendicular_point
     # The points are non-null in every colour, so a QuadranceError below
     # comes from a broken kernel: it is the mismatch of the identity checked.
-    identity, where = "reciprocal-sum", inputs
+    identity, where = "reciprocal-sum-proof-identity", inputs
     try:
+        num, den = fraction(BLUE, a1, a2)
+        lhs = _reduce(den - fraction(RED, a1, a2)[1] - fraction(GREEN, a1, a2)[1], p)
+        rhs = _reduce(2 * num, p)
+        if lhs != rhs:
+            return _failed((identity, lhs, rhs), where, p)
+        # the rest print only points (canonical) and ratios
+        a1, a2 = cleared
+        identity = "reciprocal-sum"
         if _points_differ(a1, a2, p):
             total = chromo.reciprocal_sum(_lift(p, a1), _lift(p, a2))
             if total != 2:
@@ -929,7 +928,7 @@ def _suite_chromo(rec, ctx, rng, trials, colors):
 
 def _blue_sqrt_case(p: ProjPoint) -> dict | None:
     root = isometry.blue_sqrt(p)
-    square = isometry.multiply_points(Color.BLUE, root, root)
+    square = isometry.multiply_points(BLUE, root, root)
     if square != p:
         return mismatch("blue-sqrt-round-trip", {"p": p, "root": root}, square, p)
     return None
@@ -938,11 +937,11 @@ def _blue_sqrt_case(p: ProjPoint) -> dict | None:
 def _green_power_case(a: ProjPoint, n: int, p=None) -> dict | None:
     """The green quadrance from [1:1] to a^n is S_n(s), s the one to ``a``.
     ``a`` is non-null, so a QuadranceError is this identity's failure."""
-    one_one = isometry.point_identity(Color.GREEN)
+    one_one = isometry.point_identity(GREEN)
     try:
-        s = _quotient(*_colored_fraction(Color.GREEN, one_one, a, p), p)
-        pn = isometry.point_power(Color.GREEN, a, n)
-        lhs = _quotient(*_colored_fraction(Color.GREEN, one_one, pn, p), p)
+        s = _quotient(*_colored_fraction(GREEN, one_one, a, p), p)
+        pn = isometry.point_power(GREEN, a, n)
+        lhs = _quotient(*_colored_fraction(GREEN, one_one, pn, p), p)
         rhs = _reduce(spreadpoly.poly_eval(spreadpoly.spread_poly(n), s), p)
     except QuadranceError as exc:
         return _raised("green-power-spread-bridge", {"p": a, "n": n}, exc, p)
@@ -1004,7 +1003,7 @@ def _residue_multiplication(rec, p: int, color, res, live, isos):
     ab = _pair_table(n, live, lambda i, j: isometry.multiply_points(color, res[i], res[j]))
     unit = {i: _unit_laws(color, res[i], p) for i in live}
     pair = _pair_table(n, live, lambda i, j: _pair_laws(
-        isos[IsoKind.ROTATION, i], isos[IsoKind.ROTATION, j], ab[i][j], ab[j][i], unit[i], p))
+        isos[ROTATION, i], isos[ROTATION, j], ab[i][j], ab[j][i], unit[i], p))
     passed = 0
     for i in live:
         p1, ab_i, pair_i = res[i], ab[i], pair[i]
@@ -1034,7 +1033,7 @@ def _isometry_trial(rng, color, keep, power: int) -> dict | None:
     pass ``keep``, make_isometry's null test, so a QuadranceError is the
     failure of the laws being checked, named after the first of them."""
     p1, p2, p3, a1, a2 = _lift_points([random_point(rng, keep)[0] for _ in range(5)])
-    kind1, kind2 = (IsoKind.ROTATION if rng.randrange(2) else IsoKind.REFLECTION for _ in range(2))
+    kind1, kind2 = (ROTATION if rng.randrange(2) else REFLECTION for _ in range(2))
     identity = f"isometry-preservation-{color}"
     where = {"kind": kind1, "param": p1, "a1": a1, "a2": a2}
     try:
@@ -1054,19 +1053,19 @@ def _isometry_trial(rng, color, keep, power: int) -> dict | None:
         where = {"color": color, "p1": p1, "p2": p2, "p3": p3}
         multiply = isometry.multiply_points
         ab = multiply(color, p1, p2)
-        rotations = (isometry.make_isometry(color, IsoKind.ROTATION, q) for q in (p1, p2))
+        rotations = (isometry.make_isometry(color, ROTATION, q) for q in (p1, p2))
         failure = (_associativity_law(color, p1, p3, ab, multiply(color, p2, p3))
                    or _pair_laws(*rotations, ab, multiply(color, p2, p1), _unit_laws(color, p1)))
         if failure is not None:
             return _failed(failure, where)
-        if color is Color.BLUE:
+        if color is BLUE:
             # over Q, (1 - t^2, 2t) is always on the unit circle
             t = random_element(None, rng)
             identity, where = "blue-sqrt-round-trip", {"p": ProjPoint(1 - t * t, 2 * t)}
             return _blue_sqrt_case(where["p"])
     except QuadranceError as exc:
         return _raised(identity, where, exc)
-    return _green_power_case(p1, power) if color is Color.GREEN else None
+    return _green_power_case(p1, power) if color is GREEN else None
 
 
 def _suite_isometry(rec, ctx, rng, trials, colors):
@@ -1089,14 +1088,14 @@ def _suite_isometry(rec, ctx, rng, trials, colors):
             _residue_composition(rec, p, res, live, isos)
             identity = "multiplication-associativity"
             _residue_multiplication(rec, p, color, res, live, isos)
-            if color is Color.BLUE:
+            if color is BLUE:
                 identity = "blue-sqrt-round-trip"
                 for a in pts:
                     try:
                         rec.case(_blue_sqrt_case(a))
                     except NotUnitCircle:
                         rec.skip("not-unit-circle")
-            if color is Color.GREEN:
+            if color is GREEN:
                 rec.skip("null-point", 8 * (len(pts) - len(live)))
                 for i, power in itertools.product(live, range(1, 9)):
                     rec.case(_green_power_case(res[i], power, p))

@@ -126,3 +126,44 @@ def test_frozen_values_store_through_captured_slot_setters(path):
              and node.attr == "__setattr__" and isinstance(node.value, ast.Name)
              and node.value.id == "object"]
     assert not calls, f"{path.name} uses object.__setattr__ on lines {calls}"
+
+
+_ENUM_MEMBERS = {"Color": {"BLUE", "RED", "GREEN"}, "IsoKind": {"ROTATION", "REFLECTION"}}
+
+
+def _owner(node: ast.Attribute):
+    """The name an attribute is read from: Color in Color.BLUE and in chromo.Color.BLUE."""
+    return getattr(node.value, "id", getattr(node.value, "attr", None))
+
+
+@pytest.mark.parametrize("name", ["chromo", "isometry", "verify", "cli"])
+def test_function_bodies_read_enum_members_through_module_constants(name):
+    # on Python 3.10 and 3.11 Color.BLUE takes EnumType.__getattr__, about
+    # 13 times a module global; the dispatch runs on every kernel call, so
+    # bodies read chromo's BLUE, RED, GREEN and isometry's ROTATION,
+    # REFLECTION.  Module-level tables, built once, may read the class.
+    tree = ast.parse((SRC / "quadrance" / f"{name}.py").read_text(encoding="utf-8"))
+    reads = sorted({(node.lineno, f"{_owner(node)}.{node.attr}")
+                    for fn in ast.walk(tree)
+                    if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+                    for node in ast.walk(fn) if isinstance(node, ast.Attribute)
+                    and node.attr in _ENUM_MEMBERS.get(_owner(node), ())})
+    assert not reads, f"{name}.py reads enum members through their class: {reads}"
+
+
+def test_enum_members_keep_their_api_and_are_the_module_constants():
+    import enum
+
+    from quadrance import chromo, isometry
+    from quadrance.chromo import Color
+    from quadrance.isometry import IsoKind
+
+    assert issubclass(Color, enum.Enum) and issubclass(IsoKind, enum.Enum)
+    assert [(c.name, c.value, str(c)) for c in Color] == [
+        ("BLUE", "blue", "blue"), ("RED", "red", "red"), ("GREEN", "green", "green")]
+    assert [(k.name, k.value, str(k)) for k in IsoKind] == [
+        ("ROTATION", "rho", "rho"), ("REFLECTION", "sigma", "sigma")]
+    assert [chromo.BLUE, chromo.RED, chromo.GREEN] == list(Color)
+    assert [isometry.ROTATION, isometry.REFLECTION] == list(IsoKind)
+    assert chromo.BLUE is Color.BLUE and isometry.ROTATION is IsoKind.ROTATION
+    assert Color("green") is chromo.GREEN and Color("red") is chromo.RED

@@ -113,6 +113,15 @@ def test_values_pickle_at_every_protocol(value):
         assert type(back) is type(value) and back == value and repr(back) == repr(value)
 
 
+@pytest.mark.parametrize("color", list(Color), ids=str)
+def test_isometries_of_every_colour_and_kind_pickle_to_the_same_members(color):
+    for kind in IsoKind:
+        iso = ProjIsometry(color, kind, ProjPoint(1, 2))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(iso, protocol))
+            assert back == iso and back.color is color and back.kind is kind, protocol
+
+
 FROZEN_VALUES = VALUES[:5]
 
 

@@ -674,6 +674,24 @@ def test_kernel_errors_in_identity_loops_fail_their_case_and_resume(
             assert failure["inputs"] == fourth
 
 
+def test_kernel_errors_in_the_chromo_proof_identity_fail_their_case(monkeypatch):
+    # the proof identity takes three coloured fractions first in every case;
+    # broken from its fourth call on, the first live case fails in a later
+    # law and every later case in the proof identity, each case alone
+    from quadrance import chromo
+
+    original = chromo.colored_quadrance_fraction
+    for field, counts in (("fp:7", (64, 0, 16, 48)), ("rationals", (30, 0, 30, 0))):
+        monkeypatch.setattr(chromo, "colored_quadrance_fraction", _raises_from_call(original, 4))
+        report = run_suite("chromo", make_context(field), trials=30, seed=0)
+        assert (report.attempted, report.passed, report.failed, report.skipped) == counts, field
+        monkeypatch.setattr(chromo, "colored_quadrance_fraction", _raises_from_call(original, 1))
+        failure = run_suite("chromo", make_context(field), trials=30, seed=0).counterexample
+        assert failure["identity"] == "reciprocal-sum-proof-identity", field
+        assert (failure["lhs"], failure["rhs"]) == ("InvalidArgument: broken at call 1",
+                                                    "no error"), field
+
+
 # Calls of each kernel, through its module attribute, in one sweep over
 # F_7.  A fast path that skipped a kernel would change them.
 KERNEL_CENSUS = {
