@@ -15,6 +15,10 @@ phi_pm = phi_m o S_p whenever the prime p divides m, because
 S_p(sin^2 t) = sin^2(pt); so a factor with a square prime divisor is a
 composition, and only a squarefree index is found by integer long
 division.
+Products and compositions use Kronecker substitution (D. Harvey, J.
+Symbolic Comput. 2009): a polynomial is packed into one int, its value at
+x = 2^b, with b bits a slot for each coefficient of the result and its
+sign; one big-int multiply (CPython's Karatsuba) does the whole product.
 """
 
 from __future__ import annotations
@@ -79,13 +83,14 @@ class IntPolynomial(Frozen):
             return IntPolynomial([other * c for c in self.coeffs])
         if not isinstance(other, IntPolynomial):
             return NotImplemented
-        if self.is_zero() or other.is_zero():
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
             return IntPolynomial()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return IntPolynomial(out)
+        # bytes a slot needs for a coefficient of the product and a sign
+        size = (max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))).bit_length() // 8 + 1
+        x = _pack(a, 8 * size)
+        return IntPolynomial(_unpack(x * x if a is b else x * _pack(b, 8 * size),
+                                     len(a) + len(b) - 1, size))
 
     __rmul__ = __mul__
 
@@ -138,12 +143,58 @@ def poly_eval(poly: IntPolynomial, s):
     return acc
 
 
+# a pack or a Horner loop takes at most _LEAF coefficients; longer go by halves
+_LEAF = 16
+
+
+def _pack(cs, bits: int) -> int:
+    """The value of the polynomial with coefficients ``cs`` at x = 2^bits."""
+    if len(cs) <= _LEAF:
+        v = 0
+        for c in reversed(cs):
+            v = (v << bits) + c
+        return v
+    m = len(cs) // 2
+    return _pack(cs[:m], bits) + (_pack(cs[m:], bits) << (bits * m))
+
+
+def _unpack(v: int, n: int, size: int) -> list:
+    """The n coefficients, each below 2^(8 size - 1) in absolute value, packed
+    in v at ``size`` bytes a slot; a slot read negative borrows from the next."""
+    raw = v.to_bytes(n * size, "little", signed=True)
+    read, out, borrow = int.from_bytes, [], 0
+    for i in range(0, n * size, size):
+        c = read(raw[i:i + size], "little", signed=True)
+        out.append(c + borrow)
+        borrow = c < 0
+    return out
+
+
 def poly_compose(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
-    """Exact composition p(q(s))."""
-    acc = ZERO
-    for c in reversed(p.coeffs):
-        acc = acc * q + IntPolynomial([c])
-    return acc
+    """Exact composition p(q(s)), by Kronecker substitution (_compose)."""
+    return _compose(p.coeffs, q, [q]) if p.coeffs else ZERO
+
+
+def _compose(cs, q: IntPolynomial, powers: list) -> IntPolynomial:
+    """p(q) for the nonempty coefficients ``cs`` of p; powers[j] is q^(2^j).
+    Up to _LEAF coefficients, Horner runs on the packed q, with slots for
+    sum |c_i| |q|_1^i, which bounds every coefficient of p(q); a longer p
+    is p_lo(q) + q^m p_hi(q), m = 2^j < len(cs) <= 2m."""
+    if len(cs) <= _LEAF:
+        qs = q.coeffs
+        norm, bound = sum(map(abs, qs)), 0
+        for c in reversed(cs):
+            bound = bound * norm + abs(c)
+        size = bound.bit_length() // 8 + 1
+        x, v = _pack(qs, 8 * size), 0
+        for c in reversed(cs):
+            v = v * x + c
+        return IntPolynomial(_unpack(v, (len(cs) - 1) * max(len(qs) - 1, 0) + 1, size))
+    j = (len(cs) - 1).bit_length() - 1
+    while len(powers) <= j:
+        powers.append(powers[-1] * powers[-1])
+    m = 1 << j
+    return _compose(cs[:m], q, powers) + powers[j] * _compose(cs[m:], q, powers)
 
 
 _phi_cache: dict[int, IntPolynomial] = {}

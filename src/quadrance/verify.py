@@ -56,19 +56,23 @@ suite's checks, a QuadranceError a kernel raises comes from a broken
 kernel, and it is the failure of the identity checked, with the error as
 lhs, not raised.  It covers the guarded calls only: the spread suites'
 p-quadrances, the chromo laws from the proof identity on, the isometry
-suite, the heron, brahmagupta and fibonacci cases, and the spreadpoly
-rows, green-ratio and fixed cases.  Elsewhere (e.g. affine.archimedes in
-triple-quad, projective.pairing in triple-spread, and the discriminant and
-form values the F_p fibonacci sweep takes once per form) an error leaves
-run_suite.  An error in a p-quadrance table fails every F_p tuple of the
-form, one building S_0..S_36 every spreadpoly case, and one in the
-isometry sweep the colour once; a heron, brahmagupta or fibonacci case
-fails alone, and the loop resumes after it.
+suite, the heron, brahmagupta and fibonacci cases, and every call of the
+spreadpoly suite: its rows, their values (poly_eval), the recurrence
+(triple_spread_fn, and affine.archimedes through it), green-ratio and
+fixed cases.  Elsewhere (e.g. affine.archimedes in triple-quad,
+projective.pairing in triple-spread, and the discriminant and form values
+the F_p fibonacci sweep takes once per form) an error leaves run_suite.
+An error in a p-quadrance table fails every F_p tuple of the form, one
+building S_0..S_36 every spreadpoly case, one building the spreadpoly
+sweep's table every sweep case, and one in the isometry sweep the colour
+once; a heron, brahmagupta, fibonacci or spreadpoly case fails alone, and
+the loop resumes after it.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import time
 from collections.abc import Callable
@@ -1103,6 +1107,21 @@ def _suite_isometry(rec, ctx, rng, trials, colors):
             rec.case(_raised(identity, {"color": color}, exc))
 
 
+def _or_error(fn, *args):
+    """fn(*args), or the QuadranceError it raises as "Name: message", which
+    a fixed case reports as its failure (e.g. a wrong S_k does not factor)."""
+    try:
+        return fn(*args)
+    except QuadranceError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _cyclotomic_product(n: int):
+    """The product of spread_cyclotomic(k) over the divisors k of n."""
+    return math.prod(map(spreadpoly.spread_cyclotomic, spreadpoly.divisors(n)),
+                     start=spreadpoly.IntPolynomial([1]))
+
+
 def _spreadpoly_fixed_cases(polys):
     """(identity, inputs, got, want) of the 81 fixed cases; polys[n] is S_n."""
     for n, poly in enumerate(polys[1:17], 1):
@@ -1114,23 +1133,13 @@ def _spreadpoly_fixed_cases(polys):
     for n in range(1, 7):
         for m in range(1, 7):
             yield ("spread-composition", {"n": n, "m": m},
-                   spreadpoly.poly_compose(polys[n], polys[m]), polys[n * m])
+                   _or_error(spreadpoly.poly_compose, polys[n], polys[m]), polys[n * m])
     for n in range(1, 17):
-        try:
-            via = spreadpoly.spread_via_chebyshev(n)
-        except QuadranceError as exc:
-            # e.g. a wrong T_n need not halve to integers; report it as this case's failure
-            via = f"{type(exc).__name__}: {exc}"
-        yield "spread-via-chebyshev", {"n": n}, via, polys[n]
+        yield ("spread-via-chebyshev", {"n": n},
+               _or_error(spreadpoly.spread_via_chebyshev, n), polys[n])
     for n in range(1, 13):
-        product = spreadpoly.IntPolynomial([1])
-        try:
-            for k in spreadpoly.divisors(n):
-                product = product * spreadpoly.spread_cyclotomic(k)
-        except QuadranceError as exc:
-            # e.g. a wrong S_k does not factor; report it as this case's failure
-            product = f"{type(exc).__name__}: {exc}"
-        yield "spread-cyclotomic-product", {"n": n}, product, polys[n]
+        yield ("spread-cyclotomic-product", {"n": n},
+               _or_error(_cyclotomic_product, n), polys[n])
 
 
 def _spread_table(p: int, polys) -> list:
@@ -1200,17 +1209,34 @@ def _suite_spreadpoly(rec, ctx, rng, trials, colors):
     for identity, inputs, got, want in _spreadpoly_fixed_cases(polys):
         rec.case(None if got == want else mismatch(identity, inputs, got, want))
     if rng is None:
-        spread = _spread_table(p, polys)
+        try:
+            spread = _spread_table(p, polys)
+        except QuadranceError as exc:
+            # every sweep case fails with it, under the identity it checks first
+            for identity, cases in (("spread-recurrence-triple", p),
+                                    ("green-ratio-closed-form", (p - 1) ** 2)):
+                failure = _raised(identity, {"p": p}, exc)
+                for _ in range(cases):
+                    rec.case(failure)
+            return
         for s in range(p):
-            rec.case(_recurrence_case(s, spread[s], p) or _composition_eval_case(s, spread))
+            try:
+                failure = _recurrence_case(s, spread[s], p) or _composition_eval_case(s, spread)
+            except QuadranceError as exc:
+                failure = _raised("spread-recurrence-triple", {"s": s}, exc)
+            rec.case(failure)
         for x in range(1, p):
             for y in range(1, p):
                 rec.case(_green_ratio_case(x, y, range(1, 9), p, spread))
     else:
         for t in range(trials):
             s = random_element(None, rng)
-            s, *values = lift_scaled([s] + [spreadpoly.poly_eval(polys[n], s) for n in range(13)])
-            failure = _recurrence_case(s, values)
+            try:
+                s, *values = lift_scaled(
+                    [s] + [spreadpoly.poly_eval(polys[n], s) for n in range(13)])
+                failure = _recurrence_case(s, values)
+            except QuadranceError as exc:
+                failure = _raised("spread-recurrence-triple", {"s": s}, exc)
             if failure is None:
                 x, y = random_nonzero(rng), random_nonzero(rng)
                 failure = _green_ratio_case(x, y, [1 + t % 8])

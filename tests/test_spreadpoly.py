@@ -395,3 +395,107 @@ def test_poly_eval_keeps_int_and_fp_types(poly, s, p):
     value = poly_eval(poly, Fp(s, p))
     assert type(value) is Fp and value == Fp(int(exact), p)
 
+
+
+# -- products and compositions by Kronecker substitution, against the loops ----
+
+def _schoolbook(a, b):
+    """The coefficients of the product of a and b by the double loop."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _horner(p, q):
+    """The coefficients of p(q), as acc * q + c from the top coefficient down,
+    with every product by _schoolbook."""
+    acc = []
+    for c in reversed(p):
+        acc = _schoolbook(acc, q) or [0]
+        acc[0] += c
+    return IntPolynomial(acc)
+
+
+# 2^15000 has 4,516 digits: past the default int-string limit of 4,300
+_PAST_STR_LIMIT = 1 << 15_000
+_signs = st.sampled_from((1, -1))
+# slots are whole bytes, so the slot width b is 8j: 2^(b-1) - 1 fills a
+# slot, 2^(b-1) needs the next byte
+_at_slot_boundary = st.builds(lambda sign, j, d: sign * ((1 << (8 * j - 1)) + d),
+                              _signs, st.integers(1, 9), st.integers(-1, 1))
+_coefficients = st.one_of(st.integers(-3, 3), st.integers(-2 ** 70, 2 ** 70),
+                          _at_slot_boundary)
+_past_str_limit = st.builds(lambda sign, d: sign * (_PAST_STR_LIMIT + d), _signs,
+                            st.integers(-2, 2))
+# around _LEAF = 16 coefficients and the next split, at 32
+_split_lengths = st.sampled_from((0, 1, 2, 3, 15, 16, 17, 31, 32, 33, 34))
+
+
+@st.composite
+def _polys(draw, lengths, coefficients=_coefficients):
+    n = draw(lengths)
+    cs = draw(st.lists(coefficients, min_size=n, max_size=n))
+    if cs and draw(st.booleans()):
+        cs[-1] = -abs(cs[-1]) or -1  # a negative leading coefficient
+    return IntPolynomial(cs)
+
+
+def _assert_products(a, b):
+    want = IntPolynomial(_schoolbook(a.coeffs, b.coeffs))
+    assert a * b == want
+    assert b * a == want
+    assert a * a == IntPolynomial(_schoolbook(a.coeffs, a.coeffs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_polys(_split_lengths), _polys(_split_lengths))
+def test_products_match_the_schoolbook_loop(a, b):
+    _assert_products(a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_polys(_split_lengths), _polys(st.integers(0, 4)))
+def test_compositions_match_horner(p, q):
+    # q of length 0 or 1 is the zero polynomial or a constant
+    assert poly_compose(p, q) == _horner(p.coeffs, q.coeffs)
+
+
+# every slot is as wide as the largest coefficient needs, so these stay short
+@settings(max_examples=40, deadline=None)
+@given(_polys(st.sampled_from((1, 2, 16, 17)), st.one_of(_coefficients, _past_str_limit)),
+       _polys(st.integers(0, 3)))
+def test_coefficients_past_the_int_string_limit(a, b):
+    _assert_products(a, b)
+    assert poly_compose(a, b) == _horner(a.coeffs, b.coeffs)
+
+
+@pytest.mark.parametrize("j", range(1, 10))
+def test_products_fill_a_slot_to_its_sign_bit(j):
+    # a result coefficient of at most 2^(8j-1) - 1 takes j bytes a slot, and
+    # these results have coefficients as large as a signed slot holds
+    top = (1 << (8 * j - 1)) - 1
+    for a in ([top, -top, top], [-top, top, -top], [0, top, 0, -top]):
+        for b in ([1], [-1], [0, -1]):
+            assert IntPolynomial(a) * IntPolynomial(b) == IntPolynomial(_schoolbook(a, b))
+    for p in ([top], [-top], [0, top], [0, -top]):
+        assert poly_compose(IntPolynomial(p), IntPolynomial([0, 1])) == IntPolynomial(p)
+
+
+def test_the_factors_of_2520_multiply_back_to_each_spread_poly():
+    # for every d | 2520, the product of phi_k over k | d is S_d, compared at
+    # one point mod the prime 2^127 - 1
+    prime, x = (1 << 127) - 1, 123_456_789
+
+    def at(poly):
+        acc = 0
+        for c in reversed(poly.coeffs):
+            acc = (acc * x + c) % prime
+        return acc
+
+    phi = {k: at(spread_cyclotomic(k)) for k in divisors(2520)}
+    for d in divisors(2520):
+        assert math.prod(phi[k] for k in divisors(d)) % prime == at(spread_poly(d)), d

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -628,14 +629,14 @@ def test_kernel_errors_on_kept_points_are_reported_by_both_drivers(
             assert report.counterexample["lhs"].startswith(f"{error}:"), field
 
 
-def _raises_from_call(fn, first):
-    """fn, raising InvalidArgument from its ``first``-th call on."""
+def _raises_from_call(fn, first, last=math.inf):
+    """fn, raising InvalidArgument at its calls ``first`` to ``last``."""
     calls = 0
 
     def broken(*args):
         nonlocal calls
         calls += 1
-        if calls >= first:
+        if first <= calls <= last:
             raise InvalidArgument(f"broken at call {calls}")
         return fn(*args)
     return broken
@@ -692,8 +693,64 @@ def test_kernel_errors_in_the_chromo_proof_identity_fail_their_case(monkeypatch)
                                                     "no error"), field
 
 
+def test_kernel_errors_in_a_spread_composition_fail_their_case(monkeypatch):
+    # poly_compose runs in the 36 composition cases, then in the 16
+    # spread_via_chebyshev cases and in the factors phi_4, phi_8, phi_9 and
+    # phi_12, which fail the cyclotomic products n = 4, 8, 9 and 12.  Broken
+    # from its fourth call on, every fixed case that reaches it after the
+    # third fails alone
+    original = spreadpoly.poly_compose
+    for field in ("fp:7", "rationals"):
+        monkeypatch.setattr(spreadpoly, "_phi_cache", {})
+        monkeypatch.setattr(spreadpoly, "poly_compose", _raises_from_call(original, 4))
+        report = run_suite("spreadpoly", make_context(field), trials=30, seed=0)
+        assert report.failed == 33 + 16 + 4 and counts_ok(report), field
+        assert report.counterexample == {
+            "identity": "spread-composition", "inputs": {"n": "1", "m": "4"},
+            "lhs": "InvalidArgument: broken at call 4",
+            "rhs": str(spreadpoly.spread_poly(4))}, field
+
+
+# (module, kernel, the cases that fail over F_7 when its fourth call raises,
+# and the inputs reported).  poly_eval's fourth call builds the sweep's
+# S_k(r) table, so all p + (p-1)^2 = 43 sweep cases fail with it, and the
+# skips stay the same; triple_spread_fn, and the archimedes it calls, fail
+# the first residue alone, and the sweep resumes after it.  Over Q the
+# fourth call falls in the first trial, which fails alone.
+SPREAD_LOOP_KERNELS = [
+    ("spreadpoly", "poly_eval", 43, {"p": "7"}),
+    ("projective", "triple_spread_fn", 1, {"s": "0"}),
+    ("affine", "archimedes", 1, {"s": "0"}),
+]
+
+
+@pytest.mark.parametrize("module, kernel, failing, inputs", SPREAD_LOOP_KERNELS,
+                         ids=[row[1] for row in SPREAD_LOOP_KERNELS])
+def test_kernel_errors_in_the_spreadpoly_loops_fail_their_case(monkeypatch, module, kernel,
+                                                               failing, inputs):
+    import importlib
+
+    mod = importlib.import_module(f"quadrance.{module}")
+    original = getattr(mod, kernel)
+    for field, fails in (("fp:7", failing), ("rationals", 1)):
+        clean = run_suite("spreadpoly", make_context(field), trials=30, seed=0)
+        monkeypatch.setattr(mod, kernel, _raises_from_call(original, 4, 4))
+        report = run_suite("spreadpoly", make_context(field), trials=30, seed=0)
+        monkeypatch.setattr(mod, kernel, original)
+        assert (report.attempted, report.skipped, report.skip_reasons) == (
+            clean.attempted, clean.skipped, clean.skip_reasons), field
+        assert report.failed == fails and counts_ok(report), field
+        failure = report.counterexample
+        assert failure["identity"] == "spread-recurrence-triple", field
+        assert (failure["lhs"], failure["rhs"]) == ("InvalidArgument: broken at call 4",
+                                                    "no error"), field
+        if field == "fp:7":
+            assert failure["inputs"] == inputs
+
+
 # Calls of each kernel, through its module attribute, in one sweep over
-# F_7.  A fast path that skipped a kernel would change them.
+# F_7, with no spread-cyclotomic factor cached.  A fast path that skipped a
+# kernel would change them.
 KERNEL_CENSUS = {
     "isometry": {("chromo", "colored_quadrance_fraction"): 2120,
                  ("isometry", "multiply_points"): 2236, ("isometry", "compose"): 680,
@@ -701,6 +758,10 @@ KERNEL_CENSUS = {
                  ("projective", "form_value"): 1344},
     "fibonacci": {("projective", "pairing"): 9604, ("projective", "form_value"): 196,
                   ("projective", "discriminant"): 4},
+    "spreadpoly": {("spreadpoly", "poly_compose"): 56, ("spreadpoly", "spread_via_chebyshev"): 16,
+                   ("spreadpoly", "chebyshev_T"): 16, ("spreadpoly", "spread_cyclotomic"): 50,
+                   ("spreadpoly", "spread_poly"): 49, ("spreadpoly", "poly_eval"): 259,
+                   ("spreadpoly", "divisors"): 20},
 }
 
 
@@ -716,6 +777,7 @@ def test_fp_sweeps_reach_every_kernel_call(monkeypatch, suite):
             counts[_key] += 1
             return _kernel(*args)
         monkeypatch.setattr(mod, kernel, counted)
+    monkeypatch.setattr(spreadpoly, "_phi_cache", {})
     report = run_suite(suite, make_context("fp:7"))
     assert report.failed == 0 and counts_ok(report)
     assert counts == KERNEL_CENSUS[suite]
