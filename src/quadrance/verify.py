@@ -48,7 +48,12 @@ table per call (_spread_table).  spread_poly builds each row from its
 explicit coefficients, so spread-recurrence-triple compares two
 independent constructions of S_n.  The isometry sweep builds each
 colour's rotations and reflections once per call, and every law of the
-colour reads them.
+colour reads them; the composition laws take each parameter's form value
+once per isometry, and the green power bridge reads S_1..S_8 from one
+list per call.  The Fibonacci sweep evaluates one row of cases per (form,
+v1), with one pairing call per case: over int residues the identity
+holds in Z, so a row of exact zeros passes at once, and any other row is
+compared case by case mod p.
 Nothing outlives the call, so a kernel patched between runs is always seen.
 
 One error rule serves both drivers: where a case's inputs passed the
@@ -59,14 +64,15 @@ p-quadrances, the chromo laws from the proof identity on, the isometry
 suite, the heron, brahmagupta and fibonacci cases, and every call of the
 spreadpoly suite: its rows, their values (poly_eval), the recurrence
 (triple_spread_fn, and affine.archimedes through it), green-ratio and
-fixed cases.  Elsewhere (e.g. affine.archimedes in triple-quad,
-projective.pairing in triple-spread, and the discriminant and form values
-the F_p fibonacci sweep takes once per form) an error leaves run_suite.
-An error in a p-quadrance table fails every F_p tuple of the form, one
+fixed cases.  Elsewhere (e.g. affine.archimedes in triple-quad and
+projective.pairing in triple-spread) an error leaves run_suite.  An error
+in a p-quadrance table fails every F_p tuple of the form, one in a
+form's discriminant or values every F_p fibonacci case of the form, one
 building S_0..S_36 every spreadpoly case, one building the spreadpoly
-sweep's table every sweep case, and one in the isometry sweep the colour
-once; a heron, brahmagupta, fibonacci or spreadpoly case fails alone, and
-the loop resumes after it.
+sweep's table every sweep case, one building S_1..S_8 every green power
+case, and one elsewhere in the isometry sweep the colour once; a heron,
+brahmagupta, fibonacci or spreadpoly case fails alone, and the loop
+resumes after it.
 """
 
 from __future__ import annotations
@@ -356,17 +362,17 @@ def _matrices_differ(m, n, p=None) -> bool:
                 or not (e % p or f % p or g % p or h % p))
 
 
-def _composition_case(iso1, m1, iso2, m2, p=None) -> dict | None:
+def _composition_case(iso1, m1, value1, iso2, m2, value2, form, p=None) -> dict | None:
     """The composition table entry for iso1 then iso2 (matrices m1, m2)
     against the matrix product, its kind and non-null parameter, and the
-    blue/red Fibonacci identity: the colour form's value at the composed
-    parameter is the product of its values at the two parameters."""
+    blue/red Fibonacci identity: the colour ``form``'s value at the composed
+    parameter is the product of its values value1 and value2 at the two
+    parameters (None for green, where it is not checked)."""
     color, kind1, p1, kind2, p2 = iso1.color, iso1.kind, iso1.param, iso2.kind, iso2.param
     composed = isometry.compose(iso1, iso2)
     table = isometry.matrix_of(composed)
     product = m1 @ m2
     expected_kind = ROTATION if kind1 == kind2 else REFLECTION
-    form = chromo.colored_form(color)
     value = _reduce(projective.form_value(form, composed.param), p)
     if _matrices_differ(table, product, p):
         failure = ("composition-table-vs-matrix", table, product)
@@ -378,7 +384,7 @@ def _composition_case(iso1, m1, iso2, m2, p=None) -> dict | None:
         # green's 2xy is multiplicative only up to the factor 2
         return None
     else:
-        expected = _reduce(projective.form_value(form, p1) * projective.form_value(form, p2), p)
+        expected = _reduce(value1 * value2, p)
         if value == expected:
             return None
         failure = (f"fibonacci-identity-{color}", value, expected)
@@ -671,29 +677,53 @@ class _Coefficients:
         self.d, self.e, self.f = d, e, f
 
 
-def _fibonacci_sides(form, disc, v1, value1, v2, value2):
-    """Both sides of the generalized Fibonacci identity, given the form's
-    discriminant and its values at v1 and v2: disc (x1 y2 - x2 y1)^2 +
-    pairing^2 and value1 value2."""
-    cross = v1.x * v2.y - v2.x * v1.y
-    pair = projective.pairing(form, v1, v2)
-    return disc * cross * cross + pair * pair, value1 * value2
+def _fibonacci_sides(disc, v1, value1, row, values, pairings) -> list:
+    """The gap of the generalized Fibonacci identity for v1 against each v2
+    of ``row``: disc (x1 y2 - x2 y1)^2 + pairing^2 - value1 value2, given
+    the form's discriminant, its values at v1 and along the row, and the
+    pairings of v1 with the row.  The identity holds where the gap is 0."""
+    x1, y1 = v1.x, v1.y
+    return [disc * (cross := x1 * v2.y - v2.x * y1) * cross + pair * pair - value1 * value2
+            for v2, value2, pair in zip(row, values, pairings)]
+
+
+def _row_pairings(form, v1, row) -> tuple[list, bool]:
+    """(pairings, raised): projective.pairing of v1 with each v2 of ``row``,
+    one call each, in row order.  A QuadranceError a call raises takes its
+    place, and the map resumes after it: list.extend keeps what it appended
+    before the raise."""
+    calls = map(projective.pairing, itertools.repeat(form), itertools.repeat(v1), row)
+    pairings, raised = [], False
+    while True:
+        try:
+            pairings.extend(calls)
+            return pairings, raised
+        except QuadranceError as exc:
+            pairings.append(exc)
+            raised = True
 
 
 def _suite_fibonacci(rec, ctx, rng, trials, colors):
     names = ("d", "e", "f", "x1", "y1", "x2", "y2")
+    identity = "generalized-fibonacci"
     value = projective.form_value
     if rng is not None:
         def sides(d, e, f, x1, y1, x2, y2):
             form, v1, v2 = _Coefficients(d, e, f), _Vector(x1, y1), _Vector(x2, y2)
-            return _fibonacci_sides(form, projective.discriminant(form),
-                                    v1, value(form, v1), v2, value(form, v2))
-        _check_identity(rec, ctx, rng, trials, "generalized-fibonacci", names, sides)
+            disc, value1, value2 = projective.discriminant(form), value(form, v1), value(form, v2)
+            gap, = _fibonacci_sides(disc, v1, value1, (v2,), (value2,),
+                                    (projective.pairing(form, v1, v2),))
+            return gap + value1 * value2, value1 * value2
+        _check_identity(rec, ctx, rng, trials, identity, names, sides)
         return
     # The identity has seven free variables; enumerating them all is
     # infeasible, so the four standard forms are paired with every
-    # coordinate 4-tuple.  Each form's discriminant and values are taken once.
-    # A kernel error fails its case, and the inner loop resumes after it.
+    # coordinate 4-tuple, one row of p^2 cases per (form, v1).  Each form's
+    # discriminant and values are taken once; an error there fails every
+    # case of the form, and the next form still runs.  Over int residues the
+    # identity holds in Z, so a row whose gaps are all exactly 0 passes at
+    # once; any other row is walked case by case mod p, on the same
+    # pairings, and a pairing that raised fails its case alone.
     p = ctx.p
     vectors = [_Vector(x, y) for x, y in itertools.product(range(p), repeat=2)]
 
@@ -701,24 +731,31 @@ def _suite_fibonacci(rec, ctx, rng, trials, colors):
         return dict(zip(names, (form.d, form.e, form.f, v1.x, v1.y, v2.x, v2.y)))
 
     for form in map(named_form, FORM_NAMES):
-        disc = projective.discriminant(form)
-        values = [value(form, v) for v in vectors]
+        try:
+            disc = projective.discriminant(form)
+            values = [value(form, v) for v in vectors]
+        except QuadranceError as exc:
+            failure = _raised(identity, {"d": form.d, "e": form.e, "f": form.f}, exc)
+            for _ in range(len(vectors) ** 2):
+                rec.case(failure)
+            continue
         passed = 0
         for v1, value1 in zip(vectors, values):
-            pairs = zip(vectors, values)
-            while True:
-                try:
-                    for v2, value2 in pairs:
-                        lhs, rhs = _fibonacci_sides(form, disc, v1, value1, v2, value2)
-                        lhs, rhs = lhs % p, rhs % p
-                        if lhs == rhs:
-                            passed += 1
-                        else:
-                            rec.case(mismatch("generalized-fibonacci",
-                                              inputs(form, v1, v2), lhs, rhs))
-                    break
-                except QuadranceError as exc:
-                    rec.case(_raised("generalized-fibonacci", inputs(form, v1, v2), exc, p))
+            pairings, raised = _row_pairings(form, v1, vectors)
+            if not (raised or any(_fibonacci_sides(disc, v1, value1, vectors, values, pairings))):
+                passed += len(vectors)
+                continue
+            for v2, value2, pair in zip(vectors, values, pairings):
+                if isinstance(pair, QuadranceError):
+                    rec.case(_raised(identity, inputs(form, v1, v2), pair, p))
+                    continue
+                gap, = _fibonacci_sides(disc, v1, value1, (v2,), (value2,), (pair,))
+                rhs = value1 * value2
+                lhs, rhs = (gap + rhs) % p, rhs % p
+                if lhs == rhs:
+                    passed += 1
+                else:
+                    rec.case(mismatch(identity, inputs(form, v1, v2), lhs, rhs))
         rec.add_passes(passed)
 
 
@@ -938,19 +975,32 @@ def _blue_sqrt_case(p: ProjPoint) -> dict | None:
     return None
 
 
-def _green_power_case(a: ProjPoint, n: int, p=None) -> dict | None:
-    """The green quadrance from [1:1] to a^n is S_n(s), s the one to ``a``.
-    ``a`` is non-null, so a QuadranceError is this identity's failure."""
-    one_one = isometry.point_identity(GREEN)
+def _green_power_rows():
+    """S_1..S_8, which the green power cases read, built once per call; or
+    the QuadranceError building them raised, which fails every such case."""
     try:
+        return [spreadpoly.spread_poly(n) for n in range(1, 9)]
+    except QuadranceError as exc:
+        return exc
+
+
+def _green_power_case(a: ProjPoint, n: int, rows, p=None) -> dict | None:
+    """The green quadrance from [1:1] to a^n is S_n(s), s the one to ``a``;
+    ``rows`` is _green_power_rows().  ``a`` is non-null, so a QuadranceError
+    is this identity's failure."""
+    inputs = {"p": a, "n": n}
+    if isinstance(rows, QuadranceError):
+        return _raised("green-power-spread-bridge", inputs, rows, p)
+    try:
+        one_one = isometry.point_identity(GREEN)
         s = _quotient(*_colored_fraction(GREEN, one_one, a, p), p)
         pn = isometry.point_power(GREEN, a, n)
         lhs = _quotient(*_colored_fraction(GREEN, one_one, pn, p), p)
-        rhs = _reduce(spreadpoly.poly_eval(spreadpoly.spread_poly(n), s), p)
+        rhs = _reduce(spreadpoly.poly_eval(rows[n - 1], s), p)
     except QuadranceError as exc:
-        return _raised("green-power-spread-bridge", {"p": a, "n": n}, exc, p)
+        return _raised("green-power-spread-bridge", inputs, exc, p)
     if lhs != rhs:
-        return _failed(("green-power-spread-bridge", lhs, rhs), {"p": a, "n": n}, p)
+        return _failed(("green-power-spread-bridge", lhs, rhs), inputs, p)
     return None
 
 
@@ -979,18 +1029,26 @@ def _residue_preservation(rec, p: int, identity: str, color, res, live, isos):
     rec.add_passes(passed)
 
 
-def _residue_composition(rec, p: int, res, live, isos):
+def _fibonacci_value(color, form, param):
+    """The colour ``form``'s value at an isometry parameter, for the
+    composition laws' Fibonacci identity: blue and red only, else None."""
+    return None if color is GREEN else projective.form_value(form, param)
+
+
+def _residue_composition(rec, p: int, color, res, live, isos):
     """Every composition table entry of two live parameters, against the
-    product of matrices built once per isometry."""
+    product of matrices built once per isometry; each parameter's form
+    value is taken once per isometry too."""
     # each of the 4 kind pairs skips the parameter pairs with a null entry
     rec.skip("null-parameter", 4 * (len(res) ** 2 - len(live) ** 2))
-    by_kind = [[(iso, isometry.matrix_of(iso)) for iso in isos.values() if iso.kind is kind]
-               for kind in IsoKind]
+    form = chromo.colored_form(color)
+    by_kind = [[(iso, isometry.matrix_of(iso), _fibonacci_value(color, form, iso.param))
+                for iso in isos.values() if iso.kind is kind] for kind in IsoKind]
     passed = 0
     for first, second in itertools.product(by_kind, repeat=2):
-        for iso1, m1 in first:
-            for iso2, m2 in second:
-                failure = _composition_case(iso1, m1, iso2, m2, p)
+        for iso1, m1, value1 in first:
+            for iso2, m2, value2 in second:
+                failure = _composition_case(iso1, m1, value1, iso2, m2, value2, form, p)
                 if failure is None:
                     passed += 1
                 else:
@@ -1032,10 +1090,11 @@ def _lift_points(points) -> list[ProjPoint]:
     return [ProjPoint(x, y) for x, y in zip(coords[::2], coords[1::2])]
 
 
-def _isometry_trial(rng, color, keep, power: int) -> dict | None:
-    """One rational trial of the isometry laws, in report order.  Its points
-    pass ``keep``, make_isometry's null test, so a QuadranceError is the
-    failure of the laws being checked, named after the first of them."""
+def _isometry_trial(rng, color, keep, power: int, rows) -> dict | None:
+    """One rational trial of the isometry laws, in report order; green's
+    power bridge reads ``rows`` (_green_power_rows).  Its points pass
+    ``keep``, make_isometry's null test, so a QuadranceError is the failure
+    of the laws being checked, named after the first of them."""
     p1, p2, p3, a1, a2 = _lift_points([random_point(rng, keep)[0] for _ in range(5)])
     kind1, kind2 = (ROTATION if rng.randrange(2) else REFLECTION for _ in range(2))
     identity = f"isometry-preservation-{color}"
@@ -1050,7 +1109,10 @@ def _isometry_trial(rng, color, keep, power: int) -> dict | None:
         identity = "composition-table-vs-matrix"
         where = {"color": color, "kind1": kind1, "p1": p1, "kind2": kind2, "p2": p2}
         iso2 = isometry.make_isometry(color, kind2, p2)
-        failure = _composition_case(iso1, isometry.matrix_of(iso1), iso2, isometry.matrix_of(iso2))
+        form = chromo.colored_form(color)
+        failure = _composition_case(
+            iso1, isometry.matrix_of(iso1), _fibonacci_value(color, form, p1),
+            iso2, isometry.matrix_of(iso2), _fibonacci_value(color, form, p2), form)
         if failure is not None:
             return failure
         identity = "multiplication-associativity"
@@ -1069,15 +1131,16 @@ def _isometry_trial(rng, color, keep, power: int) -> dict | None:
             return _blue_sqrt_case(where["p"])
     except QuadranceError as exc:
         return _raised(identity, where, exc)
-    return _green_power_case(p1, power) if color is GREEN else None
+    return _green_power_case(p1, power, rows) if color is GREEN else None
 
 
 def _suite_isometry(rec, ctx, rng, trials, colors):
     wanted = _null_tests(chromo.is_null_for,
                          [Color(name) for name in _selected_forms(colors) if name != "general"])
+    rows = _green_power_rows() if any(color is GREEN for color, _ in wanted) else None
     if rng is not None:
         for t, (color, keep) in enumerate(_cycled(wanted, trials)):
-            rec.case(_isometry_trial(rng, color, keep, 1 + t % 8))
+            rec.case(_isometry_trial(rng, color, keep, 1 + t % 8, rows))
         return
     p, pts = ctx.p, proj_points(ctx)
     res = _residue_points(p)
@@ -1089,7 +1152,7 @@ def _suite_isometry(rec, ctx, rng, trials, colors):
                     for kind in IsoKind for i in live}
             _residue_preservation(rec, p, identity, color, res, live, isos)
             identity = "composition-table-vs-matrix"
-            _residue_composition(rec, p, res, live, isos)
+            _residue_composition(rec, p, color, res, live, isos)
             identity = "multiplication-associativity"
             _residue_multiplication(rec, p, color, res, live, isos)
             if color is BLUE:
@@ -1102,7 +1165,7 @@ def _suite_isometry(rec, ctx, rng, trials, colors):
             if color is GREEN:
                 rec.skip("null-point", 8 * (len(pts) - len(live)))
                 for i, power in itertools.product(live, range(1, 9)):
-                    rec.case(_green_power_case(res[i], power, p))
+                    rec.case(_green_power_case(res[i], power, rows, p))
         except QuadranceError as exc:
             rec.case(_raised(identity, {"color": color}, exc))
 

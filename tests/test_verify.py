@@ -675,6 +675,81 @@ def test_kernel_errors_in_identity_loops_fail_their_case_and_resume(
             assert failure["inputs"] == fourth
 
 
+def test_a_pairing_error_fails_its_fibonacci_case_alone(monkeypatch):
+    # the F_p sweep makes each pairing call once, in case order: the 30th
+    # is v1 = (0, 0) against v2 = (4, 1) in the first form, and only it fails
+    from quadrance import projective
+
+    monkeypatch.setattr(projective, "pairing", _raises_from_call(projective.pairing, 30, 30))
+    report = run_suite("fibonacci", make_context("fp:7"))
+    assert (report.attempted, report.passed, report.failed) == (9604, 9603, 1)
+    assert report.counterexample == {
+        "identity": "generalized-fibonacci",
+        "inputs": {"d": "1", "e": "0", "f": "1", "x1": "0", "y1": "0", "x2": "4", "y2": "1"},
+        "lhs": "InvalidArgument: broken at call 30", "rhs": "no error"}
+
+
+@pytest.mark.parametrize("shift, failed, counterexample", [
+    # pairing + 1 changes the identity mod 7 unless pairing = 3 mod 7
+    (1, 168, {"identity": "generalized-fibonacci",
+              "inputs": {"d": "1", "e": "0", "f": "1", "x1": "0", "y1": "0", "x2": "3", "y2": "1"},
+              "lhs": "1", "rhs": "0"}),
+    # pairing + 7 moves the gap off 0 in Z but not mod 7
+    (7, 0, None),
+])
+def test_fibonacci_sweep_compares_failing_rows_mod_p(monkeypatch, shift, failed, counterexample):
+    from quadrance import projective
+
+    def broken(form, a1, a2, fn=projective.pairing):
+        return fn(form, a1, a2) + (shift if (a2.x, a2.y) == (3, 1) else 0)
+
+    monkeypatch.setattr(projective, "pairing", broken)
+    report = run_suite("fibonacci", make_context("fp:7"))
+    assert (report.attempted, report.failed) == (9604, failed) and counts_ok(report)
+    assert report.counterexample == counterexample
+
+
+@pytest.mark.parametrize("kernel, failed, coefficients", [
+    # form_value raises in the first form, and in every one after it
+    ("form_value", 4 * 7 ** 4, {"d": "1", "e": "0", "f": "1"}),
+    # discriminant runs once per form: its fourth call is the general form's
+    ("discriminant", 7 ** 4, {"d": "1", "e": "2", "f": "3"}),
+])
+def test_an_error_in_a_form_fails_every_fibonacci_case_of_the_form(monkeypatch, kernel, failed,
+                                                                   coefficients):
+    from quadrance import projective
+
+    monkeypatch.setattr(projective, kernel, _raises_from_call(getattr(projective, kernel), 4))
+    report = run_suite("fibonacci", make_context("fp:7"))
+    assert (report.attempted, report.failed) == (9604, failed) and counts_ok(report)
+    assert report.counterexample == {
+        "identity": "generalized-fibonacci", "inputs": coefficients,
+        "lhs": "InvalidArgument: broken at call 4", "rhs": "no error"}
+
+
+def test_a_point_identity_error_is_reported_by_both_drivers(monkeypatch):
+    # over Q the green power bridge takes the fourth call, in the third trial
+    original = isometry.point_identity
+    for field in ("fp:7", "rationals"):
+        monkeypatch.setattr(isometry, "point_identity", _raises_from_call(original, 4))
+        report = run_suite("isometry", make_context(field), trials=30, seed=0)
+        assert report.failed > 0 and counts_ok(report), field
+        assert report.counterexample["lhs"] == "InvalidArgument: broken at call 4", field
+
+
+def test_an_error_building_s_n_fails_every_green_power_case(monkeypatch):
+    # S_1..S_8 are built once per call: 6 live green points times 8 powers
+    # over F_7, and the end of each of the 30 green trials over Q
+    for field, failed in (("fp:7", 48), ("rationals", 30)):
+        monkeypatch.setattr(spreadpoly, "spread_poly",
+                            _raises_from_call(spreadpoly.spread_poly, 4, 4))
+        report = run_suite("isometry", make_context(field), trials=30, seed=0, colors=["green"])
+        monkeypatch.undo()
+        assert report.failed == failed and counts_ok(report), field
+        assert report.counterexample["identity"] == "green-power-spread-bridge", field
+        assert report.counterexample["lhs"] == "InvalidArgument: broken at call 4", field
+
+
 def test_kernel_errors_in_the_chromo_proof_identity_fail_their_case(monkeypatch):
     # the proof identity takes three coloured fractions first in every case;
     # broken from its fourth call on, the first live case fails in a later
@@ -750,12 +825,14 @@ def test_kernel_errors_in_the_spreadpoly_loops_fail_their_case(monkeypatch, modu
 
 # Calls of each kernel, through its module attribute, in one sweep over
 # F_7, with no spread-cyclotomic factor cached.  A fast path that skipped a
-# kernel would change them.
+# kernel would change them.  The isometry sweep takes form_value once per
+# composed parameter (544) and once per blue and red isometry (16 + 12), and
+# S_1..S_8 once per call.
 KERNEL_CENSUS = {
     "isometry": {("chromo", "colored_quadrance_fraction"): 2120,
                  ("isometry", "multiply_points"): 2236, ("isometry", "compose"): 680,
                  ("isometry", "matrix_of"): 904, ("isometry", "apply"): 320,
-                 ("projective", "form_value"): 1344},
+                 ("projective", "form_value"): 572, ("spreadpoly", "spread_poly"): 8},
     "fibonacci": {("projective", "pairing"): 9604, ("projective", "form_value"): 196,
                   ("projective", "discriminant"): 4},
     "spreadpoly": {("spreadpoly", "poly_compose"): 56, ("spreadpoly", "spread_via_chebyshev"): 16,
