@@ -10,11 +10,12 @@ cache keeps it, from its explicit coefficients (Goh and Wildberger,
 "Spread polynomials, rotations and the butterfly effect", 2009):
 S_n(s) = sum over k = 1..n of (n/k) C(n+k-1, 2k-1) (-4)^(k-1) s^k and
 T_n(x) = (n/2) sum over m <= n/2 of (-1)^m (n-m-1)!/(m!(n-2m)!) (2x)^(n-2m).
-As with cyclotomic polynomials,
-phi_pm = phi_m o S_p whenever the prime p divides m, because
-S_p(sin^2 t) = sin^2(pt); so a factor with a square prime divisor is a
-composition, and only a squarefree index is found by integer long
-division.
+As with cyclotomic polynomials, where Phi_pm(x) is Phi_m(x^p) when the
+prime p divides m and Phi_m(x^p) / Phi_m(x) when it does not, every
+factor comes from one recursion: phi_1 = S_1, and phi_pm = phi_m o S_p,
+divided once by phi_m when p does not divide m, because
+S_p(sin^2 t) = sin^2(pt).  Taking p as the least prime factor of pm, the
+factors build S_p for primes p only.
 Products and compositions use Kronecker substitution (D. Harvey, J.
 Symbolic Comput. 2009): a polynomial is packed into one int, its value at
 x = 2^b, with b bits a slot for each coefficient of the result and its
@@ -23,7 +24,6 @@ sign; one big-int multiply (CPython's Karatsuba) does the whole product.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 
 from .errors import (DivisionByZero, FactorizationFailure, Frozen, FrozenRecord, InvalidArgument,
@@ -198,7 +198,6 @@ def _compose(cs, q: IntPolynomial, powers: list) -> IntPolynomial:
 
 
 _phi_cache: dict[int, IntPolynomial] = {}
-_cache_lock = threading.Lock()
 
 
 def spread_poly(n: int) -> IntPolynomial:
@@ -297,47 +296,42 @@ def divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
-def _square_prime(k: int):
-    """The least prime p with p^2 | k, or None when k is squarefree."""
-    m, q = k, 2
-    while q * q <= m:
-        if m % q == 0:
-            m //= q
-            if m % q == 0:
-                return q
+def _least_prime(k: int) -> int:
+    """The least prime factor of k > 1."""
+    q = 2
+    while q * q <= k:
+        if k % q == 0:
+            return q
         q += 1
-    return None
+    return k
 
 
 def spread_cyclotomic(k: int) -> IntPolynomial:
     """The k-th spread-cyclotomic factor: S_n = prod over k | n of phi_k.
 
-    When p^2 | k for a prime p, phi_k = phi_(k/p) o S_p: the factor is a
-    composition, and phi_(2^j) needs no S_n past S_2.  A squarefree k is
-    found by integer long division of S_k by the factors phi_d of its
-    proper divisors d, each of which must be exact.  On both paths the
-    result must have degree totient(k).
+    phi_1 = S_1.  For k > 1, with p the least prime factor of k and
+    m = k/p, phi_k = phi_m o S_p, divided exactly by phi_m when p does not
+    divide m.  The result must have degree totient(k).
     """
     if k < 1:
         raise InvalidArgument("index must be positive")
-    with _cache_lock:
-        cached = _phi_cache.get(k)
-    if cached is not None:
-        return cached
-    p = _square_prime(k)
-    if p is not None:
-        phi = poly_compose(spread_cyclotomic(k // p), spread_poly(p))
+    phi = _phi_cache.get(k)
+    if phi is not None:
+        return phi
+    if k == 1:
+        phi = spread_poly(1)
     else:
-        phi = spread_poly(k)
-        for d in divisors(k):
-            if d < k:
-                phi = _exact_poly_div(phi, spread_cyclotomic(d))
+        p = _least_prime(k)
+        m = k // p
+        phi_m = spread_cyclotomic(m)
+        phi = poly_compose(phi_m, spread_poly(p))
+        if m % p:
+            phi = _exact_poly_div(phi, phi_m)
     if phi.degree != _totient(k):
         raise FactorizationFailure(
             f"factor {k} has degree {phi.degree}, expected {_totient(k)}"
         )
-    with _cache_lock:
-        _phi_cache[k] = phi
+    _phi_cache[k] = phi
     return phi
 
 

@@ -165,8 +165,7 @@ def test_spreadpoly_factor_360_output_is_pinned(capsys):
 
 def test_spreadpoly_rows_are_built_one_at_a_time(capsys, monkeypatch):
     # S_k is built only once S_0..S_(k-1) are printed, and --factor asks
-    # spread_poly only for the squarefree divisors of n and the primes of
-    # its compositions, 30 at most for 360
+    # spread_poly only for the primes dividing n, 5 at most for 360
     from quadrance import spreadpoly
 
     right, asked, lines = spreadpoly.spread_poly, [], []
@@ -185,7 +184,7 @@ def test_spreadpoly_rows_are_built_one_at_a_time(capsys, monkeypatch):
     lines.clear()
     assert main(["spreadpoly", "--n", "360", "--factor"]) == 0
     assert asked[:361] == [(k, k) for k in range(361)]
-    assert max(n for n, _ in asked[361:]) == 30
+    assert max(n for n, _ in asked[361:]) == 5
     out = lines + capsys.readouterr().out.splitlines()
     assert out[300] == f"S_300: {right(300)}"
 

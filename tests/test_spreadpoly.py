@@ -168,8 +168,8 @@ def test_spread_cyclotomic_product_and_degrees():
 
 def _long_division_factors(top):
     """phi_1..phi_top by S_k's integer long division by phi_d for every proper
-    divisor d, with no composition: the rule spread_cyclotomic replaced for
-    k with a square factor."""
+    divisor d, with no composition: an oracle independent of the recursion
+    spread_cyclotomic uses."""
     phi = {}
     for k in range(1, top + 1):
         quotient = spread_poly(k)
@@ -180,11 +180,10 @@ def _long_division_factors(top):
 
 
 def test_composed_factors_match_long_division():
-    # phi_pm = phi_m o S_p when p | m: every k <= 400 with a square factor
+    # phi_pm = phi_m o S_p, divided by phi_m when p does not divide m: every
+    # k <= 400, squarefree or not
     oracle = _long_division_factors(400)
-    square = [k for k in oracle if any(k % (q * q) == 0 for q in range(2, 21))]
-    assert len(square) == 157
-    for k in square:
+    for k in range(1, 401):
         assert spread_cyclotomic(k) == oracle[k], k
 
 
@@ -290,8 +289,9 @@ def test_caches_safe_under_concurrent_use(monkeypatch):
     assert len(results) == 8
     assert all(r == results[0] for r in results)
     assert results[0][0] == spread_via_chebyshev(40)
-    # phi_24 = phi_12 o S_2 and phi_12 = phi_6 o S_2; phi_6 divides out phi_1..phi_3
-    assert sorted(spreadpoly._phi_cache) == [1, 2, 3, 6, 12, 24]
+    # phi_24 = phi_12 o S_2, phi_12 = phi_6 o S_2, phi_6 = (phi_3 o S_2) / phi_3
+    # and phi_3 = (phi_1 o S_3) / phi_1: phi_2 is never asked for
+    assert sorted(spreadpoly._phi_cache) == [1, 3, 6, 12, 24]
 
 
 def test_exact_division_failure_paths(monkeypatch):
@@ -485,9 +485,9 @@ def test_products_fill_a_slot_to_its_sign_bit(j):
         assert poly_compose(IntPolynomial(p), IntPolynomial([0, 1])) == IntPolynomial(p)
 
 
-def test_the_factors_of_2520_multiply_back_to_each_spread_poly():
-    # for every d | 2520, the product of phi_k over k | d is S_d, compared at
-    # one point mod the prime 2^127 - 1
+def _check_factors_multiply_back(n):
+    """For every d | n, the product of phi_k over k | d is S_d, compared at
+    one point mod the prime 2^127 - 1."""
     prime, x = (1 << 127) - 1, 123_456_789
 
     def at(poly):
@@ -496,6 +496,15 @@ def test_the_factors_of_2520_multiply_back_to_each_spread_poly():
             acc = (acc * x + c) % prime
         return acc
 
-    phi = {k: at(spread_cyclotomic(k)) for k in divisors(2520)}
-    for d in divisors(2520):
+    phi = {k: at(spread_cyclotomic(k)) for k in divisors(n)}
+    for d in divisors(n):
         assert math.prod(phi[k] for k in divisors(d)) % prime == at(spread_poly(d)), d
+
+
+def test_the_factors_of_2520_multiply_back_to_each_spread_poly():
+    _check_factors_multiply_back(2520)
+
+
+def test_the_factors_of_squarefree_2310_multiply_back_to_each_spread_poly():
+    # 2310 = 2 3 5 7 11: every factor but phi_1 divides by phi_m once
+    _check_factors_multiply_back(2310)

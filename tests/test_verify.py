@@ -770,16 +770,15 @@ def test_kernel_errors_in_the_chromo_proof_identity_fail_their_case(monkeypatch)
 
 def test_kernel_errors_in_a_spread_composition_fail_their_case(monkeypatch):
     # poly_compose runs in the 36 composition cases, then in the 16
-    # spread_via_chebyshev cases and in the factors phi_4, phi_8, phi_9 and
-    # phi_12, which fail the cyclotomic products n = 4, 8, 9 and 12.  Broken
-    # from its fourth call on, every fixed case that reaches it after the
-    # third fails alone
+    # spread_via_chebyshev cases and in every factor phi_k with k >= 2,
+    # which fail the cyclotomic products n = 2..12.  Broken from its fourth
+    # call on, every fixed case that reaches it after the third fails alone
     original = spreadpoly.poly_compose
     for field in ("fp:7", "rationals"):
         monkeypatch.setattr(spreadpoly, "_phi_cache", {})
         monkeypatch.setattr(spreadpoly, "poly_compose", _raises_from_call(original, 4))
         report = run_suite("spreadpoly", make_context(field), trials=30, seed=0)
-        assert report.failed == 33 + 16 + 4 and counts_ok(report), field
+        assert report.failed == 33 + 16 + 11 and counts_ok(report), field
         assert report.counterexample == {
             "identity": "spread-composition", "inputs": {"n": "1", "m": "4"},
             "lhs": "InvalidArgument: broken at call 4",
@@ -827,7 +826,8 @@ def test_kernel_errors_in_the_spreadpoly_loops_fail_their_case(monkeypatch, modu
 # F_7, with no spread-cyclotomic factor cached.  A fast path that skipped a
 # kernel would change them.  The isometry sweep takes form_value once per
 # composed parameter (544) and once per blue and red isometry (16 + 12), and
-# S_1..S_8 once per call.
+# S_1..S_8 once per call.  The spreadpoly sweep builds each factor phi_k,
+# k = 2..12, with one poly_compose and one spread_cyclotomic(k/p) call.
 KERNEL_CENSUS = {
     "isometry": {("chromo", "colored_quadrance_fraction"): 2120,
                  ("isometry", "multiply_points"): 2236, ("isometry", "compose"): 680,
@@ -835,10 +835,10 @@ KERNEL_CENSUS = {
                  ("projective", "form_value"): 572, ("spreadpoly", "spread_poly"): 8},
     "fibonacci": {("projective", "pairing"): 9604, ("projective", "form_value"): 196,
                   ("projective", "discriminant"): 4},
-    "spreadpoly": {("spreadpoly", "poly_compose"): 56, ("spreadpoly", "spread_via_chebyshev"): 16,
-                   ("spreadpoly", "chebyshev_T"): 16, ("spreadpoly", "spread_cyclotomic"): 50,
+    "spreadpoly": {("spreadpoly", "poly_compose"): 63, ("spreadpoly", "spread_via_chebyshev"): 16,
+                   ("spreadpoly", "chebyshev_T"): 16, ("spreadpoly", "spread_cyclotomic"): 46,
                    ("spreadpoly", "spread_poly"): 49, ("spreadpoly", "poly_eval"): 259,
-                   ("spreadpoly", "divisors"): 20},
+                   ("spreadpoly", "divisors"): 12},
 }
 
 
@@ -893,6 +893,35 @@ def test_wrong_small_spread_poly_is_reported_not_raised(monkeypatch):
         assert [n for n, lhs in products.items()
                 if lhs.startswith("FactorizationFailure")] == [6, 10, 12]
         assert not any(products[n].startswith("FactorizationFailure") for n in (4, 8))
+
+
+def test_a_wrong_s6_that_still_factors_fails_its_product(monkeypatch):
+    # S_6 + S_2 phi_3 keeps every division exact: dividing it by phi_1, phi_2
+    # and phi_3 gives phi_6 + 1, whose product with them is the wrong S_6
+    # again.  The factors are built from S_2 and S_3 alone, so their product
+    # is the true S_6, and n = 6 is the one cyclotomic product that fails
+    import quadrance.verify as v
+
+    right, record = spreadpoly.spread_poly, v.mismatch
+
+    def wrong_s6(n):
+        return right(6) + right(2) * spreadpoly.spread_cyclotomic(3) if n == 6 else right(n)
+
+    seen = []
+
+    def recording_mismatch(identity, inputs, lhs, rhs):
+        seen.append((identity, inputs))
+        return record(identity, inputs, lhs, rhs)
+
+    monkeypatch.setattr(spreadpoly, "spread_poly", wrong_s6)
+    monkeypatch.setattr(spreadpoly, "_phi_cache", {})
+    monkeypatch.setattr(v, "mismatch", recording_mismatch)
+    for ctx in (make_context("fp:7"), make_context("rationals")):
+        seen.clear()
+        report = run_suite("spreadpoly", ctx, trials=30, seed=0)
+        assert counts_ok(report)
+        assert [inputs["n"] for identity, inputs in seen
+                if identity == "spread-cyclotomic-product"] == [6]
 
 
 def _swapped_parameter(fn):
