@@ -35,9 +35,13 @@ den), and points and matrices by their cross products.  The exceptions:
 the spread cases lift the p-quadrances they compute, and the spread
 recurrence lifts s with S_0(s)..S_12(s) from spreadpoly.poly_eval.  The
 chromo suite's points are set out at _chromo_case.  The blue square roots
-need field square roots.  The free-variable identities (the alternate
-forms, the rearrangement identities, rescaling invariance) run over Q
-only.
+need field square roots.  The free-variable identities run over Q only.
+The alternate forms and the two rearrangement identities are identities
+in Z[a, b, c(, d)]: each rational call first evaluates them once on
+symbolic.Poly variables (_proved), with the kernels it reads at that
+moment, and its trials check them only where that proof fails, on the
+values they still draw.  Rescaling invariance, an identity of rational
+functions, is sampled on every trial.
 
 The triple and quadruple sweeps check each distinct tuple of table values
 once per call: a verdict is a pure function of the values it reads,
@@ -59,20 +63,24 @@ Nothing outlives the call, so a kernel patched between runs is always seen.
 One error rule serves both drivers: where a case's inputs passed the
 suite's checks, a QuadranceError a kernel raises comes from a broken
 kernel, and it is the failure of the identity checked, with the error as
-lhs, not raised.  It covers the guarded calls only: the spread suites'
-p-quadrances, the chromo laws from the proof identity on, the isometry
-suite, the heron, brahmagupta and fibonacci cases, and every call of the
-spreadpoly suite: its rows, their values (poly_eval), the recurrence
-(triple_spread_fn, and affine.archimedes through it), green-ratio and
-fixed cases.  Elsewhere (e.g. affine.archimedes in triple-quad and
-projective.pairing in triple-spread) an error leaves run_suite.  An error
-in a p-quadrance table fails every F_p tuple of the form, one in a
-form's discriminant or values every F_p fibonacci case of the form, one
-building S_0..S_36 every spreadpoly case, one building the spreadpoly
-sweep's table every sweep case, one building S_1..S_8 every green power
-case, and one elsewhere in the isometry sweep the colour once; a heron,
-brahmagupta, fibonacci or spreadpoly case fails alone, and the loop
-resumes after it.
+lhs, not raised.  It covers the guarded calls only: every rational
+triple-quad, quadruple-quad, triple-spread (rescaling included) and
+quadruple-spread case, where an error fails the identity the case checks
+first; the F_p sweeps' p-quadrance tables; the chromo laws from the proof
+identity on, the isometry suite, the heron, brahmagupta and fibonacci
+cases, and every call of the spreadpoly suite: its rows, their values
+(poly_eval), the recurrence (triple_spread_fn, and affine.archimedes
+through it), green-ratio and fixed cases.  Elsewhere (e.g.
+affine.archimedes in the F_p triple-quad sweep, projective.pairing in the
+F_p triple-spread sweep, the suites' null tests) an error leaves
+run_suite.  A proof that raises is not proved, so the trials check its
+identity.  An error in a p-quadrance table fails every F_p tuple of the
+form, one in a form's discriminant or values every F_p fibonacci case of
+the form, one building S_0..S_36 every spreadpoly case, one building the
+spreadpoly sweep's table every sweep case, one building S_1..S_8 every
+green power case, and one elsewhere in the isometry sweep the colour
+once; a heron, brahmagupta, fibonacci or spreadpoly case fails alone, and
+the loop resumes after it.
 """
 
 from __future__ import annotations
@@ -446,14 +454,19 @@ def _failed(failure: tuple, inputs: dict, p=None) -> dict:
                     _lift(p, lhs), _lift(p, rhs))
 
 
-def _alternates(name: str, fn, forms, args, shown: dict) -> dict | None:
-    """The first of the alternate ``forms(*args)`` that differs from
-    ``fn(*args)``, as the mismatch ``<name>-alternate-<i>``; ``shown`` names
-    the inputs in the report."""
-    base = fn(*args)
-    for i, alt in enumerate(forms(*args)):
-        if alt != base:
-            return mismatch(f"{name}-alternate-{i + 1}", shown, alt, base)
+def _free_identity(name: str, lhs, rhs, free) -> dict | None:
+    """The sampled check of a free-variable identity, at the lifted values
+    ``free`` (named a, b, c, d): the mismatch ``name`` when ``lhs(*free)``
+    differs from ``rhs(*free)``, or, when lhs lists alternate forms, the
+    first that differs as ``<name>-<i>``.  symbolic.proves takes the same
+    lhs and rhs."""
+    want, got = rhs(*free), lhs(*free)
+    shown = dict(zip("abcd", free))
+    if not isinstance(got, list):
+        return None if got == want else mismatch(name, shown, got, want)
+    for i, alt in enumerate(got):
+        if alt != want:
+            return mismatch(f"{name}-{i + 1}", shown, alt, want)
     return None
 
 
@@ -590,14 +603,33 @@ def _sweep_triple(rec, p: int, qtab, live, laws: Callable, inputs: Callable, per
 
 # -- individual suites --------------------------------------------------------
 
-def _triple_quad_case(x1, x2, x3) -> dict | None:
-    a1, a2, a3 = affine.AffinePoint(x1), affine.AffinePoint(x2), affine.AffinePoint(x3)
-    quadrance = affine.quadrance
-    failure = _triple_quad_law(quadrance(a2, a3), quadrance(a1, a3), quadrance(a1, a2))
-    if failure is not None:
-        return _failed(failure, {"x1": x1, "x2": x2, "x3": x3})
-    return _alternates("archimedes", affine.archimedes, affine.archimedes_forms,
-                       (x1, x2, x3), {"a": x1, "b": x2, "c": x3})
+def _proved(lhs, rhs, nvars: int) -> bool:
+    """symbolic.proves: whether the kernels ``lhs`` and ``rhs``, as the
+    caller reads them now, give one polynomial over Z.  A rational suite
+    asks once, before its first trial, and its trials skip the identity when
+    it holds.  Only the rational driver loads the symbolic module."""
+    from .symbolic import proves
+
+    return proves(lhs, rhs, nvars)
+
+
+def _triple_quad_case(x1, x2, x3, proved: bool) -> dict | None:
+    """The triple quad formula, then, unless ``proved``, the alternate forms
+    of Archimedes' function.  A QuadranceError is the failure of the triple
+    quad formula."""
+    inputs = {"x1": x1, "x2": x2, "x3": x3}
+    try:
+        a1, a2, a3 = affine.AffinePoint(x1), affine.AffinePoint(x2), affine.AffinePoint(x3)
+        quadrance = affine.quadrance
+        failure = _triple_quad_law(quadrance(a2, a3), quadrance(a1, a3), quadrance(a1, a2))
+        if failure is not None:
+            return _failed(failure, inputs)
+        if proved:
+            return None
+        return _free_identity("archimedes-alternate", affine.archimedes_forms, affine.archimedes,
+                              (x1, x2, x3))
+    except QuadranceError as exc:
+        return _raised("triple-quad-formula", inputs, exc)
 
 
 def _suite_triple_quad(rec, ctx, rng, trials, colors):
@@ -606,26 +638,37 @@ def _suite_triple_quad(rec, ctx, rng, trials, colors):
         _sweep_triple(rec, p, _quadrance_table(p), range(p), _triple_quad_law,
                       lambda i, j, k: {"x1": i, "x2": j, "x3": k})
     else:
+        proved = _proved(affine.archimedes_forms, affine.archimedes, 3)
         for _ in range(trials):
-            rec.case(_triple_quad_case(*_random_lifted(rng, 3)))
+            rec.case(_triple_quad_case(*_random_lifted(rng, 3), proved))
 
 
-def _quadruple_quad_case(a, b, c, d) -> dict | None:
-    a1, a2, a3, a4 = (affine.AffinePoint(u) for u in (a, b, c, d))
-    quadrance = affine.quadrance
-    failure = _quadruple_laws("quadruple-quad", affine.quadruple_quad_fn,
-                              affine.quad_triple_pair_fraction,
-                              quadrance(a1, a2), quadrance(a2, a3), quadrance(a3, a4),
-                              quadrance(a1, a4), quadrance(a1, a3), quadrance(a2, a4))
-    if failure is not None:
-        return _failed(failure, {"x1": a, "x2": b, "x3": c, "x4": d})
-    lhs = ((a - b) ** 2 - (c - d) ** 2 - 2 * (a + b - c - d) * (a + b)) ** 2 \
+def _quad_rearranged(a, b, c, d):
+    """The two-quad-triples rearrangement of quadruple_quad_fn(a, b, c, d)."""
+    return ((a - b) ** 2 - (c - d) ** 2 - 2 * (a + b - c - d) * (a + b)) ** 2 \
         - 16 * a * b * (a + b - c - d) ** 2
-    rhs = affine.quadruple_quad_fn(a, b, c, d)
-    if lhs != rhs:
-        return mismatch("two-quad-triples-rearrangement",
-                        {"a": a, "b": b, "c": c, "d": d}, lhs, rhs)
-    return None
+
+
+def _quadruple_quad_case(a, b, c, d, proved: bool) -> dict | None:
+    """The quadruple quad formula and its diagonals, then, unless ``proved``,
+    the rearrangement identity.  A QuadranceError is the failure of the
+    quadruple quad formula."""
+    inputs = {"x1": a, "x2": b, "x3": c, "x4": d}
+    try:
+        a1, a2, a3, a4 = (affine.AffinePoint(u) for u in (a, b, c, d))
+        quadrance = affine.quadrance
+        failure = _quadruple_laws("quadruple-quad", affine.quadruple_quad_fn,
+                                  affine.quad_triple_pair_fraction,
+                                  quadrance(a1, a2), quadrance(a2, a3), quadrance(a3, a4),
+                                  quadrance(a1, a4), quadrance(a1, a3), quadrance(a2, a4))
+        if failure is not None:
+            return _failed(failure, inputs)
+        if proved:
+            return None
+        return _free_identity("two-quad-triples-rearrangement", _quad_rearranged,
+                              affine.quadruple_quad_fn, (a, b, c, d))
+    except QuadranceError as exc:
+        return _raised("quadruple-quad-formula", inputs, exc)
 
 
 def _suite_quadruple_quad(rec, ctx, rng, trials, colors):
@@ -635,8 +678,9 @@ def _suite_quadruple_quad(rec, ctx, rng, trials, colors):
                          affine.quadruple_quad_fn, affine.quad_triple_pair_fraction,
                          lambda i, j, k, m: {"x1": i, "x2": j, "x3": k, "x4": m})
     else:
+        proved = _proved(_quad_rearranged, affine.quadruple_quad_fn, 4)
         for _ in range(trials):
-            rec.case(_quadruple_quad_case(*_random_lifted(rng, 4)))
+            rec.case(_quadruple_quad_case(*_random_lifted(rng, 4), proved))
 
 
 def _heron_sides(d1, d2, d3):
@@ -760,34 +804,52 @@ def _suite_fibonacci(rec, ctx, rng, trials, colors):
 
 
 def _triple_spread_case(form, a1, a2, a3, free) -> dict | None:
+    """The triple spread laws on three points, then the alternate forms of
+    the triple spread function at the lifted ``free`` values, unless the
+    forms were proved (``free`` is None).  A QuadranceError is the failure
+    of the triple spread formula."""
     inputs = {"form": form, "a1": a1, "a2": a2, "a3": a3}
     p_quadrance = projective.p_quadrance
     try:
         quadrances = (p_quadrance(form, a2, a3), p_quadrance(form, a1, a3),
                       p_quadrance(form, a1, a2))
+        failure = _triple_spread_laws(*lift_scaled(quadrances),
+                                      projective.is_perpendicular(form, a1, a2))
+        if failure is not None:
+            return _failed(failure, inputs)
+        if free is not None:
+            return _free_identity("triple-spread-alternate", projective.triple_spread_forms,
+                                  projective.triple_spread_fn, free)
     except QuadranceError as exc:
         return _raised("triple-spread-formula", inputs, exc)
-    failure = _triple_spread_laws(*lift_scaled(quadrances),
-                                  projective.is_perpendicular(form, a1, a2))
-    if failure is not None:
-        return _failed(failure, inputs)
-    return _alternates("triple-spread", projective.triple_spread_fn,
-                       projective.triple_spread_forms, free, dict(zip("abc", free)))
+    return None
 
 
 def _scale_invariance_case(form, a1, a2, lam) -> dict | None:
-    q = projective.p_quadrance(form, a1, a2)
-    scaled_pt = ProjPoint(lam * a1.x, lam * a1.y)
-    q_pt = projective.p_quadrance(form, scaled_pt, a2)
-    if q_pt != q:
-        return mismatch("point-rescaling-invariance",
-                        {"form": form, "a1": a1, "a2": a2, "lambda": lam}, q_pt, q)
-    scaled_form = Form(lam * form.d, lam * form.e, lam * form.f)
-    q_form = projective.p_quadrance(scaled_form, a1, a2)
-    if q_form != q:
-        return mismatch("form-rescaling-invariance",
-                        {"form": form, "a1": a1, "a2": a2, "lambda": lam}, q_form, q)
+    """p_quadrance is unchanged by scaling a1, then the form, by ``lam``.  A
+    QuadranceError is the failure of point rescaling invariance."""
+    inputs = {"form": form, "a1": a1, "a2": a2, "lambda": lam}
+    try:
+        q = projective.p_quadrance(form, a1, a2)
+        scaled_pt = ProjPoint(lam * a1.x, lam * a1.y)
+        q_pt = projective.p_quadrance(form, scaled_pt, a2)
+        if q_pt != q:
+            return mismatch("point-rescaling-invariance", inputs, q_pt, q)
+        scaled_form = Form(lam * form.d, lam * form.e, lam * form.f)
+        q_form = projective.p_quadrance(scaled_form, a1, a2)
+        if q_form != q:
+            return mismatch("form-rescaling-invariance", inputs, q_form, q)
+    except QuadranceError as exc:
+        return _raised("point-rescaling-invariance", inputs, exc)
     return None
+
+
+def _free_values(rng, k: int, proved: bool) -> list | None:
+    """k random rationals for a free-variable identity, lifted together, or
+    None when the identity is proved; they are drawn either way, so every
+    later draw is unchanged."""
+    drawn = [random_element(None, rng) for _ in range(k)]
+    return None if proved else lift_scaled(drawn)
 
 
 def _selected_forms(colors) -> list[str]:
@@ -814,34 +876,43 @@ def _suite_triple_spread(rec, ctx, rng, trials, colors):
                               lambda i, j, k: {"form": form, "a1": pts[i], "a2": pts[j],
                                                "a3": pts[k]}, perp)
     else:
+        proved = _proved(projective.triple_spread_forms, projective.triple_spread_fn, 3)
         for form, keep in _cycled(forms, trials):
             a1, a2, a3 = (random_point(rng, keep)[0] for _ in range(3))
-            failure = _triple_spread_case(form, a1, a2, a3, _random_lifted(rng, 3))
+            failure = _triple_spread_case(form, a1, a2, a3, _free_values(rng, 3, proved))
             if failure is None:
                 failure = _scale_invariance_case(form, a1, a2, random_nonzero(rng))
             rec.case(failure)
 
 
+def _spread_rearranged(a, b, c, d):
+    """The two-spread-triples rearrangement of quadruple_spread_fn(a, b, c, d)."""
+    den = a + b - c - d - 2 * a * b + 2 * c * d
+    return ((a - b) ** 2 - (c - d) ** 2 - 2 * den * (a + b - 2 * a * b)) ** 2 \
+        - 16 * a * b * (1 - a) * (1 - b) * den ** 2
+
+
 def _quadruple_spread_case(form, a1, a2, a3, a4, free) -> dict | None:
+    """The quadruple spread laws on four points, then the rearrangement
+    identity at the lifted ``free`` values, unless it was proved (``free``
+    is None).  A QuadranceError is the failure of the quadruple spread
+    formula."""
     inputs = {"form": form, "a1": a1, "a2": a2, "a3": a3, "a4": a4}
     p_quadrance = projective.p_quadrance
     try:
         quadrances = (p_quadrance(form, a1, a2), p_quadrance(form, a2, a3),
                       p_quadrance(form, a3, a4), p_quadrance(form, a1, a4),
                       p_quadrance(form, a1, a3), p_quadrance(form, a2, a4))
+        failure = _quadruple_laws("quadruple-spread", projective.quadruple_spread_fn,
+                                  projective.spread_triple_pair_fraction,
+                                  *lift_scaled(quadrances))
+        if failure is not None:
+            return _failed(failure, inputs)
+        if free is not None:
+            return _free_identity("two-spread-triples-rearrangement", _spread_rearranged,
+                                  projective.quadruple_spread_fn, free)
     except QuadranceError as exc:
         return _raised("quadruple-spread-formula", inputs, exc)
-    failure = _quadruple_laws("quadruple-spread", projective.quadruple_spread_fn,
-                              projective.spread_triple_pair_fraction, *lift_scaled(quadrances))
-    if failure is not None:
-        return _failed(failure, inputs)
-    a, b, c, d = free
-    den = a + b - c - d - 2 * a * b + 2 * c * d
-    lhs = ((a - b) ** 2 - (c - d) ** 2 - 2 * den * (a + b - 2 * a * b)) ** 2 \
-        - 16 * a * b * (1 - a) * (1 - b) * den ** 2
-    rhs = projective.quadruple_spread_fn(a, b, c, d)
-    if lhs != rhs:
-        return mismatch("two-spread-triples-rearrangement", dict(zip("abcd", free)), lhs, rhs)
     return None
 
 
@@ -859,9 +930,10 @@ def _suite_quadruple_spread(rec, ctx, rng, trials, colors):
                                  lambda i, j, k, m: {"form": form, "a1": pts[i], "a2": pts[j],
                                                      "a3": pts[k], "a4": pts[m]})
     else:
+        proved = _proved(_spread_rearranged, projective.quadruple_spread_fn, 4)
         for form, keep in _cycled(forms, trials):
             quad = [random_point(rng, keep)[0] for _ in range(4)]
-            rec.case(_quadruple_spread_case(form, *quad, _random_lifted(rng, 4)))
+            rec.case(_quadruple_spread_case(form, *quad, _free_values(rng, 4, proved)))
 
 
 # The chromo laws by colour, with their identity names formatted once: a

@@ -53,6 +53,23 @@ with contextlib.redirect_stdout(io.StringIO()):
 check("the verify command")
 """
 
+# The symbolic module, which proves identities over Z, loads only for a
+# rational verify run: not for the package, the kernels or a sweep over F_p.
+_SYMBOLIC_ON_FIRST_USE = """
+import contextlib, io, sys
+import quadrance
+from quadrance import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["eval", "quad", "--points", "1", "3"]) == 0
+    assert cli.main(["example", "paper"]) == 0
+    assert cli.main(["spreadpoly", "--n", "3", "--factor"]) == 0
+    assert cli.main(["verify", "--suite", "all", "--field", "fp:7"]) == 0
+assert "quadrance.symbolic" not in sys.modules, "only a rational run may load it"
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["verify", "--suite", "triple-quad", "--trials", "1"]) == 0
+assert "quadrance.symbolic" in sys.modules
+"""
+
 
 def _run_fresh(script, *flags):
     env = dict(os.environ, PYTHONPATH=str(SRC))
@@ -67,6 +84,10 @@ def test_import_loads_the_verifier_on_first_use():
 
 def test_cli_loads_the_verifier_only_to_verify():
     _run_fresh(_CLI_FIRST_USE)
+
+
+def test_only_a_rational_verify_loads_the_symbolic_module():
+    _run_fresh(_SYMBOLIC_ON_FIRST_USE)
 
 
 def test_start_up_loads_no_dataclasses_inspect_or_typing():

@@ -1713,3 +1713,127 @@ def test_isometry_reports_a_point_its_kernels_call_null(monkeypatch, field, seed
         # one failure for red, and blue and green sweep as before
         assert (report.failed, report.passed) == (1, right.passed)
         assert report.attempted == right.attempted + 1
+
+
+# (module, kernel, suite): over Q, kernels that every trial checks raise from
+# their fourth call on.  Each error is the failure of the identity the case
+# checks first, not raised.
+RATIONAL_RAISING = [
+    ("affine", "quadrance", "triple-quad"),
+    ("affine", "archimedes", "triple-quad"),
+    ("affine", "quadrance", "quadruple-quad"),
+    ("affine", "quadruple_quad_fn", "quadruple-quad"),
+    ("affine", "quad_triple_pair_fraction", "quadruple-quad"),
+    ("affine", "archimedes", "triple-spread"),
+    ("projective", "pairing", "triple-spread"),
+    ("projective", "is_perpendicular", "triple-spread"),
+    ("projective", "triple_spread_fn", "triple-spread"),
+    ("projective", "p_quadrance", "triple-spread"),
+    ("projective", "p_quadrance_fraction", "triple-spread"),
+    ("projective", "quadruple_spread_fn", "quadruple-spread"),
+    ("projective", "spread_triple_pair_fraction", "quadruple-spread"),
+]
+
+# (module, kernel, suite): kernels of the identities proved once a call,
+# raising on every call, so the proof fails and the trials report the error
+PROVED_RAISING = [
+    ("affine", "archimedes_forms", "triple-quad"),
+    ("affine", "det4", "triple-quad"),
+    ("projective", "triple_spread_forms", "triple-spread"),
+    ("affine", "det4", "triple-spread"),
+]
+
+
+@pytest.mark.parametrize("module, kernel, suite, first", [
+    row + (4,) for row in RATIONAL_RAISING] + [row + (1,) for row in PROVED_RAISING],
+    ids=[f"{row[1]}-{row[2]}" for row in RATIONAL_RAISING]
+    + [f"{row[1]}-{row[2]}-always" for row in PROVED_RAISING])
+def test_kernel_errors_in_the_rational_cases_are_reported_not_raised(monkeypatch, module, kernel,
+                                                                     suite, first):
+    import importlib
+
+    mod = importlib.import_module(f"quadrance.{module}")
+    monkeypatch.setattr(mod, kernel, _raises_from_call(getattr(mod, kernel), first))
+    report = run_suite(suite, make_context("rationals"), trials=30, seed=0)
+    assert report.failed >= 1 and counts_ok(report)
+    assert report.counterexample["lhs"].startswith("InvalidArgument: broken at call")
+
+
+def _spy(fn, seen):
+    """fn, recording the type of the first argument of every call in ``seen``."""
+    def spied(*args):
+        seen.append(type(args[0]))
+        return fn(*args)
+    return spied
+
+
+def test_the_alternate_forms_are_evaluated_once_a_call_on_symbols(monkeypatch):
+    from quadrance import affine, projective
+    from quadrance.symbolic import Poly
+
+    seen = {"archimedes_forms": [], "triple_spread_forms": []}
+    for mod, name in ((affine, "archimedes_forms"), (projective, "triple_spread_forms")):
+        monkeypatch.setattr(mod, name, _spy(getattr(mod, name), seen[name]))
+    ctx = make_context("rationals")
+    for suite, names in (("triple-quad", ["archimedes_forms"]),
+                         ("triple-spread", ["triple_spread_forms"]),
+                         ("all", ["archimedes_forms", "triple_spread_forms"])):
+        for calls in seen.values():
+            calls.clear()
+        report = run_suite(suite, ctx, trials=200, seed=1)
+        assert report.failed == 0 and counts_ok(report)
+        assert {name: calls for name, calls in seen.items() if calls} == {
+            name: [Poly] for name in names}, suite
+
+
+def _first_alternate_plus_one_unless_a_is_0(fn):
+    def broken(a, b, c):
+        first, *rest = fn(a, b, c)
+        return [first if a == 0 else first + 1, *rest]
+    return broken
+
+
+@pytest.mark.parametrize("module, kernel, suite, identity", [
+    ("affine", "archimedes_forms", "triple-quad", "archimedes-alternate-1"),
+    ("projective", "triple_spread_forms", "triple-spread", "triple-spread-alternate-1"),
+])
+def test_a_breaker_that_branches_on_a_value_is_sampled(monkeypatch, module, kernel, suite,
+                                                        identity):
+    # a == 0 raises TypeError on a polynomial, so the proof fails
+    import importlib
+
+    mod = importlib.import_module(f"quadrance.{module}")
+    monkeypatch.setattr(mod, kernel, _first_alternate_plus_one_unless_a_is_0(getattr(mod, kernel)))
+    report = run_suite(suite, make_context("rationals"), trials=30, seed=0)
+    assert report.failed > 0 and counts_ok(report)
+    assert report.counterexample["identity"] == identity
+
+
+def _doubled(fn):
+    # keeps every zero of the formula, so only the identity against it fails
+    return lambda *args: 2 * fn(*args)
+
+
+@pytest.mark.parametrize("module, kernel, breaker, suite, identity", [
+    ("affine", "archimedes_forms", _first_alternate_plus_one, "triple-quad",
+     "archimedes-alternate-1"),
+    ("projective", "triple_spread_forms", _first_alternate_plus_one, "triple-spread",
+     "triple-spread-alternate-1"),
+    ("affine", "quadruple_quad_fn", _doubled, "quadruple-quad", "two-quad-triples-rearrangement"),
+    ("projective", "quadruple_spread_fn", _doubled, "quadruple-spread",
+     "two-spread-triples-rearrangement"),
+], ids=lambda v: v if isinstance(v, str) else None)
+def test_each_rational_call_proves_the_kernels_it_is_given(monkeypatch, module, kernel, breaker,
+                                                           suite, identity):
+    # nothing is proved across calls: clean, broken and clean again each see their kernel
+    import importlib
+
+    mod = importlib.import_module(f"quadrance.{module}")
+    original = getattr(mod, kernel)
+    for broken in (False, True, False):
+        monkeypatch.setattr(mod, kernel, breaker(original) if broken else original)
+        report = run_suite(suite, make_context("rationals"), trials=30, seed=0)
+        assert counts_ok(report)
+        assert (report.failed > 0) is broken
+        if broken:
+            assert report.counterexample["identity"] == identity
