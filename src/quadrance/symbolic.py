@@ -56,7 +56,11 @@ class Poly:
         terms = {}
         for e2, c2 in self._terms(other).items():
             for e1, c1 in self.terms.items():
-                e = tuple(map(add, e1, e2))
+                # not tuple(map(...)): CPython sizes that tuple by a guess and
+                # shrinks it, so it never reuses the freed exponents that its
+                # free list of short tuples keeps, up to 2,000 (about 100 KiB)
+                # for each length
+                e = (*map(add, e1, e2),)
                 terms[e] = terms.get(e, 0) + c1 * c2
         return Poly({e: c for e, c in terms.items() if c}, self.n)
 

@@ -41,7 +41,12 @@ in Z[a, b, c(, d)]: each rational call first evaluates them once on
 symbolic.Poly variables (_proved), with the kernels it reads at that
 moment, and its trials check them only where that proof fails, on the
 values they still draw.  Rescaling invariance, an identity of rational
-functions, is sampled on every trial.
+functions, is sampled on every trial.  The spread recurrence for
+n <= 12 is an identity in Z[s] for each n, proved once per rational call
+too, but after the first trial: that trial samples it through
+poly_eval's Fraction path, which a Poly never takes, and only when it
+passes and a trial remains is the proof asked; the later trials still
+draw s and skip the recurrence when it holds.
 
 The triple and quadruple sweeps check each distinct tuple of table values
 once per call: a verdict is a pure function of the values it reads,
@@ -606,8 +611,10 @@ def _sweep_triple(rec, p: int, qtab, live, laws: Callable, inputs: Callable, per
 def _proved(lhs, rhs, nvars: int) -> bool:
     """symbolic.proves: whether the kernels ``lhs`` and ``rhs``, as the
     caller reads them now, give one polynomial over Z.  A rational suite
-    asks once, before its first trial, and its trials skip the identity when
-    it holds.  Only the rational driver loads the symbolic module."""
+    asks once per call, and its trials skip the identity when it holds: the
+    free-variable identities before the first trial, the spread recurrence
+    after a first trial that sampled it and passed, when a trial remains.
+    Only a rational run loads the symbolic module."""
     from .symbolic import proves
 
     return proves(lhs, rhs, nvars)
@@ -1283,6 +1290,14 @@ def _spread_table(p: int, polys) -> list:
     return [[spreadpoly.poly_eval(poly, r) % p for poly in polys] for r in range(p)]
 
 
+def _recurrence_sides(polys, s) -> list:
+    """triple_spread_fn(S_{n-1}(s), s, S_n(s)) for n = 1..12, where
+    ``polys[n]`` is S_n, through the kernels as read now: the sides of the
+    spread recurrence that a rational call proves on a variable."""
+    values = [spreadpoly.poly_eval(polys[n], s) for n in range(13)]
+    return [projective.triple_spread_fn(values[n - 1], s, values[n]) for n in range(1, 13)]
+
+
 def _recurrence_case(s, values, p=None) -> dict | None:
     """S_{n-1}(s), s, S_n(s) annihilate the triple spread function, n = 1..12;
     ``values[n]`` is S_n(s) for n = 0..12."""
@@ -1364,14 +1379,22 @@ def _suite_spreadpoly(rec, ctx, rng, trials, colors):
             for y in range(1, p):
                 rec.case(_green_ratio_case(x, y, range(1, 9), p, spread))
     else:
+        # Trial 1 samples the recurrence on poly_eval's Fraction path, which a
+        # Poly never takes; if it holds and a trial remains, one proof spares
+        # the later trials, which still draw s.
+        proved = False
         for t in range(trials):
             s = random_element(None, rng)
-            try:
-                s, *values = lift_scaled(
-                    [s] + [spreadpoly.poly_eval(polys[n], s) for n in range(13)])
-                failure = _recurrence_case(s, values)
-            except QuadranceError as exc:
-                failure = _raised("spread-recurrence-triple", {"s": s}, exc)
+            failure = None
+            if not proved:
+                try:
+                    s, *values = lift_scaled(
+                        [s] + [spreadpoly.poly_eval(polys[n], s) for n in range(13)])
+                    failure = _recurrence_case(s, values)
+                except QuadranceError as exc:
+                    failure = _raised("spread-recurrence-triple", {"s": s}, exc)
+                if t == 0 and failure is None and trials > 1:
+                    proved = _proved(lambda x: _recurrence_sides(polys, x), lambda x: 0, 1)
             if failure is None:
                 x, y = random_nonzero(rng), random_nonzero(rng)
                 failure = _green_ratio_case(x, y, [1 + t % 8])

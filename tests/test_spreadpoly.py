@@ -508,3 +508,21 @@ def test_the_factors_of_2520_multiply_back_to_each_spread_poly():
 def test_the_factors_of_squarefree_2310_multiply_back_to_each_spread_poly():
     # 2310 = 2 3 5 7 11: every factor but phi_1 divides by phi_m once
     _check_factors_multiply_back(2310)
+
+
+ODD_PRIMES_TO_23 = [3, 5, 7, 11, 13, 17, 19, 23]
+
+
+@pytest.mark.parametrize("p", ODD_PRIMES_TO_23)
+def test_frobenius_s_p_fixes_every_residue(p):
+    # S_p(s) = s over F_p, as x^p = x
+    row = spread_poly(p)
+    assert [poly_eval(row, s) % p for s in range(p)] == list(range(p))
+
+
+@pytest.mark.parametrize("p", ODD_PRIMES_TO_23)
+def test_s_n_permutes_f_p_exactly_when_n_is_prime_to_p_squared_minus_1(p):
+    for n in range(1, 2 * (p + 1) + 1):
+        row = spread_poly(n)
+        image = {poly_eval(row, s) % p for s in range(p)}
+        assert (len(image) == p) is (math.gcd(n, p * p - 1) == 1), n

@@ -1837,3 +1837,73 @@ def test_each_rational_call_proves_the_kernels_it_is_given(monkeypatch, module, 
         assert (report.failed > 0) is broken
         if broken:
             assert report.counterexample["identity"] == identity
+
+
+def _plus_one_on_fractions_of_degree_9_to_12(fn):
+    # only poly_eval's Fraction path, which a polynomial never takes, is wrong
+    from fractions import Fraction
+
+    return lambda poly, s: fn(poly, s) + (type(s) is Fraction and 9 <= poly.degree <= 12)
+
+
+def test_the_spread_recurrence_samples_poly_evals_fraction_path_first(monkeypatch):
+    # trial 1 fails, so no proof is asked, and every trial samples
+    import quadrance.verify as v
+
+    proofs = []
+    monkeypatch.setattr(v, "_proved", _spy(v._proved, proofs))
+    monkeypatch.setattr(spreadpoly, "poly_eval",
+                        _plus_one_on_fractions_of_degree_9_to_12(spreadpoly.poly_eval))
+    report = run_suite("spreadpoly", make_context("rationals"), trials=200, seed=1)
+    assert (report.attempted, report.failed) == (281, 200) and counts_ok(report)
+    assert report.counterexample["identity"] == "spread-recurrence-triple"
+    assert report.counterexample["inputs"] == {"n": "9", "s": "-4/5"}
+    assert proofs == []
+
+
+@pytest.mark.parametrize("trials, proofs", [(1, 0), (2, 1), (200, 1)])
+def test_the_spread_recurrence_is_proved_once_when_a_trial_remains(monkeypatch, trials, proofs):
+    import quadrance.verify as v
+
+    answers = []
+
+    def proved(*args, _proved=v._proved):
+        answers.append(_proved(*args))
+        return answers[-1]
+    monkeypatch.setattr(v, "_proved", proved)
+    report = run_suite("spreadpoly", make_context("rationals"), trials=trials, seed=1)
+    assert report.failed == 0 and report.attempted == 81 + trials and counts_ok(report)
+    assert answers == [True] * proofs
+
+
+def test_each_spreadpoly_call_proves_the_triple_spread_fn_it_is_given(monkeypatch):
+    # seed 0 draws s = 0 first, where a broken triple_spread_fn still
+    # vanishes: trial 1 passes, the proof fails, and the later trials sample
+    from quadrance import projective
+
+    original = projective.triple_spread_fn
+    for broken in (False, True, False):
+        monkeypatch.setattr(projective, "triple_spread_fn",
+                            _plus_abc(original) if broken else original)
+        report = run_suite("spreadpoly", make_context("rationals"), trials=30, seed=0)
+        assert counts_ok(report)
+        assert (report.failed > 0) is broken
+        if broken:
+            assert report.counterexample["identity"] == "spread-recurrence-triple"
+
+
+def test_a_recurrence_breaker_that_branches_on_a_value_is_sampled_every_trial(monkeypatch):
+    # right at s = 0, trial 1's draw for seed 0, and wrong elsewhere; s == 0
+    # raises TypeError on a polynomial, so the proof fails
+    import quadrance.verify as v
+    from quadrance import projective
+
+    original, sampled = projective.triple_spread_fn, []
+    monkeypatch.setattr(projective, "triple_spread_fn",
+                        lambda a, s, b: original(a, s, b) + (0 if s == 0 else 1))
+    monkeypatch.setattr(v, "_recurrence_case", _spy(v._recurrence_case, sampled))
+    report = run_suite("spreadpoly", make_context("rationals"), trials=30, seed=0)
+    assert len(sampled) == 30
+    assert report.failed == 28 and counts_ok(report)
+    assert report.counterexample == {"identity": "spread-recurrence-triple",
+                                     "inputs": {"n": "1", "s": "4/3"}, "lhs": "1", "rhs": "0"}
