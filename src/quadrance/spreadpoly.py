@@ -10,12 +10,12 @@ cache keeps it, from its explicit coefficients (Goh and Wildberger,
 "Spread polynomials, rotations and the butterfly effect", 2009):
 S_n(s) = sum over k = 1..n of (n/k) C(n+k-1, 2k-1) (-4)^(k-1) s^k and
 T_n(x) = (n/2) sum over m <= n/2 of (-1)^m (n-m-1)!/(m!(n-2m)!) (2x)^(n-2m).
-As with cyclotomic polynomials, where Phi_pm(x) is Phi_m(x^p) when the
-prime p divides m and Phi_m(x^p) / Phi_m(x) when it does not, every
-factor comes from one recursion: phi_1 = S_1, and phi_pm = phi_m o S_p,
-divided once by phi_m when p does not divide m, because
-S_p(sin^2 t) = sin^2(pt).  Taking p as the least prime factor of pm, the
-factors build S_p for primes p only.
+As with cyclotomic polynomials, where Phi_k(x) = Phi_r(x^(k/r)) for the
+radical r of k (the product of its distinct primes), phi_k = phi_r o S_(k/r),
+because S_n(sin^2 t) = sin^2(nt); and phi_r is built one prime at a time
+from phi_1 = S_1 by phi_pm = (phi_m o S_p) / phi_m, p not dividing m.
+No factor is kept: each call builds its own, from S_p for the primes p of k
+and one S_(k/r).
 Products and compositions use Kronecker substitution (D. Harvey, J.
 Symbolic Comput. 2009): a polynomial is packed into one int, its value at
 x = 2^b, with b bits a slot for each coefficient of the result and its
@@ -197,9 +197,6 @@ def _compose(cs, q: IntPolynomial, powers: list) -> IntPolynomial:
     return _compose(cs[:m], q, powers) + powers[j] * _compose(cs[m:], q, powers)
 
 
-_phi_cache: dict[int, IntPolynomial] = {}
-
-
 def spread_poly(n: int) -> IntPolynomial:
     """The n-th spread polynomial (degree n, leading coefficient (-4)^(n-1)):
     the coefficient of s^k is a_k, a_1 = n^2, a_(k+1) = a_k 2(k^2 - n^2) / ((k+1)(2k+1))."""
@@ -270,17 +267,24 @@ def _exact_poly_div(num: IntPolynomial, den: IntPolynomial) -> IntPolynomial:
     return IntPolynomial(quot)
 
 
-def _totient(n: int) -> int:
-    result, m, q = n, n, 2
-    while q * q <= m:
-        if m % q == 0:
-            while m % q == 0:
-                m //= q
-            result -= result // q
+def _primes(n: int) -> list[int]:
+    """The distinct prime factors of n >= 1, ascending."""
+    out, q = [], 2
+    while q * q <= n:
+        if n % q == 0:
+            out.append(q)
+            while n % q == 0:
+                n //= q
         q += 1
-    if m > 1:
-        result -= result // m
-    return result
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def _totient(n: int) -> int:
+    for p in _primes(n):
+        n -= n // p
+    return n
 
 
 def divisors(n: int) -> list[int]:
@@ -296,42 +300,25 @@ def divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
-def _least_prime(k: int) -> int:
-    """The least prime factor of k > 1."""
-    q = 2
-    while q * q <= k:
-        if k % q == 0:
-            return q
-        q += 1
-    return k
-
-
 def spread_cyclotomic(k: int) -> IntPolynomial:
     """The k-th spread-cyclotomic factor: S_n = prod over k | n of phi_k.
 
-    phi_1 = S_1.  For k > 1, with p the least prime factor of k and
-    m = k/p, phi_k = phi_m o S_p, divided exactly by phi_m when p does not
-    divide m.  The result must have degree totient(k).
+    From phi_1 = S_1, each prime p of k in ascending order takes phi_m to
+    phi_pm = (phi_m o S_p) / phi_m, up to the radical r of k; then
+    phi_k = phi_r o S_(k/r).  The result must have degree totient(k).
     """
     if k < 1:
         raise InvalidArgument("index must be positive")
-    phi = _phi_cache.get(k)
-    if phi is not None:
-        return phi
-    if k == 1:
-        phi = spread_poly(1)
-    else:
-        p = _least_prime(k)
-        m = k // p
-        phi_m = spread_cyclotomic(m)
-        phi = poly_compose(phi_m, spread_poly(p))
-        if m % p:
-            phi = _exact_poly_div(phi, phi_m)
+    phi, r = spread_poly(1), 1
+    for p in _primes(k):
+        phi = _exact_poly_div(poly_compose(phi, spread_poly(p)), phi)
+        r *= p
+    if r < k:
+        phi = poly_compose(phi, spread_poly(k // r))
     if phi.degree != _totient(k):
         raise FactorizationFailure(
             f"factor {k} has degree {phi.degree}, expected {_totient(k)}"
         )
-    _phi_cache[k] = phi
     return phi
 
 

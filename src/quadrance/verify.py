@@ -63,7 +63,9 @@ list per call.  The Fibonacci sweep evaluates one row of cases per (form,
 v1), with one pairing call per case: over int residues the identity
 holds in Z, so a row of exact zeros passes at once, and any other row is
 compared case by case mod p.
-Nothing outlives the call, so a kernel patched between runs is always seen.
+Nothing outlives the call, and no kernel keeps a value from one call to
+the next (the only cache holds immutable field contexts), so a kernel
+patched between runs is always seen.
 
 One error rule serves both drivers: where a case's inputs passed the
 suite's checks, a QuadranceError a kernel raises comes from a broken
@@ -161,13 +163,14 @@ class Report(Record):
         self.attempted += count
         self.passed += count
 
-    def case(self, failure: dict | None):
-        self.attempted += 1
+    def case(self, failure: dict | None, count: int = 1):
+        """``count`` cases with one verdict: passed when ``failure`` is None."""
+        self.attempted += count
         if failure is None:
-            self.passed += 1
+            self.passed += count
         else:
-            self.failed += 1
-            if self.counterexample is None:
+            self.failed += count
+            if self.counterexample is None and count:
                 self.counterexample = failure
 
     def to_dict(self) -> dict:
@@ -549,9 +552,7 @@ def _p_quadrance_table(rec, p: int, form, keep, pts, identity: str, arity: int) 
         return live, _pair_table(len(res), live,
                                  lambda i, j: _quotient(*fraction(form, res[i], res[j]), p))
     except QuadranceError as exc:
-        failure = _raised(identity, {"form": form}, exc)
-        for _ in range(len(live) ** arity):
-            rec.case(failure)
+        rec.case(_raised(identity, {"form": form}, exc), len(live) ** arity)
         return live, None
 
 
@@ -786,9 +787,8 @@ def _suite_fibonacci(rec, ctx, rng, trials, colors):
             disc = projective.discriminant(form)
             values = [value(form, v) for v in vectors]
         except QuadranceError as exc:
-            failure = _raised(identity, {"d": form.d, "e": form.e, "f": form.f}, exc)
-            for _ in range(len(vectors) ** 2):
-                rec.case(failure)
+            rec.case(_raised(identity, {"d": form.d, "e": form.e, "f": form.f}, exc),
+                     len(vectors) ** 2)
             continue
         passed = 0
         for v1, value1 in zip(vectors, values):
@@ -1352,9 +1352,8 @@ def _suite_spreadpoly(rec, ctx, rng, trials, colors):
             polys.append(spread_poly(n))
     except QuadranceError as exc:
         # every case fails with it: the 81 fixed ones, then the trials or the sweep's
-        failure = _raised("spread-degree-leading", {"n": len(polys)}, exc)
-        for _ in range(81 + (trials if rng else p + (p - 1) ** 2)):
-            rec.case(failure)
+        rec.case(_raised("spread-degree-leading", {"n": len(polys)}, exc),
+                 81 + (trials if rng else p + (p - 1) ** 2))
         return
     for identity, inputs, got, want in _spreadpoly_fixed_cases(polys):
         rec.case(None if got == want else mismatch(identity, inputs, got, want))
@@ -1365,9 +1364,7 @@ def _suite_spreadpoly(rec, ctx, rng, trials, colors):
             # every sweep case fails with it, under the identity it checks first
             for identity, cases in (("spread-recurrence-triple", p),
                                     ("green-ratio-closed-form", (p - 1) ** 2)):
-                failure = _raised(identity, {"p": p}, exc)
-                for _ in range(cases):
-                    rec.case(failure)
+                rec.case(_raised(identity, {"p": p}, exc), cases)
             return
         for s in range(p):
             try:

@@ -180,22 +180,22 @@ def _long_division_factors(top):
 
 
 def test_composed_factors_match_long_division():
-    # phi_pm = phi_m o S_p, divided by phi_m when p does not divide m: every
-    # k <= 400, squarefree or not
+    # phi_k = phi_r o S_(k/r) for the radical r of k, built one prime at a
+    # time: every k <= 400, squarefree or not
     oracle = _long_division_factors(400)
     for k in range(1, 401):
         assert spread_cyclotomic(k) == oracle[k], k
 
 
-def test_a_power_of_two_factor_builds_no_spread_poly_past_s2(monkeypatch):
+def test_a_power_of_two_factor_builds_only_s1_s2_and_one_composition(monkeypatch):
     from quadrance import spreadpoly
 
     asked = []
     right = spreadpoly.spread_poly
     monkeypatch.setattr(spreadpoly, "spread_poly", lambda n: asked.append(n) or right(n))
-    monkeypatch.setattr(spreadpoly, "_phi_cache", {})
     phi = spread_cyclotomic(2 ** 10)
-    assert asked and max(asked) == 2
+    # phi_2 = S_2 / S_1, and phi_1024 = phi_2 o S_512
+    assert sorted(asked) == [1, 2, 512]
     assert phi.degree == 2 ** 9
     # the product of phi_(2^j), j <= 10, is S_1024, i.e. S_2 applied ten
     # times: checked at one point mod a large prime
@@ -261,15 +261,12 @@ def test_memoization_transparent():
     assert fresh == a
 
 
-def test_caches_safe_under_concurrent_use(monkeypatch):
-    # an empty factor cache, filled by many threads at once with a short
-    # switch interval: every thread gets the same polynomials
+def test_kernels_safe_under_concurrent_use():
+    # many threads at once with a short switch interval: every thread gets
+    # the same polynomials
     import sys
     import threading
 
-    from quadrance import spreadpoly
-
-    monkeypatch.setattr(spreadpoly, "_phi_cache", {})
     results = []
 
     def worker():
@@ -289,9 +286,6 @@ def test_caches_safe_under_concurrent_use(monkeypatch):
     assert len(results) == 8
     assert all(r == results[0] for r in results)
     assert results[0][0] == spread_via_chebyshev(40)
-    # phi_24 = phi_12 o S_2, phi_12 = phi_6 o S_2, phi_6 = (phi_3 o S_2) / phi_3
-    # and phi_3 = (phi_1 o S_3) / phi_1: phi_2 is never asked for
-    assert sorted(spreadpoly._phi_cache) == [1, 3, 6, 12, 24]
 
 
 def test_exact_division_failure_paths(monkeypatch):
@@ -302,13 +296,11 @@ def test_exact_division_failure_paths(monkeypatch):
         _exact_poly_div(IntPolynomial([1, 1]), IntPolynomial([1, 2]))
     with pytest.raises(FactorizationFailure):
         _exact_poly_div(IntPolynomial([0, 1]), IntPolynomial([]))
-    # a factor of the wrong degree is refused, and not cached
+    # a factor of the wrong degree is refused
     totient = spreadpoly._totient
     monkeypatch.setattr(spreadpoly, "_totient", lambda n: totient(n) + 1)
-    monkeypatch.setattr(spreadpoly, "_phi_cache", {})
-    with pytest.raises(FactorizationFailure, match="^factor 1 has degree 1, expected 2$"):
+    with pytest.raises(FactorizationFailure, match="^factor 3 has degree 2, expected 3$"):
         spread_cyclotomic(3)
-    assert spreadpoly._phi_cache == {}
 
 
 def test_polynomial_str_rows():
@@ -526,3 +518,47 @@ def test_s_n_permutes_f_p_exactly_when_n_is_prime_to_p_squared_minus_1(p):
         row = spread_poly(n)
         image = {poly_eval(row, s) % p for s in range(p)}
         assert (len(image) == p) is (math.gcd(n, p * p - 1) == 1), n
+
+
+def _values_mod(poly, p):
+    """poly(s) mod p for s = 0..p-1."""
+    cs = [c % p for c in poly.coeffs]
+    out = []
+    for s in range(p):
+        acc = 0
+        for c in reversed(cs):
+            acc = (acc * s + c) % p
+        out.append(acc)
+    return out
+
+
+ODD_PRIMES_TO_60 = [p for p in range(3, 60, 2) if all(p % q for q in range(3, p, 2))]
+
+
+def test_spread_cyclotomic_roots_mod_p():
+    # phi_k vanishes at s = (2 - z - 1/z) / 4 exactly when z has order k;
+    # over F_p, p not dividing k, s lies in F_p when z lies in F_p or in the
+    # norm-one elements of F_(p^2).  So phi_k has a root iff k | p - 1 or
+    # k | p + 1, and then deg phi_k / 2 distinct ones for k >= 3 (z and 1/z
+    # give one s); phi_2 = 4 - 4s always has its one root
+    phis = {k: spread_cyclotomic(k) for k in range(2, 61)}
+    pairs = 0
+    for p in ODD_PRIMES_TO_60:
+        for k, phi in phis.items():
+            if k % p == 0:
+                continue
+            pairs += 1
+            split = (p - 1) % k == 0 or (p + 1) % k == 0
+            assert _values_mod(phi, p).count(0) == ((phi.degree + 1) // 2 if split else 0), (p, k)
+    assert pairs == 878
+
+
+@pytest.mark.parametrize("p", ODD_PRIMES_TO_23)
+def test_spread_sequences_mod_p_repeat_with_period_p_minus_or_plus_1(p):
+    # S_n(s) = (2 - z^n - 1/z^n) / 4 for s = (2 - z - 1/z) / 4, and z lies
+    # in F_p or in the norm-one elements of F_(p^2): z^(p-1) or z^(p+1) is 1
+    rows = [_values_mod(spread_poly(n), p) for n in range(2 * (p + 1) + 1)]
+    for s in range(p):
+        seq = [row[s] for row in rows]
+        assert any(all(seq[n + d] == seq[n] for n in range(len(seq) - d))
+                   for d in (p - 1, p + 1)), s

@@ -438,9 +438,6 @@ def test_residue_sweeps_detect_broken_kernels(monkeypatch, module, kernel, break
 
     mod = importlib.import_module(f"quadrance.{module}")
     monkeypatch.setattr(mod, kernel, breaker(getattr(mod, kernel)))
-    # spread-cyclotomic factors are cached from spread_poly: start cold, and
-    # keep factors of a broken spread_poly out of the shared cache
-    monkeypatch.setattr(spreadpoly, "_phi_cache", {})
     report = run_suite(suite, make_context(f"fp:{p}"), colors=colors)
     assert report.failed == failed
     assert report.counterexample == counterexample
@@ -469,6 +466,34 @@ def test_sweep_verdicts_last_one_call(monkeypatch, module, kernel, breaker, suit
         assert report.failed == (failed if broken else 0)
         assert report.counterexample == (counterexample if broken else None)
         assert counts_ok(report)
+
+
+def test_spread_factors_last_one_call(monkeypatch):
+    # no spread-cyclotomic factor outlives its call: a clean run after a
+    # broken poly_compose sees no factor it left, and a broken run after a
+    # clean one fails all 11 products n = 2..12, past the 36 compositions
+    # and the 16 spread_via_chebyshev cases
+    import quadrance.verify as v
+
+    record, seen = v.mismatch, []
+
+    def recording_mismatch(identity, inputs, lhs, rhs):
+        if identity == "spread-cyclotomic-product":
+            seen.append(inputs["n"])
+        return record(identity, inputs, lhs, rhs)
+
+    monkeypatch.setattr(v, "mismatch", recording_mismatch)
+    original = spreadpoly.poly_compose
+
+    def wrong(f, g):
+        return original(f, g) + spreadpoly.IntPolynomial([0, 2])
+
+    for broken in (True, False, True):
+        monkeypatch.setattr(spreadpoly, "poly_compose", wrong if broken else original)
+        seen.clear()
+        report = run_suite("spreadpoly", make_context("fp:7"))
+        assert report.failed == (36 + 16 + 11 if broken else 0) and counts_ok(report)
+        assert seen == (list(range(2, 13)) if broken else [])
 
 
 # (module, kernel, how it is broken, suite, colors), run over Q with seed 0 and
@@ -775,7 +800,6 @@ def test_kernel_errors_in_a_spread_composition_fail_their_case(monkeypatch):
     # call on, every fixed case that reaches it after the third fails alone
     original = spreadpoly.poly_compose
     for field in ("fp:7", "rationals"):
-        monkeypatch.setattr(spreadpoly, "_phi_cache", {})
         monkeypatch.setattr(spreadpoly, "poly_compose", _raises_from_call(original, 4))
         report = run_suite("spreadpoly", make_context(field), trials=30, seed=0)
         assert report.failed == 33 + 16 + 11 and counts_ok(report), field
@@ -823,11 +847,14 @@ def test_kernel_errors_in_the_spreadpoly_loops_fail_their_case(monkeypatch, modu
 
 
 # Calls of each kernel, through its module attribute, in one sweep over
-# F_7, with no spread-cyclotomic factor cached.  A fast path that skipped a
+# F_7.  A fast path that skipped a
 # kernel would change them.  The isometry sweep takes form_value once per
 # composed parameter (544) and once per blue and red isometry (16 + 12), and
-# S_1..S_8 once per call.  The spreadpoly sweep builds each factor phi_k,
-# k = 2..12, with one poly_compose and one spread_cyclotomic(k/p) call.
+# S_1..S_8 once per call.  The spreadpoly sweep asks for phi_d once for each
+# divisor d of each n = 1..12 (35 calls), and each call builds phi_d alone:
+# S_1, then one spread_poly and one poly_compose per prime of d, and one more
+# of each when d is not squarefree.  That is 68 spread_poly calls past the 37
+# rows, and 33 poly_compose calls past the 52 fixed compositions.
 KERNEL_CENSUS = {
     "isometry": {("chromo", "colored_quadrance_fraction"): 2120,
                  ("isometry", "multiply_points"): 2236, ("isometry", "compose"): 680,
@@ -835,9 +862,9 @@ KERNEL_CENSUS = {
                  ("projective", "form_value"): 572, ("spreadpoly", "spread_poly"): 8},
     "fibonacci": {("projective", "pairing"): 9604, ("projective", "form_value"): 196,
                   ("projective", "discriminant"): 4},
-    "spreadpoly": {("spreadpoly", "poly_compose"): 63, ("spreadpoly", "spread_via_chebyshev"): 16,
-                   ("spreadpoly", "chebyshev_T"): 16, ("spreadpoly", "spread_cyclotomic"): 46,
-                   ("spreadpoly", "spread_poly"): 49, ("spreadpoly", "poly_eval"): 259,
+    "spreadpoly": {("spreadpoly", "poly_compose"): 85, ("spreadpoly", "spread_via_chebyshev"): 16,
+                   ("spreadpoly", "chebyshev_T"): 16, ("spreadpoly", "spread_cyclotomic"): 35,
+                   ("spreadpoly", "spread_poly"): 105, ("spreadpoly", "poly_eval"): 259,
                    ("spreadpoly", "divisors"): 12},
 }
 
@@ -854,7 +881,6 @@ def test_fp_sweeps_reach_every_kernel_call(monkeypatch, suite):
             counts[_key] += 1
             return _kernel(*args)
         monkeypatch.setattr(mod, kernel, counted)
-    monkeypatch.setattr(spreadpoly, "_phi_cache", {})
     report = run_suite(suite, make_context("fp:7"))
     assert report.failed == 0 and counts_ok(report)
     assert counts == KERNEL_CENSUS[suite]
@@ -880,7 +906,6 @@ def test_wrong_small_spread_poly_is_reported_not_raised(monkeypatch):
         return record(identity, inputs, lhs, rhs)
 
     monkeypatch.setattr(spreadpoly, "spread_poly", wrong_s2)
-    monkeypatch.setattr(spreadpoly, "_phi_cache", {})
     monkeypatch.setattr(v, "mismatch", recording_mismatch)
     for ctx in (make_context("fp:7"), make_context("rationals")):
         seen.clear()
@@ -914,7 +939,6 @@ def test_a_wrong_s6_that_still_factors_fails_its_product(monkeypatch):
         return record(identity, inputs, lhs, rhs)
 
     monkeypatch.setattr(spreadpoly, "spread_poly", wrong_s6)
-    monkeypatch.setattr(spreadpoly, "_phi_cache", {})
     monkeypatch.setattr(v, "mismatch", recording_mismatch)
     for ctx in (make_context("fp:7"), make_context("rationals")):
         seen.clear()
@@ -961,8 +985,6 @@ def test_checks_reach_the_kernels_they_state(monkeypatch, module, kernel, breake
     mod = importlib.import_module(f"quadrance.{module}")
     monkeypatch.setattr(mod, kernel, breaker(getattr(mod, kernel)))
     for field in fields:
-        # keep factors of a broken spread_poly out of the shared cache
-        monkeypatch.setattr(spreadpoly, "_phi_cache", {})
         report = run_suite(suite, make_context(field), trials=50)
         assert report.failed > 0, field
         assert report.counterexample["identity"] == identity, field
@@ -1065,8 +1087,6 @@ def test_any_kernel_error_in_a_fixed_case_is_reported_not_raised(monkeypatch, ke
     monkeypatch.setattr(spreadpoly, kernel, _raises_at(getattr(spreadpoly, kernel), bad))
     monkeypatch.setattr(v, "mismatch", recording_mismatch)
     for field in ("fp:7", "rationals"):
-        # keep factors of a broken spread_cyclotomic out of the shared cache
-        monkeypatch.setattr(spreadpoly, "_phi_cache", {})
         seen.clear()
         report = run_suite("spreadpoly", make_context(field), trials=30, seed=0)
         assert report.failed == len(failing) and counts_ok(report), field
@@ -1193,15 +1213,12 @@ REPORT_CHANGING_KERNELS = [
 
 
 def _report_or_error(suite, field):
-    """The suite's report with elapsed_ms dropped (seed 0, 30 trials, cold
-    spread-cyclotomic cache), or the QuadranceError the run raised."""
-    spreadpoly._phi_cache.clear()
+    """The suite's report with elapsed_ms dropped (seed 0, 30 trials), or
+    the QuadranceError the run raised."""
     try:
         report = run_suite(suite, make_context(field), trials=30, seed=0).to_dict()
     except QuadranceError as exc:
         return exc
-    finally:
-        spreadpoly._phi_cache.clear()
     del report["elapsed_ms"]
     return report
 
