@@ -41,28 +41,28 @@ in Z[a, b, c(, d)]: each rational call first evaluates them once on
 symbolic.Poly variables (_proved), with the kernels it reads at that
 moment, and its trials check them only where that proof fails, on the
 values they still draw.  Rescaling invariance, an identity of rational
-functions, is sampled on every trial.  The spread recurrence for
-n <= 12 is an identity in Z[s] for each n, proved once per rational call
-too, but after the first trial: that trial samples it through
-poly_eval's Fraction path, which a Poly never takes, and only when it
-passes and a trial remains is the proof asked; the later trials still
-draw s and skip the recurrence when it holds.
+functions, is sampled on every trial.  The spread recurrence for n <= 12,
+an identity in Z[s] for each n, is proved once per rational call too,
+after a first trial that samples it through poly_eval's Fraction path,
+which a Poly never takes, and only when that trial passes and another
+remains; the later trials still draw s and skip it when it holds.
 
 The triple and quadruple sweeps check each distinct tuple of table values
 once per call: a verdict is a pure function of the values it reads,
 so every point tuple that reads the same values reuses it, and the counts
 and the first counterexample are unchanged.  The spreadpoly suite reads
-S_0..S_36 from one list per call, and its sweep S_k(r) mod p from one
-table per call (_spread_table).  spread_poly builds each row from its
-explicit coefficients, so spread-recurrence-triple compares two
-independent constructions of S_n.  The isometry sweep builds each
-colour's rotations and reflections once per call, and every law of the
-colour reads them; the composition laws take each parameter's form value
-once per isometry, and the green power bridge reads S_1..S_8 from one
-list per call.  The Fibonacci sweep evaluates one row of cases per (form,
-v1), with one pairing call per case: over int residues the identity
-holds in Z, so a row of exact zeros passes at once, and any other row is
-compared case by case mod p.
+S_0..S_36 and phi_1..phi_12 from one list each per call, and its sweep
+S_k(r) mod p from one table per call (_spread_table).  One function,
+_recurrence_sides, writes the spread recurrence for the proof, the trials
+and the sweep; spread_poly builds each row from its explicit coefficients,
+so the recurrence compares two independent constructions of S_n.  The
+isometry sweep builds each colour's rotations and reflections once per
+call, and every law of the colour reads them; the composition laws take
+each parameter's form value once per isometry, and the green power bridge
+reads S_1..S_8 from one list per call.  The Fibonacci sweep evaluates one
+row of cases per (form, v1), with one pairing call per case: over int
+residues the identity holds in Z, so a row of exact zeros passes at once,
+and any other row is compared case by case mod p.
 Nothing outlives the call, and no kernel keeps a value from one call to
 the next (the only cache holds immutable field contexts), so a kernel
 patched between runs is always seen.
@@ -1250,18 +1250,18 @@ def _suite_isometry(rec, ctx, rng, trials, colors):
 
 
 def _or_error(fn, *args):
-    """fn(*args), or the QuadranceError it raises as "Name: message", which
-    a fixed case reports as its failure (e.g. a wrong S_k does not factor)."""
+    """fn(*args), or the QuadranceError it raises as "Name: message": a fixed case's failure."""
     try:
         return fn(*args)
     except QuadranceError as exc:
         return f"{type(exc).__name__}: {exc}"
 
 
-def _cyclotomic_product(n: int):
-    """The product of spread_cyclotomic(k) over the divisors k of n."""
-    return math.prod(map(spreadpoly.spread_cyclotomic, spreadpoly.divisors(n)),
-                     start=spreadpoly.IntPolynomial([1]))
+def _factor_product(phis, n: int):
+    """The product of phi_d = phis[d - 1] over d | n, or the first _or_error string among them."""
+    factors = [phis[d - 1] for d in spreadpoly.divisors(n)]
+    errors = [f for f in factors if isinstance(f, str)]
+    return errors[0] if errors else math.prod(factors, start=spreadpoly.IntPolynomial([1]))
 
 
 def _spreadpoly_fixed_cases(polys):
@@ -1279,9 +1279,10 @@ def _spreadpoly_fixed_cases(polys):
     for n in range(1, 17):
         yield ("spread-via-chebyshev", {"n": n},
                _or_error(spreadpoly.spread_via_chebyshev, n), polys[n])
+    phis = [_or_error(spreadpoly.spread_cyclotomic, k) for k in range(1, 13)]  # built once
     for n in range(1, 13):
         yield ("spread-cyclotomic-product", {"n": n},
-               _or_error(_cyclotomic_product, n), polys[n])
+               _or_error(_factor_product, phis, n), polys[n])
 
 
 def _spread_table(p: int, polys) -> list:
@@ -1290,19 +1291,23 @@ def _spread_table(p: int, polys) -> list:
     return [[spreadpoly.poly_eval(poly, r) % p for poly in polys] for r in range(p)]
 
 
-def _recurrence_sides(polys, s) -> list:
-    """triple_spread_fn(S_{n-1}(s), s, S_n(s)) for n = 1..12, where
-    ``polys[n]`` is S_n, through the kernels as read now: the sides of the
-    spread recurrence that a rational call proves on a variable."""
-    values = [spreadpoly.poly_eval(polys[n], s) for n in range(13)]
+def _spread_values(polys, s) -> list:
+    """S_0(s)..S_12(s) through spreadpoly.poly_eval, where ``polys[n]`` is S_n."""
+    return [spreadpoly.poly_eval(polys[n], s) for n in range(13)]
+
+
+def _recurrence_sides(s, values) -> list:
+    """triple_spread_fn(S_{n-1}(s), s, S_n(s)) for n = 1..12; ``values[n]`` is S_n(s)."""
     return [projective.triple_spread_fn(values[n - 1], s, values[n]) for n in range(1, 13)]
 
 
 def _recurrence_case(s, values, p=None) -> dict | None:
-    """S_{n-1}(s), s, S_n(s) annihilate the triple spread function, n = 1..12;
-    ``values[n]`` is S_n(s) for n = 0..12."""
-    for n in range(1, 13):
-        val = _reduce(projective.triple_spread_fn(values[n - 1], s, values[n]), p)
+    """The first of _recurrence_sides(s, values) not 0 (mod p), or the error they raise."""
+    try:
+        sides = [_reduce(val, p) for val in _recurrence_sides(s, values)]
+    except QuadranceError as exc:
+        return _raised("spread-recurrence-triple", {"s": s}, exc)
+    for n, val in enumerate(sides, 1):
         if val != 0:
             return mismatch("spread-recurrence-triple", {"n": n, "s": s}, val, 0)
     return None
@@ -1362,39 +1367,30 @@ def _suite_spreadpoly(rec, ctx, rng, trials, colors):
             spread = _spread_table(p, polys)
         except QuadranceError as exc:
             # every sweep case fails with it, under the identity it checks first
-            for identity, cases in (("spread-recurrence-triple", p),
-                                    ("green-ratio-closed-form", (p - 1) ** 2)):
-                rec.case(_raised(identity, {"p": p}, exc), cases)
+            rec.case(_raised("spread-recurrence-triple", {"p": p}, exc), p)
+            rec.case(_raised("green-ratio-closed-form", {"p": p}, exc), (p - 1) ** 2)
             return
         for s in range(p):
-            try:
-                failure = _recurrence_case(s, spread[s], p) or _composition_eval_case(s, spread)
-            except QuadranceError as exc:
-                failure = _raised("spread-recurrence-triple", {"s": s}, exc)
-            rec.case(failure)
+            rec.case(_recurrence_case(s, spread[s], p) or _composition_eval_case(s, spread))
         for x in range(1, p):
             for y in range(1, p):
                 rec.case(_green_ratio_case(x, y, range(1, 9), p, spread))
     else:
-        # Trial 1 samples the recurrence on poly_eval's Fraction path, which a
-        # Poly never takes; if it holds and a trial remains, one proof spares
-        # the later trials, which still draw s.
         proved = False
         for t in range(trials):
             s = random_element(None, rng)
             failure = None
             if not proved:
                 try:
-                    s, *values = lift_scaled(
-                        [s] + [spreadpoly.poly_eval(polys[n], s) for n in range(13)])
+                    s, *values = lift_scaled([s, *_spread_values(polys, s)])
                     failure = _recurrence_case(s, values)
                 except QuadranceError as exc:
                     failure = _raised("spread-recurrence-triple", {"s": s}, exc)
                 if t == 0 and failure is None and trials > 1:
-                    proved = _proved(lambda x: _recurrence_sides(polys, x), lambda x: 0, 1)
+                    proved = _proved(lambda x: _recurrence_sides(x, _spread_values(polys, x)),
+                                     lambda x: 0, 1)
             if failure is None:
-                x, y = random_nonzero(rng), random_nonzero(rng)
-                failure = _green_ratio_case(x, y, [1 + t % 8])
+                failure = _green_ratio_case(random_nonzero(rng), random_nonzero(rng), [1 + t % 8])
             rec.case(failure)
 
 
@@ -1413,6 +1409,7 @@ def run_suite(suite: str, ctx: FieldContext, *, trials: int = 1000,
     enumerated exhaustively and ignore ``trials`` and ``seed``.  ``colors``
     narrows the form-based suites to some of FORM_NAMES (all when empty);
     the isometry suite has no general form, so it runs no case for it alone.
+    Unknown colours, or ``trials`` not an int >= 1, raise InvalidArgument before any work.
     """
     if suite != "all" and suite not in _SUITES:
         raise UnknownSuite(f"unknown suite {suite!r}; expected one of "
@@ -1421,6 +1418,8 @@ def run_suite(suite: str, ctx: FieldContext, *, trials: int = 1000,
     if unknown:
         raise InvalidArgument(f"unknown colors {unknown}; expected some of "
                               f"{', '.join(FORM_NAMES)}")
+    if not isinstance(trials, int) or trials < 1:
+        raise InvalidArgument(f"trials must be an int >= 1, not {trials!r}")
     randomized = ctx.kind == "rationals"
     rng = random.Random(seed) if randomized else None
     report = Report(suite, ctx.descriptor, seed=seed if randomized else None)

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import random
 from fractions import Fraction as Fr
 
@@ -291,6 +292,25 @@ def test_multiplication_matches_rotation_composition():
             p2 = rand_nonnull(color, rng)
             rot = compose(ProjIsometry(color, RHO, p1), ProjIsometry(color, RHO, p2))
             assert rot.param == multiply_points(color, p1, p2)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23])
+def test_rotation_groups_over_fp_are_cyclic(p):
+    # the non-null points under a colour's multiplication are a cyclic group:
+    # of order p + 1 for blue when -1 is not a square mod p, else p - 1, so
+    # exactly totient(order) of its points generate all of it
+    for color in Color:
+        group = [a for a in proj_points(p) if not is_null_for(color, a)]
+        order = p + 1 if color is Color.BLUE and p % 4 == 3 else p - 1
+        assert len(group) == order, color
+        generators = 0
+        for g in group:
+            powers, x = {g}, g
+            for _ in range(order - 1):
+                x = multiply_points(color, x, g)
+                powers.add(x)
+            generators += powers == set(group)
+        assert generators == sum(math.gcd(k, order) == 1 for k in range(order)), color
 
 
 def test_point_power_examples():

@@ -32,6 +32,15 @@ def test_every_suite_passes_on_small_prime_field():
         assert report.field == "fp:5"
 
 
+@pytest.mark.parametrize("suite", [*SUITE_NAMES, "all"])
+@pytest.mark.parametrize("trials", [-1, 0, 2.5, "30", None])
+def test_run_suite_refuses_a_bad_trials_count(suite, trials):
+    # before any work and over any field, though F_p runs read no trials
+    for field in ("rationals", "fp:7"):
+        with pytest.raises(InvalidArgument, match="trials must be an int >= 1"):
+            run_suite(suite, make_context(field), trials=trials)
+
+
 @pytest.mark.parametrize("suite", ["triple-spread", "quadruple-spread", "isometry"])
 def test_samplers_refuse_unknown_colors(suite):
     # each sampler cycles through its selected forms; an unknown name used
@@ -850,11 +859,12 @@ def test_kernel_errors_in_the_spreadpoly_loops_fail_their_case(monkeypatch, modu
 # F_7.  A fast path that skipped a
 # kernel would change them.  The isometry sweep takes form_value once per
 # composed parameter (544) and once per blue and red isometry (16 + 12), and
-# S_1..S_8 once per call.  The spreadpoly sweep asks for phi_d once for each
-# divisor d of each n = 1..12 (35 calls), and each call builds phi_d alone:
-# S_1, then one spread_poly and one poly_compose per prime of d, and one more
-# of each when d is not squarefree.  That is 68 spread_poly calls past the 37
-# rows, and 33 poly_compose calls past the 52 fixed compositions.
+# S_1..S_8 once per call.  The spreadpoly sweep builds phi_1..phi_12 once
+# per call (12 calls), and each call builds phi_k alone: S_1, then one
+# spread_poly and one poly_compose per prime of k, and one more of each when
+# k is not squarefree (k = 4, 8, 9, 12).  Over the 12 factors that is
+# 12 + 14 + 4 = 30 spread_poly calls past the 37 rows, and 14 + 4 = 18
+# poly_compose calls past the 36 fixed compositions and 16 Chebyshev bridges.
 KERNEL_CENSUS = {
     "isometry": {("chromo", "colored_quadrance_fraction"): 2120,
                  ("isometry", "multiply_points"): 2236, ("isometry", "compose"): 680,
@@ -862,9 +872,9 @@ KERNEL_CENSUS = {
                  ("projective", "form_value"): 572, ("spreadpoly", "spread_poly"): 8},
     "fibonacci": {("projective", "pairing"): 9604, ("projective", "form_value"): 196,
                   ("projective", "discriminant"): 4},
-    "spreadpoly": {("spreadpoly", "poly_compose"): 85, ("spreadpoly", "spread_via_chebyshev"): 16,
-                   ("spreadpoly", "chebyshev_T"): 16, ("spreadpoly", "spread_cyclotomic"): 35,
-                   ("spreadpoly", "spread_poly"): 105, ("spreadpoly", "poly_eval"): 259,
+    "spreadpoly": {("spreadpoly", "poly_compose"): 70, ("spreadpoly", "spread_via_chebyshev"): 16,
+                   ("spreadpoly", "chebyshev_T"): 16, ("spreadpoly", "spread_cyclotomic"): 12,
+                   ("spreadpoly", "spread_poly"): 67, ("spreadpoly", "poly_eval"): 259,
                    ("spreadpoly", "divisors"): 12},
 }
 
@@ -884,6 +894,21 @@ def test_fp_sweeps_reach_every_kernel_call(monkeypatch, suite):
     report = run_suite(suite, make_context("fp:7"))
     assert report.failed == 0 and counts_ok(report)
     assert counts == KERNEL_CENSUS[suite]
+
+
+def test_each_spread_factor_is_built_once_per_spreadpoly_call(monkeypatch):
+    # the twelve cyclotomic products read phi_1..phi_12 from one list per call
+    right, asked = spreadpoly.spread_cyclotomic, []
+
+    def counted(k):
+        asked.append(k)
+        return right(k)
+    monkeypatch.setattr(spreadpoly, "spread_cyclotomic", counted)
+    for field in ("fp:7", "rationals"):
+        asked.clear()
+        report = run_suite("spreadpoly", make_context(field), trials=30, seed=0)
+        assert report.failed == 0 and counts_ok(report), field
+        assert asked == list(range(1, 13)), field
 
 
 def test_wrong_small_spread_poly_is_reported_not_raised(monkeypatch):
@@ -1068,6 +1093,7 @@ def _raises_at(fn, bad):
 FIXED_CASE_BREAKERS = [
     ("chebyshev_T", 5, "spread-via-chebyshev", [5]),
     ("spread_cyclotomic", 6, "spread-cyclotomic-product", [6, 12]),
+    ("divisors", 6, "spread-cyclotomic-product", [6]),
 ]
 
 
@@ -1907,6 +1933,26 @@ def test_each_spreadpoly_call_proves_the_triple_spread_fn_it_is_given(monkeypatc
         assert (report.failed > 0) is broken
         if broken:
             assert report.counterexample["identity"] == "spread-recurrence-triple"
+
+
+def test_the_proof_the_trials_and_the_sweep_read_one_recurrence(monkeypatch):
+    # a breaker of S_8(s), s, S_9(s)'s side alone fails every residue of the
+    # F_p sweep and every rational trial: trial 1 fails, so nothing is proved
+    import quadrance.verify as v
+
+    right = v._recurrence_sides
+
+    def broken(s, values):
+        sides = right(s, values)
+        sides[8] += 1
+        return sides
+    monkeypatch.setattr(v, "_recurrence_sides", broken)
+    for field, failed in (("fp:7", 7), ("rationals", 30)):
+        report = run_suite("spreadpoly", make_context(field), trials=30, seed=0)
+        assert report.failed == failed and counts_ok(report), field
+        failure = report.counterexample
+        assert failure["identity"] == "spread-recurrence-triple", field
+        assert (failure["inputs"]["n"], failure["lhs"], failure["rhs"]) == ("9", "1", "0"), field
 
 
 def test_a_recurrence_breaker_that_branches_on_a_value_is_sampled_every_trial(monkeypatch):
